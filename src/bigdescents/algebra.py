@@ -1,7 +1,10 @@
 """Exact polynomial and truncated power series arithmetic.
 
-Everything here is coefficient-exact: polynomial coefficients are
-``fractions.Fraction`` and no floating point appears anywhere.  Two layers:
+Everything here is coefficient-exact and no floating point appears
+anywhere.  Polynomial coefficients are plain ``int`` values; a coefficient
+becomes a ``fractions.Fraction`` only when a division leaves a remainder, and
+a ``Fraction`` whose denominator is 1 is always stored as its ``int``.  Two
+layers:
 
 - ``MultiPoly``: sparse multivariate polynomials in the fixed variable set
   t, s, u, v, w (statistic markers), with graded-lexicographic term order.
@@ -21,6 +24,7 @@ so a failed exact division is a hard error, never a silent truncation.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import DivergenceError, InexactDivisionError, NonInvertibleError
@@ -33,12 +37,28 @@ _ZERO_EXP = (0,) * _NVARS
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: Scalar) -> Scalar:
+    """An exact rational as stored: an int, or a Fraction that is not one."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _reciprocal(value: Scalar) -> Scalar:
+    # 1 / value would be a float for an int value.
+    return _exact(Fraction(1, value))
+
+
+def _fold(terms: dict) -> dict:
+    """Store integral coefficients of ``terms`` as int, in place."""
+    if set(map(type, terms.values())) - {int}:
+        for exps, q in terms.items():
+            terms[exps] = _exact(q)
+    return terms
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -48,19 +68,20 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
 class MultiPoly:
     """Sparse polynomial in t, s, u, v, w with exact rational coefficients.
 
-    Instances are immutable values; no zero coefficient is ever stored.
+    Instances are immutable values; no zero coefficient is ever stored, and
+    every integral coefficient is stored as an ``int``.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != _NVARS or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent vector {exps!r}")
-                q = _as_fraction(coeff)
+                q = _exact(coeff)
                 if q:
                     clean[exps] = q
         object.__setattr__(self, "terms", clean)
@@ -104,10 +125,10 @@ class MultiPoly:
     def is_const(self) -> bool:
         return not self.terms or set(self.terms) == {_ZERO_EXP}
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Scalar:
         if not self.is_const():
             raise ValueError(f"{self} is not a constant")
-        return self.terms.get(_ZERO_EXP, Fraction(0))
+        return self.terms.get(_ZERO_EXP, 0)
 
     def used_vars(self) -> set[str]:
         used = set()
@@ -124,11 +145,6 @@ class MultiPoly:
         i = _VAR_INDEX[name]
         return max(exps[i] for exps in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -137,13 +153,13 @@ class MultiPoly:
         other = MultiPoly.coerce(other)
         terms = dict(self.terms)
         for exps, q in other.terms.items():
-            r = terms.get(exps, Fraction(0)) + q
+            r = terms.get(exps, 0) + q
             if r:
                 terms[exps] = r
             else:
                 terms.pop(exps, None)
         out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "terms", _fold(terms))
         return out
 
     __radd__ = __add__
@@ -165,24 +181,26 @@ class MultiPoly:
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+            q = _exact(other)
             if not q:
                 return MultiPoly.zero()
             out = MultiPoly.__new__(MultiPoly)
-            object.__setattr__(out, "terms", {e: c * q for e, c in self.terms.items()})
+            object.__setattr__(out, "terms",
+                               _fold({e: c * q for e, c in self.terms.items()}))
             return out
-        other = MultiPoly.coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
+        get = terms.get
+        other_items = other.terms.items()
         for e1, q1 in self.terms.items():
-            for e2, q2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                r = terms.get(exps, Fraction(0)) + q1 * q2
+            for e2, q2 in other_items:
+                exps = tuple(map(add, e1, e2))
+                r = get(exps, 0) + q1 * q2
                 if r:
                     terms[exps] = r
                 else:
-                    terms.pop(exps, None)
+                    del terms[exps]
         out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "terms", _fold(terms))
         return out
 
     __rmul__ = __mul__
@@ -213,7 +231,7 @@ class MultiPoly:
 
     def derivative(self, name: str) -> "MultiPoly":
         i = _VAR_INDEX[name]
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for exps, q in self.terms.items():
             e = exps[i]
             if e:
@@ -238,21 +256,21 @@ class MultiPoly:
             result = result + factor
         return result
 
-    def evaluate(self, mapping: Mapping[str, Scalar]) -> Fraction:
+    def evaluate(self, mapping: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at a rational point; every used variable must be given."""
         missing = self.used_vars() - set(mapping)
         if missing:
             raise ValueError(f"no value supplied for {sorted(missing)}")
-        total = Fraction(0)
+        total = 0
         for exps, q in self.terms.items():
             value = q
             for name, e in zip(VARIABLES, exps):
                 if e:
-                    value *= _as_fraction(mapping[name]) ** e
+                    value *= _exact(mapping[name]) ** e
             total += value
-        return total
+        return _exact(total)
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
@@ -264,31 +282,31 @@ class MultiPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_const():
-            return self * (1 / divisor.const_value())
+            return self * _reciprocal(divisor.const_value())
         lead_e, lead_q = divisor.leading_term()
         remainder = self
-        quotient: dict[tuple[int, ...], Fraction] = {}
+        quotient: dict[tuple[int, ...], Scalar] = {}
         while not remainder.is_zero():
             exps, q = remainder.leading_term()
             diff = tuple(a - b for a, b in zip(exps, lead_e))
             if any(d < 0 for d in diff):
                 raise InexactDivisionError(f"{self} is not divisible by {divisor}")
-            coeff = q / lead_q
+            coeff = _exact(Fraction(q, lead_q))
             quotient[diff] = coeff
             remainder = remainder - MultiPoly({diff: coeff}) * divisor
         return MultiPoly(quotient)
 
     # -- conversion and display --------------------------------------------
 
-    def to_univariate(self, name: str = "t") -> list[Fraction]:
+    def to_univariate(self, name: str = "t") -> list[Scalar]:
         """Coefficient list (ascending) of a polynomial that uses only `name`."""
         extra = self.used_vars() - {name}
         if extra:
             raise ValueError(f"polynomial also involves {sorted(extra)}")
         i = _VAR_INDEX[name]
-        coeffs = [Fraction(0)] * (self.degree(name) + 1 if self.terms else 1)
+        coeffs = [0] * (self.degree(name) + 1 if self.terms else 1)
         if not self.terms:
-            return [Fraction(0)]
+            return [0]
         for exps, q in self.terms.items():
             coeffs[exps[i]] = q
         return coeffs
@@ -438,24 +456,24 @@ class TruncatedSeries:
 
     def __truediv__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+            q = _exact(other)
             if not q:
                 raise ZeroDivisionError("series division by zero")
-            return self * (1 / q)
+            return self * _reciprocal(q)
         if isinstance(other, MultiPoly):
             if not other.is_const() or other.is_zero():
                 raise NonInvertibleError(
                     "series can only be scaled by a nonzero rational; "
                     "use exact_div for polynomial denominators"
                 )
-            return self * (1 / other.const_value())
+            return self * _reciprocal(other.const_value())
         other = self._coerce(other)
         c0 = other.coeffs[0]
         if not c0.is_const() or c0.is_zero():
             raise NonInvertibleError(
                 f"divisor constant term {c0} is not a nonzero rational"
             )
-        inv0 = 1 / c0.const_value()
+        inv0 = _reciprocal(c0.const_value())
         n = min(self.order, other.order)
         out: list[MultiPoly] = []
         for k in range(n + 1):

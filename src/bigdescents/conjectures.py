@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InexactDivisionError
 from .perms import des, distribution_table, enumerate_avoiders, pk
 from .wilf import (ALL_PAIRS, ALL_SINGLETONS, NON_REAL_ROOTED_CLASS, PatternTuple)
 
@@ -109,7 +110,8 @@ def radical(p: Poly) -> Poly:
         return poly([1])
     g = poly_gcd(p, poly_derivative(p))
     q, r = poly_divmod(p, g)
-    assert is_zero(r)
+    if not is_zero(r):
+        raise InexactDivisionError(f"gcd {g} does not divide {p}")
     return q
 
 

@@ -11,10 +11,12 @@ secondary marker in the joint path statistics, and u, v, w mark high big
 ascents, low big ascents, and an initial double rise of a Dyck path.
 
 Fixed-point iterations start from 1 (or 0 for unknowns with zero constant
-term) and run order+1 sweeps; each sweep pins down one more coefficient
-because every unknown on a right-hand side is multiplied by the series
-variable (directly or through a Gauss-Seidel update earlier in the sweep).
-A final idempotence check certifies stabilization.
+term) at truncation order 0 and run sweep k at order k, for k = 0..N, on the
+previous iterate padded with a zero coefficient.  Sweep k pins down
+coefficient k because every unknown on a right-hand side is multiplied by
+the series variable (directly or through a Gauss-Seidel update earlier in the
+sweep), so the coefficients below k are already final.  A final full-order
+idempotence check certifies stabilization.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .algebra import MultiPoly, TruncatedSeries, series_compose
-from .errors import BudgetError, DivergenceError
+from .errors import BudgetError, DivergenceError, InexactDivisionError
 
 _T = MultiPoly.var("t")
 _S = MultiPoly.var("s")
@@ -205,28 +207,36 @@ def _check_stable(old, new, name: str):
         raise DivergenceError(f"fixed point for {name} did not stabilize")
 
 
+def _grown(series: TruncatedSeries, k: int) -> TruncatedSeries:
+    """``series`` extended to truncation order k by zero coefficients."""
+    pad = (MultiPoly.zero(),) * (k - series.order)
+    return TruncatedSeries(series.coeffs + pad, series.var)
+
+
 def _functional_B132(N: int) -> TruncatedSeries:
     x = _x(N)
-    B = TruncatedSeries.one(N, "x")
-    Bbar = TruncatedSeries.zero(N, "x")
+    tx = _T * x
+    B = TruncatedSeries.one(0, "x")
+    Bbar = TruncatedSeries.zero(0, "x")
 
     def sweep(B, Bbar):
         Bbar = x * (1 + Bbar + _T * (B - Bbar - 1))
-        B = 1 + Bbar + x * (B - 1) + _T * x * (B - 1) ** 2
+        B = 1 + Bbar + x * (B - 1) + tx * (B - 1) ** 2
         return B, Bbar
 
-    for _ in range(N + 1):
-        B, Bbar = sweep(B, Bbar)
+    for k in range(N + 1):
+        B, Bbar = sweep(_grown(B, k), _grown(Bbar, k))
     _check_stable(B, sweep(B, Bbar)[0], "B132")
     return B
 
 
 def _functional_V(N: int) -> TruncatedSeries:
     x = _x(N)
-    V = TruncatedSeries.one(N, "x")
-    rhs = lambda V: 1 + x * ((_T - 1) * x + 1) * V ** 2
-    for _ in range(N + 1):
-        V = rhs(V)
+    a = x * ((_T - 1) * x + 1)
+    V = TruncatedSeries.one(0, "x")
+    rhs = lambda V: 1 + a * V ** 2
+    for k in range(N + 1):
+        V = rhs(_grown(V, k))
     _check_stable(V, rhs(V), "V")
     return V
 
@@ -239,19 +249,21 @@ def _functional_What(N: int) -> TruncatedSeries:
 
 def _functional_W(N: int) -> TruncatedSeries:
     What = _functional_What(N)
-    W = TruncatedSeries.one(N, "x")
-    for _ in range(N + 1):
-        W = 1 + What * W
+    W = TruncatedSeries.one(0, "x")
+    for k in range(N + 1):
+        W = 1 + What * _grown(W, k)
     _check_stable(W, 1 + What * W, "W")
     return W
 
 
 def _functional_Gtilde(N: int) -> TruncatedSeries:
     z = _z(N)
-    G = TruncatedSeries.one(N, "z")
-    rhs = lambda G: 1 + (1 + _S) * z * G + (_T * _S) * z ** 2 * G ** 2
-    for _ in range(N + 1):
-        G = rhs(G)
+    a = (1 + _S) * z
+    b = (_T * _S) * z ** 2
+    G = TruncatedSeries.one(0, "z")
+    rhs = lambda G: 1 + a * G + b * G ** 2
+    for k in range(N + 1):
+        G = rhs(_grown(G, k))
     _check_stable(G, rhs(G), "Gtilde")
     return G
 
@@ -262,7 +274,7 @@ def _functional_G(N: int) -> TruncatedSeries:
 
 def _functional_W1_words(N: int) -> TruncatedSeries:
     x = _x(N)
-    zero = TruncatedSeries.zero(N, "x")
+    zero = TruncatedSeries.zero(0, "x")
     W1 = W0 = W01 = W11 = zero
 
     def sweep(W1, W0, W01, W11):
@@ -273,8 +285,8 @@ def _functional_W1_words(N: int) -> TruncatedSeries:
         return W1, W0, W01, W11
 
     state = (W1, W0, W01, W11)
-    for _ in range(N + 1):
-        state = sweep(*state)
+    for k in range(N + 1):
+        state = sweep(*(_grown(part, k) for part in state))
     _check_stable(state[0], sweep(*state)[0], "W1_words")
     return state[0]
 
@@ -355,6 +367,13 @@ def _delta0(k: int) -> int:
     return 1 if k == 0 else 0
 
 
+def _exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError(f"{a}/{b} is not an integer")
+    return q
+
+
 def b231(n: int, k: int) -> int:
     """Big-descent counts over 231-avoiders: 2^(n-2k-1)/(k+1) C(n-1,2k) C(2k,k)."""
     if n == 0:
@@ -379,18 +398,14 @@ def b123(n: int, k: int) -> int:
     """Big-descent counts over 123-avoiders: 2/(n+1) C(n+1,k+2) C(n-2,k)."""
     if n == 0:
         return _delta0(k)
-    value = Fraction(2, n + 1) * binom(n + 1, k + 2) * binom(n - 2, k)
-    assert value.denominator == 1
-    return value.numerator
+    return _exact_quotient(2 * binom(n + 1, k + 2) * binom(n - 2, k), n + 1)
 
 
 def narayana(n: int, k: int) -> int:
     """N(n,k) = 1/(k+1) C(n-1,k) C(n,k); right big descents over 123-avoiders."""
     if n == 0:
         return _delta0(k)
-    value = Fraction(1, k + 1) * binom(n - 1, k) * binom(n, k)
-    assert value.denominator == 1
-    return value.numerator
+    return _exact_quotient(binom(n - 1, k) * binom(n, k), k + 1)
 
 
 def b213_231(n: int, k: int) -> int:

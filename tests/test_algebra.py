@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bigdescents.algebra import (MultiPoly, TruncatedSeries, series_compose)
 from bigdescents.errors import (DivergenceError, InexactDivisionError,
                                 NonInvertibleError)
+from bigdescents.genfun import GF_IDS, expand, expand_functional
 
 t = MultiPoly.var("t")
 s = MultiPoly.var("s")
@@ -164,6 +165,42 @@ class TestExactDiv:
     def test_nonzero_low_coefficient_rejected(self):
         with pytest.raises(InexactDivisionError):
             TruncatedSeries.one(3).exact_div(1, 2)
+
+
+def assert_stored_exactly(polys):
+    """Every coefficient is an int or a Fraction that is not an integer."""
+    for poly in polys:
+        for q in poly.terms.values():
+            assert type(q) is int or (type(q) is Fraction and q.denominator > 1), q
+
+
+class TestCoefficientTypes:
+    def test_integral_quotient_is_int(self):
+        assert MultiPoly.const(4).exact_div(2).terms == {(0, 0, 0, 0, 0): 2}
+        assert_stored_exactly([MultiPoly.const(4).exact_div(2)])
+
+    def test_proper_quotient_is_fraction(self):
+        assert (2 * t).exact_div(4).terms == {(1, 0, 0, 0, 0): Fraction(1, 2)}
+        assert_stored_exactly([(2 * t).exact_div(4), (3 * t).exact_div(2 * t)])
+
+    def test_series_divided_by_int(self):
+        for divisor in (1, 2, 3, -2, Fraction(2, 3)):
+            series = (2 + 4 * t * x(4) + 3 * x(4) ** 2) / divisor
+            assert_stored_exactly(series.coeffs)
+        assert ((2 + 4 * t * x(4)) / 2).coefficient(1).terms == {(1, 0, 0, 0, 0): 2}
+
+    def test_fractions_cancelling_to_integers(self):
+        half = MultiPoly.const(Fraction(1, 2)) * t
+        assert_stored_exactly([half + half, half * (2 * s),
+                               MultiPoly({(0,) * 5: Fraction(6, 3)})])
+        assert (half + half).terms == {(1, 0, 0, 0, 0): 1}
+
+    def test_every_generating_function(self):
+        for gf_id, info in GF_IDS.items():
+            series = expand(gf_id, 8, r=2 if info.get("needs_r") else None)
+            assert_stored_exactly(series.coeffs)
+            if "functional" in info:
+                assert_stored_exactly(expand_functional(gf_id, 8).coeffs)
 
 
 @st.composite

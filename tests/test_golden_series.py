@@ -1,0 +1,55 @@
+"""Every generating-function expansion at order 12 against recorded digests.
+
+``golden_series.json`` holds the sha256 of ``TruncatedSeries.pretty()`` for
+each closed-form expansion (``R_run`` at r = 2 and r = 3) and each
+functional-equation expansion.  The digests were recorded before the
+coefficient kernel stored integers natively, so a kernel rewrite must
+reproduce the old series byte for byte.
+
+Re-record (only after an intended change of output) with
+``PYTHONPATH=src python tests/test_golden_series.py``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from bigdescents.genfun import GF_IDS, expand, expand_functional
+
+ORDER = 12
+GOLDEN_PATH = Path(__file__).with_name("golden_series.json")
+
+
+def _jobs():
+    for gf_id, info in GF_IDS.items():
+        if info.get("needs_r"):
+            for r in (2, 3):
+                yield f"expand:{gf_id}:r={r}", lambda i=gf_id, r=r: expand(i, ORDER, r)
+        else:
+            yield f"expand:{gf_id}", lambda i=gf_id: expand(i, ORDER)
+        if "functional" in info:
+            yield (f"expand_functional:{gf_id}",
+                   lambda i=gf_id: expand_functional(i, ORDER))
+
+
+JOBS = dict(_jobs())
+
+
+def digest(key: str) -> str:
+    return hashlib.sha256(JOBS[key]().pretty().encode()).hexdigest()
+
+
+def test_golden_file_covers_every_expansion():
+    assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(JOBS)
+
+
+@pytest.mark.parametrize("key", sorted(JOBS))
+def test_series_matches_golden_digest(key):
+    assert digest(key) == json.loads(GOLDEN_PATH.read_text())[key]
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps({key: digest(key) for key in sorted(JOBS)}, indent=1) + "\n")

@@ -1,0 +1,55 @@
+"""Closed forms re-expanded by sympy, independently of ``bigdescents.algebra``.
+
+The exact-algebra kernel checks its two routes against each other; this
+oracle expands the square roots with sympy's own ``series`` so that a kernel
+rewrite cannot pass only by agreeing with itself.  sympy is optional.
+"""
+
+import pytest
+
+from bigdescents.genfun import expand, series_row
+
+sp = pytest.importorskip("sympy")
+
+ORDER = 10
+t, s, x, z = sp.symbols("t s x z")
+
+
+def sympy_coefficients(expr, var, order):
+    """Coefficients of var^0..var^order of a polynomial sympy expression."""
+    expr = sp.expand(expr)
+    return [expr.coeff(var, n) for n in range(order + 1)]
+
+
+def t_row(coeff):
+    return [int(c) for c in sp.Poly(coeff, t).all_coeffs()[::-1]]
+
+
+def test_b132_rows_match_sympy():
+    # B132 = (1 - 2ux + u(1-2t)x^2 - sqrt(R)) / (2tx) / (1 - ux), u = 1 - t.
+    u = 1 - t
+    radicand = 1 - 4 * x + 6 * u * x ** 2 - 4 * u ** 2 * x ** 3 + u ** 2 * x ** 4
+    root = sp.series(sp.sqrt(radicand), x, 0, ORDER + 2).removeO()
+    numerator = sympy_coefficients(
+        1 - 2 * u * x + u * (1 - 2 * t) * x ** 2 - root, x, ORDER + 1)
+    assert numerator[0] == 0
+    shifted = [sp.cancel(c / (2 * t)) for c in numerator[1:]]
+    rows = [sp.expand(sum(shifted[i] * u ** (n - i) for i in range(n + 1)))
+            for n in range(ORDER + 1)]
+    series = expand("B132", ORDER)
+    for n, coeff in enumerate(rows):
+        assert series_row(series, n) == t_row(coeff)
+
+
+def test_gtilde_coefficients_match_sympy():
+    # Gtilde = (1 - (1+s)z - sqrt((1-(1+s)z)^2 - 4stz^2)) / (2stz^2).
+    root = sp.sqrt((1 - (1 + s) * z) ** 2 - 4 * s * t * z ** 2)
+    closed = (1 - (1 + s) * z - root) / (2 * s * t * z ** 2)
+    want = sympy_coefficients(sp.series(closed, z, 0, ORDER + 1).removeO(), z, ORDER)
+    series = expand("Gtilde", ORDER)
+    at_s_1 = series.map_coeffs({"s": 1})
+    for n, coeff in enumerate(want):
+        assert series_row(at_s_1, n) == t_row(coeff.subs(s, 1))
+        want_terms = {(i, j, 0, 0, 0): q
+                      for (i, j), q in sp.Poly(coeff, t, s).as_dict().items()}
+        assert series.coefficient(n).terms == want_terms
