@@ -65,6 +65,18 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
+def _power(base, n: int, one):
+    """``base ** n`` (n >= 0) by binary powering from the leading bit."""
+    if n == 0:
+        return one()
+    out = base
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
+    return out
+
+
 class MultiPoly:
     """Sparse polynomial in t, s, u, v, w with exact rational coefficients.
 
@@ -208,14 +220,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = MultiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, MultiPoly.one)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -381,11 +386,12 @@ class TruncatedSeries:
 
     @classmethod
     def gen(cls, order: int, var: str = "x") -> "TruncatedSeries":
-        """The series consisting of the formal variable itself."""
-        if order < 1:
-            raise ValueError("order must be at least 1 to represent the variable")
+        """The series consisting of the formal variable itself (zero at
+        order 0, since x vanishes modulo x^1)."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
         coeffs = [MultiPoly.zero(), MultiPoly.one()] + [MultiPoly.zero()] * (order - 1)
-        return cls(coeffs, var)
+        return cls(coeffs[:order + 1], var)
 
     def coefficient(self, n: int) -> MultiPoly:
         if not 0 <= n <= self.order:
@@ -445,14 +451,7 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative series power")
-        out = TruncatedSeries.one(self.order, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, lambda: TruncatedSeries.one(self.order, self.var))
 
     def __truediv__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):

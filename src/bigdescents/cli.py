@@ -22,8 +22,8 @@ from . import bijections, conjectures, genfun, verify
 from .config import DEFAULT_LIMITS, Limits, load_limits
 from .errors import BudgetError
 from .paths import BinaryWord, DyckPath, TwoMotzkinPath
-from .perms import (distribution_table, format_permutation, parse_pattern_set,
-                    parse_permutation)
+from .perms import (distribution_rows, distribution_table, format_permutation,
+                    parse_pattern_set, parse_permutation)
 from .symfunc import (asymmetry_witness, format_schur, qsym_fundamental,
                       qsym_sum, schur_expand)
 
@@ -109,30 +109,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args, limits: Limits) -> int:
     patterns = parse_pattern_set(args.patterns)
+    if args.format == "bfile":
+        # the whole triangle up to n, rows trimmed, flat indices
+        index = limits.bfile_offset
+        for row in distribution_rows(args.n, patterns, args.stat,
+                                     limits=limits, max_n=args.max_n):
+            for value in row.poly():
+                print(f"{index} {value}")
+                index += 1
+        return 0
     table = distribution_table(args.n, patterns, args.stat,
                                limits=limits, max_n=args.max_n)
     if args.format == "text":
         print(" ".join(map(str, table.counts)))
     elif args.format == "tsv":
         print("\t".join(map(str, table.counts)))
-    elif args.format == "json":
+    else:  # json
         print(json.dumps({
             "patterns": [format_permutation(p) for p in table.patterns],
             "n": table.n, "stat": table.stat, "counts": list(table.counts),
         }, sort_keys=True))
-    else:  # bfile: the whole triangle up to n, rows trimmed, flat indices
-        index = limits.bfile_offset
-        for m in range(args.n + 1):
-            row = distribution_table(m, patterns, args.stat,
-                                     limits=limits, max_n=args.max_n).poly()
-            for value in row:
-                print(f"{index} {value}")
-                index += 1
     return 0
 
 
 def _cmd_verify(args, limits: Limits) -> int:
-    results = verify.run_scope(args.scope, args.max_n)
+    results = verify.run_scope(args.scope, args.max_n, limits=limits)
     ok = all(r.ok for r in results)
     if args.format == "json":
         print(json.dumps({"checks": [r.to_json() for r in results],
@@ -253,7 +254,7 @@ def _cmd_qsym(args, limits: Limits) -> int:
 
 def _cmd_conjecture(args, limits: Limits) -> int:
     which = args.which.replace("-", "_")
-    report = conjectures.conjecture_scan(which, args.max_n)
+    report = conjectures.conjecture_scan(which, args.max_n, limits=limits)
     ok = report.all_as_predicted()
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))

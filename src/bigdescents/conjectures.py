@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InexactDivisionError
-from .perms import des, distribution_table, enumerate_avoiders, pk
+from .config import DEFAULT_LIMITS, Limits
+from .errors import BudgetError, InexactDivisionError
+from .perms import distribution_rows, distribution_table
 from .wilf import (ALL_PAIRS, ALL_SINGLETONS, NON_REAL_ROOTED_CLASS, PatternTuple)
 
 Poly = list[Fraction]
@@ -219,13 +220,6 @@ def is_unimodal(counts: Sequence[int]) -> bool:
 # the 231-avoider identities
 # ---------------------------------------------------------------------------
 
-def _stat_poly_231(n: int, stat_fn) -> Poly:
-    coeffs = [Fraction(0)] * (n + 1)
-    for pi in enumerate_avoiders(n, ((2, 3, 1),)):
-        coeffs[stat_fn(pi)] += 1
-    return poly(coeffs)
-
-
 def branden_check(n: int) -> bool:
     """Exact check of A_n(t) = ((1+t)/2)^(n-1) P_n(4t/(1+t)^2) over the
     231-avoiders, where A counts descents and P counts peaks.
@@ -236,8 +230,8 @@ def branden_check(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    a_poly = _stat_poly_231(n, des)
-    p_poly = _stat_poly_231(n, pk)
+    a_poly = distribution_table(n, ((2, 3, 1),), "des").poly()
+    p_poly = distribution_table(n, ((2, 3, 1),), "pk").poly()
     lhs = poly([c * 2 ** (n - 1) for c in a_poly])
     rhs = [Fraction(0)]
     one_plus_t = poly([1, 1])
@@ -257,8 +251,8 @@ def branden_check(n: int) -> bool:
 def stembridge_consistency(n: int) -> bool:
     """Both 231-avoider polynomials (descents and peaks) real-rooted, and the
     substitution-equivalence they should satisfy observed: equal verdicts."""
-    a_rooted = is_real_rooted(_stat_poly_231(n, des))
-    p_rooted = is_real_rooted(_stat_poly_231(n, pk))
+    a_rooted = is_real_rooted(distribution_table(n, ((2, 3, 1),), "des").poly())
+    p_rooted = is_real_rooted(distribution_table(n, ((2, 3, 1),), "pk").poly())
     return a_rooted == p_rooted and a_rooted
 
 
@@ -313,7 +307,8 @@ _SCAN_TARGETS = ALL_SINGLETONS + ALL_PAIRS
 _SCHUR_TARGETS: tuple[PatternTuple, ...] = ((), ((1, 2, 3),), ((1, 2, 3, 4),))
 
 
-def conjecture_scan(which: str, max_n: int) -> ScanReport:
+def conjecture_scan(which: str, max_n: int,
+                    limits: Limits = DEFAULT_LIMITS) -> ScanReport:
     """Scan a property over the size-1 and size-2 avoidance classes.
 
     which: real_rooted | log_concave | unimodal | schur_positive.
@@ -325,8 +320,9 @@ def conjecture_scan(which: str, max_n: int) -> ScanReport:
         for patterns in _SCAN_TARGETS:
             expected_fail = (which == "real_rooted"
                              and patterns in NON_REAL_ROOTED_CLASS)
-            for n in range(max_n + 1):
-                counts = distribution_table(n, patterns, "bdes").counts
+            for table in distribution_rows(max_n, patterns, "bdes",
+                                           limits=limits):
+                counts = table.counts
                 p = poly(counts)
                 if which == "real_rooted":
                     if is_zero(p):
@@ -346,14 +342,16 @@ def conjecture_scan(which: str, max_n: int) -> ScanReport:
                     holds = is_unimodal(counts)
                     witness = None if holds else "interior dip"
                 records.append(ScanRecord(
-                    patterns=patterns, n=n, holds=holds,
+                    patterns=patterns, n=table.n, holds=holds,
                     expected=not expected_fail, witness=witness))
         return ScanReport(which=which, max_n=max_n, records=tuple(records))
     if which == "schur_positive":
         from .symfunc import asymmetry_witness, is_schur_positive, qsym_sum, schur_expand
+        if max_n > limits.qsym_guard:
+            raise BudgetError(f"max_n={max_n} exceeds qsym_guard={limits.qsym_guard}")
         for patterns in _SCHUR_TARGETS:
             for n in range(max_n + 1):
-                q = qsym_sum(n, patterns, r=1, max_n=n)
+                q = qsym_sum(n, patterns, r=1, limits=limits)
                 witness = None
                 bad = asymmetry_witness(q)
                 if bad is not None:

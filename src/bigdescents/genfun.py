@@ -21,12 +21,12 @@ idempotence check certifies stabilization.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from .algebra import MultiPoly, TruncatedSeries, series_compose
-from .errors import BudgetError, DivergenceError, InexactDivisionError
+from .errors import DivergenceError, InexactDivisionError
+from .perms import distribution_table
 
 _T = MultiPoly.var("t")
 _S = MultiPoly.var("s")
@@ -448,17 +448,6 @@ def b231_312(n: int, k: int) -> int:
 # r-Eulerian polynomials and the generalized Carlitz identity
 # ---------------------------------------------------------------------------
 
-def _brute_eulerian_r(n: int, r: int) -> list[int]:
-    if n > 9:
-        raise BudgetError(f"brute-force base case over S_{n} refused (guard 9)")
-    coeffs = [0] * (n + 1 if n else 1)
-    for pi in itertools.permutations(range(1, n + 1)):
-        coeffs[sum(1 for a, b in zip(pi, pi[1:]) if a > b + r)] += 1
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_derivative(p: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:] or [0]
 
@@ -466,14 +455,14 @@ def _poly_derivative(p: list[int]) -> list[int]:
 def eulerian_r(n: int, r: int) -> list[int]:
     """Distribution of r-descents over the full symmetric group S_n.
 
-    Base cases with n <= r are enumerated directly (the recurrence is only
-    valid from n = r+1 on); above that, apply
+    Base cases with n <= r are enumerated by brute force, refused above
+    n = 9 (the recurrence is only valid from n = r+1 on); above that, apply
     A_n = (r+1 + (n-r-1) t) A_{n-1} + t (1-t) A'_{n-1}.
     """
     if n < 0 or r < 0:
         raise ValueError("n and r must be non-negative")
     if n <= r:
-        return _brute_eulerian_r(n, r)
+        return distribution_table(n, (), f"des_r({r})", max_n=9).poly()
     prev = eulerian_r(n - 1, r)
     deriv = _poly_derivative(prev)
     out = [0] * (len(prev) + 2)

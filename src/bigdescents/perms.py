@@ -15,9 +15,11 @@ when k+1 is a weak excedance (pi_{k+1} >= k+1) and low otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetError
@@ -179,16 +181,17 @@ def _has_pair(seq: Perm, ascending: bool) -> bool:
     return False
 
 
-def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
-                       limits: Limits = DEFAULT_LIMITS,
-                       max_n: int | None = None) -> Iterator[Perm]:
-    """Yield S_n(patterns) exactly once each, in lexicographic order.
+def _levels(n: int, patterns: Iterable[Sequence[int]], limits: Limits,
+            max_n: int | None) -> Iterator[Iterable[Perm]]:
+    """Yield the avoiders of each length 0..n, unsorted, one level at a time.
 
     Built levelwise: avoiders of length m arise by inserting m into avoiders
     of length m-1 and filtering the insertions that create an occurrence
     (avoider classes are closed under letter deletion, so nothing is missed).
     Length-3 patterns use the O(n) insertion check; other lengths fall back
-    to a full containment test on the candidate.
+    to a full containment test on the candidate.  Only the level being
+    extended and the one being built are alive at once.  With no patterns
+    each level streams from itertools in lexicographic order.
     """
     if n < 0:
         raise ValueError("length must be non-negative")
@@ -202,15 +205,16 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
             f"n={n} exceeds enumeration guard {kind}={guard}; "
             f"pass max_n or a Limits override to go further"
         )
-    if any(len(p) == 0 for p in patterns):
-        return  # everything contains the empty pattern... except nothing at all
     if not patterns:
-        yield from itertools.permutations(range(1, n + 1))
+        for m in range(n + 1):
+            yield itertools.permutations(range(1, m + 1))
         return
 
     short = [p for p in patterns if len(p) <= n]
-    level: list[Perm] = [()]
+    # every permutation, even the empty one, contains the empty pattern
+    level: list[Perm] = [()] if all(patterns) else []
     for m in range(1, n + 1):
+        yield level
         nxt: list[Perm] = []
         for sigma in level:
             for pos in range(m):
@@ -227,7 +231,17 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
                 if ok:
                     nxt.append(candidate)
         level = nxt
-    yield from sorted(level)
+    yield level
+
+
+def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
+                       limits: Limits = DEFAULT_LIMITS,
+                       max_n: int | None = None) -> Iterator[Perm]:
+    """Yield S_n(patterns) exactly once each, in lexicographic order."""
+    # keep only the last level (maxlen=1 drops each earlier one as it goes)
+    level = deque(_levels(n, patterns, limits, max_n), maxlen=1).pop()
+    # a built level is a list; the unrestricted stream is already in order
+    yield from sorted(level) if isinstance(level, list) else level
 
 
 def count_avoiders(n: int, patterns: Iterable[Sequence[int]], **kw) -> int:
@@ -319,8 +333,8 @@ _PLAIN_STATS = {
 }
 
 
-def parse_stat(name: str) -> tuple[str, int | None]:
-    """Split a statistic name into (base, parameter).
+def _stat_function(name: str) -> Callable[[Sequence[int]], int]:
+    """Resolve a statistic name to the function that evaluates it.
 
     Accepts the plain names, ``des_r(r)``, and the shorthand ``des_k`` for a
     literal non-negative integer k.  ``des_r(0)`` is des and ``des_r(1)`` is
@@ -328,11 +342,11 @@ def parse_stat(name: str) -> tuple[str, int | None]:
     """
     name = name.strip()
     if name in _PLAIN_STATS:
-        return name, None
+        return _PLAIN_STATS[name]
     if name.startswith("des_r(") and name.endswith(")"):
-        return "des_r", int(name[len("des_r("):-1])
+        return functools.partial(des_r, r=int(name[len("des_r("):-1]))
     if name.startswith("des_") and name[len("des_"):].isdigit():
-        return "des_r", int(name[len("des_"):])
+        return functools.partial(des_r, r=int(name[len("des_"):]))
     raise ValueError(f"unknown statistic {name!r}")
 
 
@@ -342,10 +356,7 @@ def statistic(pi: Sequence[int], name: str) -> int:
     >>> statistic((7, 4, 2, 1, 3, 6, 5), "des_r(1)")
     2
     """
-    base, r = parse_stat(name)
-    if base == "des_r":
-        return des_r(pi, r)
-    return _PLAIN_STATS[base](pi)
+    return _stat_function(name)(pi)
 
 
 def statistic_set(pi: Sequence[int], which: str) -> set[int]:
@@ -435,16 +446,33 @@ class DistributionTable:
         return sum(self.counts)
 
 
+def _tally(m: int, patterns: tuple[Perm, ...], stat: str,
+           value: Callable[[Sequence[int]], int],
+           level: Iterable[Perm]) -> DistributionTable:
+    found = Counter(map(value, level))
+    return DistributionTable(n=m, stat=stat, patterns=patterns,
+                             counts=tuple(found[k] for k in range(m + 1)))
+
+
 def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,
                        limits: Limits = DEFAULT_LIMITS,
                        max_n: int | None = None) -> DistributionTable:
     """Brute-force distribution of a statistic over S_n(patterns)."""
-    parse_stat(stat)  # fail fast on bad names
+    value = _stat_function(stat)
     pats = tuple(sorted({check_permutation(p) for p in patterns}))
-    counts = [0] * (n + 1)
-    for pi in enumerate_avoiders(n, pats, limits=limits, max_n=max_n):
-        counts[statistic(pi, stat)] += 1
-    return DistributionTable(n=n, stat=stat, patterns=pats, counts=tuple(counts))
+    level = deque(_levels(n, pats, limits, max_n), maxlen=1).pop()
+    return _tally(n, pats, stat, value, level)
+
+
+def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
+                      limits: Limits = DEFAULT_LIMITS,
+                      max_n: int | None = None) -> list[DistributionTable]:
+    """The tables of lengths 0..n from one levelwise pass: equal to
+    ``distribution_table(m, ...)`` for each m, with the guard applied to n."""
+    value = _stat_function(stat)
+    pats = tuple(sorted({check_permutation(p) for p in patterns}))
+    return [_tally(m, pats, stat, value, level)
+            for m, level in enumerate(_levels(n, pats, limits, max_n))]
 
 
 # ---------------------------------------------------------------------------

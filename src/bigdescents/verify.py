@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from . import genfun, wilf
 from .bijections import BIJECTIONS, verify_transfer
 from .catalogue import TABLE_CLASS_ROUTES
-from .perms import bdes, distribution_table, enumerate_avoiders
+from .config import DEFAULT_LIMITS, Limits
+from .perms import bdes, distribution_rows, enumerate_avoiders
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ def _result(name, n, population, ok, witness=None) -> CheckResult:
                        witness=None if ok else witness)
 
 
-def check_class_equalities(max_n: int) -> list[CheckResult]:
-    report = wilf.class_partition_report(max_n)
+def check_class_equalities(max_n: int,
+                           limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+    report = wilf.class_partition_report(max_n, limits=limits)
     out = []
     for cmp in report.comparisons:
         label = ("equal" if cmp.same_class else "distinct")
@@ -51,19 +53,14 @@ def check_class_equalities(max_n: int) -> list[CheckResult]:
     return out
 
 
-def check_formulas(max_n: int) -> list[CheckResult]:
+def check_formulas(max_n: int,
+                   limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Every enumeration route against the brute-force distribution."""
     out = []
-    for label, patterns, route in TABLE_CLASS_ROUTES:
-        series = route(max_n) if callable(route) else None
-        for n in range(max_n + 1):
-            table = distribution_table(n, patterns, "bdes")
+    for label, patterns, rows in TABLE_CLASS_ROUTES:
+        tables = distribution_rows(max_n, patterns, "bdes", limits=limits)
+        for n, (table, got) in enumerate(zip(tables, rows(max_n), strict=True)):
             expected = list(table.counts)
-            if series is not None:
-                got = genfun.series_row(series, n)
-            else:
-                got = [genfun.formula(label.split(":")[1], n=n, k=k)
-                       for k in range(n + 1)]
             got = got + [0] * (n + 1 - len(got))
             out.append(_result(
                 f"distribution:{label}", n, table.total(),
@@ -71,27 +68,26 @@ def check_formulas(max_n: int) -> list[CheckResult]:
                 f"formula {got} vs brute force {expected}"))
     # r-Eulerian recurrence against brute force, and the Carlitz identity
     for r in range(3):
-        for n in range(min(max_n, 7) + 1):
-            rec = genfun.eulerian_r(n, r)
-            brute = genfun._brute_eulerian_r(n, r)
-            out.append(_result(f"eulerian-recurrence:r={r}", n,
-                               sum(brute), rec == brute,
+        for table in distribution_rows(min(max_n, 7), (), f"des_r({r})",
+                                       limits=limits):
+            rec = genfun.eulerian_r(table.n, r)
+            brute = table.poly()
+            out.append(_result(f"eulerian-recurrence:r={r}", table.n,
+                               table.total(), rec == brute,
                                f"{rec} vs {brute}"))
         for n in range(1, min(max_n, 7) + 1):
             out.append(_result(f"carlitz:r={r}", n, 6,
                                genfun.carlitz_verify(n, r, 6)))
     # bdes over the unrestricted group matches the r=1 Eulerian polynomials
-    for n in range(min(max_n, 8) + 1):
-        table = distribution_table(n, (), "bdes")
-        rec = genfun.eulerian_r(n, 1)
-        rec = rec + [0] * (n + 1 - len(rec))
-        out.append(_result("eulerian-r1-vs-bdes", n, table.total(),
-                           tuple(rec) == table.counts,
-                           f"{rec} vs {list(table.counts)}"))
+    for table in distribution_rows(min(max_n, 8), (), "bdes", limits=limits):
+        rec = genfun.eulerian_r(table.n, 1)
+        out.append(_result("eulerian-r1-vs-bdes", table.n, table.total(),
+                           rec == table.poly(), f"{rec} vs {table.poly()}"))
     return out
 
 
-def check_bijections(max_n: int) -> list[CheckResult]:
+def check_bijections(max_n: int,
+                     limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     out = []
     for name, b in sorted(BIJECTIONS.items()):
         for n in range(b.min_length, max_n + 1):
@@ -107,7 +103,8 @@ def check_bijections(max_n: int) -> list[CheckResult]:
         b = BIJECTIONS[name]
         for n in range(max_n + 1):
             images = {str(b.forward(pi, check=False))
-                      for pi in enumerate_avoiders(n, ((2, 3, 1),))}
+                      for pi in enumerate_avoiders(n, ((2, 3, 1),),
+                                                   limits=limits)}
             expected = genfun.catalan(n)
             out.append(_result(f"bijection:{name}:onto-dyck", n, expected,
                                len(images) == expected,
@@ -122,7 +119,7 @@ def check_bijections(max_n: int) -> list[CheckResult]:
     for label, patterns, first, second in composites:
         for n in range(1, max_n + 1):
             population = failures = 0
-            for pi in enumerate_avoiders(n, patterns):
+            for pi in enumerate_avoiders(n, patterns, limits=limits):
                 population += 1
                 image = second.backward(first.forward(pi, check=False))
                 if bdes(image) != bdes(pi):
@@ -157,18 +154,18 @@ SCOPES = {
     "class-equalities": check_class_equalities,
     "formulas": check_formulas,
     "bijections": check_bijections,
-    "genfun-crossroutes": check_genfun_crossroutes,
+    # expands series only, so no enumeration guard applies
+    "genfun-crossroutes": lambda order, limits: check_genfun_crossroutes(order),
 }
 
 
-def run_scope(scope: str, max_n: int) -> list[CheckResult]:
-    if scope == "all":
-        results = []
-        for fn in SCOPES.values():
-            results.extend(fn(max_n))
-        return results
-    try:
-        return SCOPES[scope](max_n)
-    except KeyError:
+def run_scope(scope: str, max_n: int,
+              limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+    if scope != "all" and scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; "
-                         f"have {sorted(SCOPES) + ['all']}") from None
+                         f"have {sorted(SCOPES) + ['all']}")
+    results = []
+    for name, fn in SCOPES.items():
+        if scope in ("all", name):
+            results.extend(fn(max_n, limits))
+    return results

@@ -6,21 +6,20 @@ by its reverse-complement image is always such an equivalence (the trivial
 ones).  The partitions below are the complete classifications for all pattern
 sets of size 1 and size 2 inside S_3; ``class_partition_report`` re-derives
 them by exhaustive pairwise comparison, which is how the package certifies
-the classification.
+the classification.  Each set's rows for lengths 0..max_n come from one
+levelwise pass (``perms.distribution_rows``); the per-class formula and
+series routes that reproduce the same rows are the ``rows`` callables of
+``catalogue.TABLE_CLASS_ROUTES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import DistributionTable, Perm, distribution_table
+from .config import DEFAULT_LIMITS, Limits
+from .perms import Perm, distribution_rows, parse_pattern_set as _ps
 
 PatternTuple = tuple[Perm, ...]
-
-
-def _ps(*patterns: str) -> PatternTuple:
-    return tuple(sorted(tuple(int(c) for c in p) for p in patterns))
-
 
 SINGLETON_CLASSES: tuple[tuple[PatternTuple, ...], ...] = (
     (_ps("231"), _ps("312")),
@@ -30,13 +29,13 @@ SINGLETON_CLASSES: tuple[tuple[PatternTuple, ...], ...] = (
 )
 
 PAIR_CLASSES: tuple[tuple[PatternTuple, ...], ...] = (
-    (_ps("213", "231"), _ps("132", "312"), _ps("213", "312"), _ps("132", "231")),
-    (_ps("231", "321"), _ps("312", "321")),
-    (_ps("123", "231"), _ps("123", "312")),
-    (_ps("132", "321"), _ps("213", "321")),
-    (_ps("123", "132"), _ps("123", "213"), _ps("132", "213")),
-    (_ps("123", "321"),),
-    (_ps("231", "312"),),
+    (_ps("213,231"), _ps("132,312"), _ps("213,312"), _ps("132,231")),
+    (_ps("231,321"), _ps("312,321")),
+    (_ps("123,231"), _ps("123,312")),
+    (_ps("132,321"), _ps("213,321")),
+    (_ps("123,132"), _ps("123,213"), _ps("132,213")),
+    (_ps("123,321"),),
+    (_ps("231,312"),),
 )
 
 ALL_SINGLETONS: tuple[PatternTuple, ...] = tuple(
@@ -44,14 +43,9 @@ ALL_SINGLETONS: tuple[PatternTuple, ...] = tuple(
 ALL_PAIRS: tuple[PatternTuple, ...] = tuple(
     ps for cls in PAIR_CLASSES for ps in cls)
 
-# Representatives used when scanning by class rather than by pattern set.
-CLASS_REPRESENTATIVES: dict[PatternTuple, tuple[PatternTuple, ...]] = {
-    cls[0]: cls for cls in SINGLETON_CLASSES + PAIR_CLASSES
-}
-
 # The one class whose distribution polynomials are not always real-rooted.
 NON_REAL_ROOTED_CLASS: tuple[PatternTuple, ...] = (
-    _ps("123", "132"), _ps("123", "213"), _ps("132", "213"))
+    _ps("123,132"), _ps("123,213"), _ps("132,213"))
 
 
 def class_of(patterns: PatternTuple) -> tuple[PatternTuple, ...] | None:
@@ -61,16 +55,11 @@ def class_of(patterns: PatternTuple) -> tuple[PatternTuple, ...] | None:
     return None
 
 
-def bdes_polys(patterns: PatternTuple, max_n: int) -> list[DistributionTable]:
-    return [distribution_table(n, patterns, "bdes") for n in range(max_n + 1)]
-
-
 @dataclass(frozen=True)
 class ClassComparison:
     left: PatternTuple
     right: PatternTuple
     same_class: bool
-    equal_through: int          # compared lengths 0..equal_through
     witness_n: int | None       # smallest n where the distributions differ
 
     def consistent(self) -> bool:
@@ -89,23 +78,9 @@ class PartitionReport:
     def failures(self) -> list[ClassComparison]:
         return [c for c in self.comparisons if not c.consistent()]
 
-    def to_json(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "consistent": self.all_consistent(),
-            "comparisons": [
-                {
-                    "left": [''.join(map(str, p)) for p in c.left],
-                    "right": [''.join(map(str, p)) for p in c.right],
-                    "same_class": c.same_class,
-                    "witness_n": c.witness_n,
-                }
-                for c in self.comparisons
-            ],
-        }
 
-
-def class_partition_report(max_n: int) -> PartitionReport:
+def class_partition_report(max_n: int,
+                           limits: Limits = DEFAULT_LIMITS) -> PartitionReport:
     """Compare bdes distributions pairwise within each size.
 
     Every pair inside a listed class must agree for all n <= max_n, and every
@@ -113,18 +88,15 @@ def class_partition_report(max_n: int) -> PartitionReport:
     """
     comparisons: list[ClassComparison] = []
     for family in (ALL_SINGLETONS, ALL_PAIRS):
-        tables = {ps: [distribution_table(n, ps, "bdes").counts
-                       for n in range(max_n + 1)] for ps in family}
+        rows = {ps: distribution_rows(max_n, ps, "bdes", limits=limits)
+                for ps in family}
         for i, left in enumerate(family):
             for right in family[i + 1:]:
-                witness = None
-                for n in range(max_n + 1):
-                    if tables[left][n] != tables[right][n]:
-                        witness = n
-                        break
+                witness = next((a.n for a, b in zip(rows[left], rows[right])
+                                if a.counts != b.counts), None)
                 comparisons.append(ClassComparison(
                     left=left, right=right,
                     same_class=class_of(left) is class_of(right),
-                    equal_through=max_n, witness_n=witness,
+                    witness_n=witness,
                 ))
     return PartitionReport(max_n=max_n, comparisons=tuple(comparisons))

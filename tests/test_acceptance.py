@@ -12,8 +12,8 @@ from bigdescents import conjectures as cj
 from bigdescents import genfun
 from bigdescents.algebra import MultiPoly
 from bigdescents.paths import iter_dyck_paths, path_statistic
-from bigdescents.perms import (bdes, des, distribution_table,
-                               enumerate_avoiders, rbdes)
+from bigdescents.perms import (bdes, des, distribution_rows,
+                               distribution_table, enumerate_avoiders, rbdes)
 from bigdescents.symfunc import (is_schur_positive, is_symmetric, qsym_sum,
                                  schur_expand)
 from bigdescents.wilf import class_partition_report
@@ -48,15 +48,9 @@ def test_criterion_01_table_reproduction():
 def test_criterion_02_formula_vs_oracle():
     with criterion(2, "formulas and series vs brute force", 300):
         from bigdescents.catalogue import TABLE_CLASS_ROUTES
-        for label, patterns, route in TABLE_CLASS_ROUTES:
-            series = route(9) if route is not None else None
-            for n in range(10):
-                table = distribution_table(n, patterns, "bdes")
-                if series is not None:
-                    got = genfun.series_row(series, n)
-                else:
-                    got = [genfun.formula(label.split(":")[1], n=n, k=k)
-                           for k in range(n + 1)]
+        for label, patterns, rows in TABLE_CLASS_ROUTES:
+            tables = distribution_rows(9, patterns, "bdes")
+            for n, (table, got) in enumerate(zip(tables, rows(9), strict=True)):
                 assert padded(got, n + 1) == table.counts, (label, n)
         # closed forms to n = 12 against the independent routes
         b123_series = genfun.expand("B123", 12)

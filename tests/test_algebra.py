@@ -121,6 +121,61 @@ class TestSeriesArithmetic:
             (2 + x(3)).sqrt()
 
 
+# products binary powering spends on base ** k for k = 0..8: a squaring per
+# bit after the leading one and a product per further set bit
+POWER_COSTS = (0, 0, 1, 2, 2, 3, 3, 4, 3)
+
+
+class TestPower:
+    @pytest.mark.parametrize("cls,base", [
+        (MultiPoly, 1 + t + s),
+        (TruncatedSeries, TruncatedSeries([1, t, 1, s, 2], "x")),
+    ])
+    @pytest.mark.parametrize("k", range(9))
+    def test_multiplications_counted(self, monkeypatch, cls, base, k):
+        naive = base * 0 + 1
+        for _ in range(k):
+            naive = naive * base
+        calls = []
+        mul = cls.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        got = base ** k
+        assert len(calls) == POWER_COSTS[k]
+        monkeypatch.undo()
+        assert got == naive if cls is MultiPoly else got.coeffs == naive.coeffs
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            t ** -1
+        with pytest.raises(ValueError):
+            x(3) ** -1
+
+
+class TestOrderZero:
+    def test_variable_vanishes_at_order_zero(self):
+        assert x(0).coeffs == (MultiPoly.zero(),)
+        with pytest.raises(ValueError):
+            x(-1)
+
+    @pytest.mark.parametrize("gf_id,route", [
+        (gf_id, route) for gf_id, info in sorted(GF_IDS.items())
+        for route in ("closed", "functional")
+        if route == "closed" or "functional" in info])
+    def test_constant_term_matches_higher_order(self, gf_id, route):
+        if route == "closed":
+            r = 2 if GF_IDS[gf_id].get("needs_r") else None
+            low, high = expand(gf_id, 0, r=r), expand(gf_id, 4, r=r)
+        else:
+            low, high = expand_functional(gf_id, 0), expand_functional(gf_id, 4)
+        assert low.order == 0
+        assert low.coeffs == high.coeffs[:1]
+
+
 class TestCompose:
     def test_identity_like(self):
         outer = TruncatedSeries.gen(6, "z")

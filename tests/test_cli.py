@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from bigdescents.cli import main
 
@@ -88,6 +91,12 @@ class TestSeries:
         data = json.loads(out)
         assert data["order"] == 4
         assert data["rows"][3] == {"n": 3, "poly": "2 + 2*t"}
+
+    def test_order_zero(self, capsys):
+        code, out, _ = run(capsys, "series", "--id", "B132", "--order", "0",
+                           "--route", "both")
+        assert code == 0
+        assert out == "0: 1\n"
 
     def test_missing_r_is_invalid(self, capsys):
         code, _, err = run(capsys, "series", "--id", "R_run", "--order", "5")
@@ -226,3 +235,24 @@ class TestDeterminism:
         code, _, err = run(capsys, "--config", str(cfg), "table",
                            "--patterns", "132", "--n", "6")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--max-n", "8"),
+        ("conjecture", "--which", "real-rooted", "--max-n", "8"),
+    ])
+    def test_config_reaches_verify_and_conjecture(self, tmp_path, capsys,
+                                                  argv):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text('{"avoider_guard_patterns": 5}')
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 3
+        assert "avoider_guard_patterns=5" in err
+        assert out == ""
+
+    def test_schur_scan_guarded_before_enumeration(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "conjecture", "--which", "schur-positive",
+                             "--max-n", "9")
+        assert code == 3
+        assert "qsym_guard=8" in err
+        assert time.monotonic() - start < 1.0

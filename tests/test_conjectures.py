@@ -10,6 +10,7 @@ from bigdescents.conjectures import (branden_check, conjecture_scan, degree,
                                      real_root_count_with_multiplicity,
                                      squarefree_decomposition,
                                      stembridge_consistency)
+from bigdescents.perms import distribution_table
 
 
 class TestRootCounting:
@@ -89,8 +90,8 @@ class TestIdentities:
 
     def test_branden_base_values(self):
         # A_3 = 1 + 3t + t^2 and P_3 = 4 + t over the 231-avoiders
-        assert cj._stat_poly_231(3, cj.des) == [1, 3, 1]
-        assert cj._stat_poly_231(3, cj.pk) == [4, 1]
+        assert distribution_table(3, ((2, 3, 1),), "des").poly() == [1, 3, 1]
+        assert distribution_table(3, ((2, 3, 1),), "pk").poly() == [4, 1]
 
     def test_stembridge_consistency(self):
         for n in range(1, 8):

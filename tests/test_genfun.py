@@ -8,7 +8,8 @@ from bigdescents.genfun import (b123, b231, b231_joint, binom, carlitz_verify,
                                 catalan, eulerian_r, expand,
                                 expand_by_peak_insertion, expand_functional,
                                 formula, narayana, series_row)
-from bigdescents.perms import distribution_table, enumerate_avoiders
+from bigdescents.perms import (distribution_rows, distribution_table,
+                              enumerate_avoiders)
 from table_data import BDES_TABLES
 
 
@@ -221,14 +222,8 @@ class TestCentralOracle:
 
     def test_all_table_classes(self):
         from bigdescents.catalogue import TABLE_CLASS_ROUTES
-        for label, patterns, route in TABLE_CLASS_ROUTES:
-            series = route(8) if route is not None else None
-            for n in range(9):
-                table = distribution_table(n, patterns, "bdes")
-                if series is not None:
-                    got = series_row(series, n)
-                else:
-                    got = [formula(label.split(":")[1], n=n, k=k)
-                           for k in range(n + 1)]
+        for label, patterns, rows in TABLE_CLASS_ROUTES:
+            tables = distribution_rows(8, patterns, "bdes")
+            for n, (table, got) in enumerate(zip(tables, rows(8), strict=True)):
                 got = got + [0] * (n + 1 - len(got))
                 assert tuple(got) == table.counts, (label, n)

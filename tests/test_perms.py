@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from bigdescents import perms
 from bigdescents.errors import BudgetError
 from bigdescents.perms import (DistributionTable, PatternSet, bdes, contains,
-                               count_avoiders, des, des_r, distribution_table,
-                               enumerate_avoiders, lddes, parse_pattern_set,
-                               parse_permutation, pk, rbdes, sdes, standardize,
-                               statistic, statistic_set, symmetry)
+                               count_avoiders, des, des_r, distribution_rows,
+                               distribution_table, enumerate_avoiders, lddes,
+                               parse_pattern_set, parse_permutation, pk, rbdes,
+                               sdes, standardize, statistic, statistic_set,
+                               symmetry)
+from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
 
 perm_strategy = st.integers(0, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple))
@@ -198,6 +200,37 @@ class TestDistributionTable:
     def test_poly_trims(self):
         table = DistributionTable(2, "bdes", (), (2, 0, 0))
         assert table.poly() == [2]
+
+
+class TestDistributionRows:
+    @pytest.mark.parametrize("patterns", [
+        *ALL_SINGLETONS, *ALL_PAIRS, (), ((1, 2, 3, 4),), ((), (1, 3, 2))])
+    @pytest.mark.parametrize("stat", ["des", "bdes", "des_r(2)", "pk"])
+    def test_rows_match_tables(self, patterns, stat):
+        rows = distribution_rows(7, patterns, stat)
+        assert len(rows) == 8
+        for n, row in enumerate(rows):
+            assert row == distribution_table(n, patterns, stat)
+
+    def test_length_is_n_plus_one(self):
+        for n in range(5):
+            assert len(distribution_rows(n, ((2, 3, 1),), "bdes")) == n + 1
+
+    def test_guard_fires_before_any_level(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(perms, "_extension_creates_len3",
+                            lambda *a: built.append(a) or False)
+        with pytest.raises(BudgetError):
+            distribution_rows(15, ((2, 3, 1),), "bdes")
+        assert built == []
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            distribution_rows(-1, ((2, 3, 1),), "bdes")
+
+    def test_unknown_stat_rejected(self):
+        with pytest.raises(ValueError):
+            distribution_rows(3, (), "zigzag")
 
 
 class TestWilfEquivalenceData:
