@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import perms
-from .errors import DomainViolationError
+from .config import DEFAULT_LIMITS, Limits
+from .errors import BudgetError, DomainViolationError
 from .paths import BinaryWord, DyckPath, TwoMotzkinPath, occ_factor, path_statistic
 from .perms import Perm, check_permutation, enumerate_avoiders, standardize
 
@@ -566,16 +567,26 @@ class TransferReport:
         }
 
 
-def _domain_objects(b: Bijection, n: int):
+def _domain_objects(b: Bijection, n: int, limits: Limits = DEFAULT_LIMITS):
     if b.domain_patterns is None:
+        # Dyck paths of semilength n are as many as the avoiders of one
+        # length-3 pattern, so they share the avoider-class guard
+        guard = limits.avoider_guard_patterns
+        if n > guard:
+            raise BudgetError(
+                f"n={n} exceeds enumeration guard avoider_guard_patterns={guard}; "
+                f"pass a Limits override to go further"
+            )
         from .paths import iter_dyck_paths
         yield from iter_dyck_paths(n)
     else:
-        yield from enumerate_avoiders(n, b.domain_patterns)
+        yield from enumerate_avoiders(n, b.domain_patterns, limits=limits)
 
 
-def verify_transfer(name: str, n: int) -> TransferReport:
-    """Exhaustively check round trips and statistic identities at size n."""
+def verify_transfer(name: str, n: int,
+                    limits: Limits = DEFAULT_LIMITS) -> TransferReport:
+    """Exhaustively check round trips and statistic identities at size n;
+    the domain is enumerated under `limits`' guards."""
     b = _lookup(name)
     if n < b.min_length:
         raise ValueError(f"{name} is defined from length {b.min_length} on")
@@ -585,7 +596,7 @@ def verify_transfer(name: str, n: int) -> TransferReport:
     extra = REVERSED_CHI_IDENTITIES if name == "chi" else ()
     extra_failures = [0] * len(extra)
     extra_population = 0
-    for x in _domain_objects(b, n):
+    for x in _domain_objects(b, n, limits):
         population += 1
         y = apply(name, x, check=False)
         if invert(name, y) != x:
@@ -594,7 +605,7 @@ def verify_transfer(name: str, n: int) -> TransferReport:
             if dom_stat(x) != img_stat(y):
                 failures[i] += 1
     if extra:
-        for pi in enumerate_avoiders(n, ((1, 2, 3),)):
+        for pi in enumerate_avoiders(n, ((1, 2, 3),), limits=limits):
             extra_population += 1
             image = chi(perms.reverse(pi), check=False)
             for i, (_, dom_stat, img_stat) in enumerate(extra):

@@ -184,7 +184,7 @@ def _parse_bijection_input(name: str, text: str, direction: str):
 
 def _cmd_bijection(args, limits: Limits) -> int:
     if args.verify_n is not None:
-        report = bijections.verify_transfer(args.id, args.verify_n)
+        report = bijections.verify_transfer(args.id, args.verify_n, limits)
         if args.format == "json":
             print(json.dumps(report.to_json(), sort_keys=True))
         else:

@@ -11,13 +11,22 @@ pi_k = pi_{k+1} + 1.  Right big descents additionally count position n when
 pi_n > 1 (equivalently, big descents of the word pi with a 0 appended).
 Big ascents are positions with pi_k + 1 < pi_{k+1}; a big ascent k is high
 when k+1 is a weak excedance (pi_{k+1} >= k+1) and low otherwise.
+
+Avoider classes are enumerated by one depth-first generating tree: each
+avoider of length m has as children its insertions of m + 1 at the active
+sites, computed once per parent (an interval or a prefix split for a
+length-3 pattern, an occurrence scan pinned to the new maximum for any
+other length).  ``distribution_table`` and ``distribution_rows`` tally the
+children's statistic values without building the last level, updating
+des_r(r) in O(1) from the neighbours of the inserted letter;
+``enumerate_avoiders`` collects and sorts the leaves.  Memory is O(n) apart
+from the leaves that ``enumerate_avoiders`` returns.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -141,111 +150,268 @@ def avoids(pi: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     return not any(contains(pi, sigma) for sigma in patterns)
 
 
-def _extension_creates_len3(candidate: Perm, pos: int, sigma: Perm) -> bool:
-    """Does inserting the maximum at `pos` create an occurrence of sigma?
+# The generating tree of an avoider class (West, Discrete Math. 146, 1995):
+# the children of an avoider of length m are its insertions of the new maximum
+# m + 1 at the active sites i (0 <= i <= m, before the parent's letter i) that
+# create no occurrence of a pattern.  Avoider classes are closed under letter
+# deletion, so every avoider of length m + 1 arises once, from the parent left
+# by deleting its maximum.  The parent avoids every pattern, so a new
+# occurrence must use the new letter as the pattern's maximum: each pattern's
+# site rule looks only at such occurrences, once per parent.
 
-    The rest of `candidate` already avoids sigma, so any new occurrence uses
-    the new letter, which is the global maximum and must play the pattern's
-    largest role.  That reduces the check to an O(n) scan of the prefix or
-    suffix (or both) around the insertion point.
+def _prefix_pair_sites(parent: list[int], rising: bool) -> range:
+    """Sites for xy3 (123, 213): the letters before the site must hold no pair
+    ordered like xy, so the active sites are an initial interval."""
+    if rising:
+        lo = len(parent) + 1
+        for j, v in enumerate(parent):
+            if v > lo:
+                return range(j + 1)
+            if v < lo:
+                lo = v
+    else:
+        hi = 0
+        for j, v in enumerate(parent):
+            if v < hi:
+                return range(j + 1)
+            if v > hi:
+                hi = v
+    return range(len(parent) + 1)
+
+
+def _suffix_pair_sites(parent: list[int], rising: bool) -> range:
+    """Sites for 3xy (312, 321): the letters from the site on must hold no pair
+    ordered like xy, so the active sites are a final interval."""
+    m = len(parent)
+    if rising:
+        hi = 0
+        for j in range(m - 1, -1, -1):
+            v = parent[j]
+            if v < hi:
+                return range(j + 1, m + 1)
+            if v > hi:
+                hi = v
+    else:
+        lo = m + 1
+        for j in range(m - 1, -1, -1):
+            v = parent[j]
+            if v > lo:
+                return range(j + 1, m + 1)
+            if v < lo:
+                lo = v
+    return range(m + 1)
+
+
+def _split_sites(parent: list[int], rising: bool) -> list[int]:
+    """Sites for x3y (132, 231): for 132 every letter before the site must
+    exceed every letter after it, so the prefix holds the top i values; for
+    231 it holds the bottom i values."""
+    sites = [0]
+    if rising:
+        lo = top = len(parent) + 1
+        for i, v in enumerate(parent, 1):
+            if v < lo:
+                lo = v
+            if lo + i == top:
+                sites.append(i)
+    else:
+        hi = 0
+        for i, v in enumerate(parent, 1):
+            if v > hi:
+                hi = v
+            if hi == i:
+                sites.append(i)
+    return sites
+
+
+def _order_links(sigma: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each index d of sigma, the earlier index holding the largest
+    smaller letter and the one holding the smallest larger letter; k and
+    k + 1 (two sentinel slots holding 0 and infinity) when there is none.
+    A letter chosen for index d must lie strictly between the letters
+    already chosen for these two."""
+    k = len(sigma)
+    below = tuple(max((e for e in range(d) if sigma[e] < sigma[d]),
+                      key=sigma.__getitem__, default=k) for d in range(k))
+    above = tuple(min((e for e in range(d) if sigma[e] > sigma[d]),
+                      key=sigma.__getitem__, default=k + 1) for d in range(k))
+    return below, above
+
+
+def _pinned_sites(parent: list[int], rest: Perm, w: int,
+                  links: tuple[tuple[int, ...], tuple[int, ...]]) -> list[int]:
+    """Sites for a pattern of any length other than 3 whose maximum sits at
+    index w and whose other letters standardize to `rest`.
+
+    An occurrence of `rest` in the parent at positions p_0 < ... < p_{k-1}
+    rules out the sites i with p_{w-1} < i <= p_w, where the new maximum
+    completes the pattern.  The first w letters are chosen in every way that
+    can still rule out a site; for each choice of p_w one completion of the
+    remaining letters suffices.
     """
-    prefix = candidate[:pos]
-    suffix = candidate[pos + 1:]
-    where = sigma.index(3)
-    if where == 0:
-        # need a pair after the new letter, ordered like (sigma_2, sigma_3)
-        return _has_pair(suffix, ascending=sigma[1] < sigma[2])
-    if where == 2:
-        return _has_pair(prefix, ascending=sigma[0] < sigma[1])
-    # max in the middle: one letter each side, compared like (sigma_1, sigma_3)
-    if not prefix or not suffix:
-        return False
-    if sigma[0] < sigma[2]:
-        return min(prefix) < max(suffix)
-    return max(prefix) > min(suffix)
+    m, k = len(parent), len(rest)
+    below, above = links
+    chosen = [0] * k + [0, m + 1]
+    active = [True] * (m + 1)
 
-
-def _has_pair(seq: Perm, ascending: bool) -> bool:
-    if ascending:
-        lo = None
-        for v in seq:
-            if lo is not None and v > lo:
-                return True
-            lo = v if lo is None else min(lo, v)
-        return False
-    hi = None
-    for v in seq:
-        if hi is not None and v < hi:
+    def completes(d: int, start: int) -> bool:
+        if d == k:
             return True
-        hi = v if hi is None else max(hi, v)
-    return False
+        lo, hi = chosen[below[d]], chosen[above[d]]
+        for idx in range(start, m - k + d + 1):
+            v = parent[idx]
+            if lo < v < hi:
+                chosen[d] = v
+                if completes(d + 1, idx + 1):
+                    return True
+        return False
+
+    def rule_out(d: int, start: int) -> None:
+        # the sites still at stake are start..m
+        if not any(active[start:]):
+            return
+        if d == k:
+            active[start:] = [False] * (m + 1 - start)
+            return
+        lo, hi = chosen[below[d]], chosen[above[d]]
+        for idx in range(start, m - k + d + 1):
+            v = parent[idx]
+            if not lo < v < hi:
+                continue
+            chosen[d] = v
+            if d < w:
+                rule_out(d + 1, idx + 1)
+            elif any(active[start:idx + 1]) and completes(d + 1, idx + 1):
+                active[start:idx + 1] = [False] * (idx + 1 - start)
+
+    rule_out(0, 0)
+    return [i for i, free in enumerate(active) if free]
 
 
-def _levels(n: int, patterns: Iterable[Sequence[int]], limits: Limits,
-            max_n: int | None) -> Iterator[Iterable[Perm]]:
-    """Yield the avoiders of each length 0..n, unsorted, one level at a time.
+def _site_rule(sigma: Perm) -> Callable[[list[int]], Sequence[int]]:
+    """The active-site routine of one nonempty pattern."""
+    k = len(sigma)
+    w = sigma.index(k)
+    rest = standardize(sigma[:w] + sigma[w + 1:])
+    if k == 3:
+        kind = (_suffix_pair_sites, _split_sites, _prefix_pair_sites)[w]
+        return functools.partial(kind, rising=rest == (1, 2))
+    return functools.partial(_pinned_sites, rest=rest, w=w,
+                             links=_order_links(rest))
 
-    Built levelwise: avoiders of length m arise by inserting m into avoiders
-    of length m-1 and filtering the insertions that create an occurrence
-    (avoider classes are closed under letter deletion, so nothing is missed).
-    Length-3 patterns use the O(n) insertion check; other lengths fall back
-    to a full containment test on the candidate.  Only the level being
-    extended and the one being built are alive at once.  With no patterns
-    each level streams from itertools in lexicographic order.
-    """
+
+def _active_sites(parent: list[int], rules) -> Sequence[int]:
+    """The sites of `parent` where its new maximum creates no occurrence of
+    any pattern: the intersection of the per-pattern rules' sites."""
+    sites = None
+    for rule in rules:
+        allowed = rule(parent)
+        sites = allowed if sites is None else [i for i in sites if i in allowed]
+    return range(len(parent) + 1) if sites is None else sites
+
+
+def _checked_patterns(n: int, patterns: Iterable[Sequence[int]], limits: Limits,
+                      max_n: int | None) -> tuple[Perm, ...]:
+    """Validate the length and the patterns (returned sorted and without
+    repeats) and apply the enumeration guard for length n."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    patterns = tuple(check_permutation(p) for p in patterns)
+    pats = tuple(sorted({check_permutation(p) for p in patterns}))
     guard = max_n if max_n is not None else (
-        limits.avoider_guard_empty if not patterns else limits.avoider_guard_patterns
+        limits.avoider_guard_empty if not pats else limits.avoider_guard_patterns
     )
     if n > guard:
-        kind = "avoider_guard_empty" if not patterns else "avoider_guard_patterns"
+        kind = "avoider_guard_empty" if not pats else "avoider_guard_patterns"
         raise BudgetError(
             f"n={n} exceeds enumeration guard {kind}={guard}; "
             f"pass max_n or a Limits override to go further"
         )
-    if not patterns:
-        for m in range(n + 1):
-            yield itertools.permutations(range(1, m + 1))
-        return
+    return pats
 
-    short = [p for p in patterns if len(p) <= n]
-    # every permutation, even the empty one, contains the empty pattern
-    level: list[Perm] = [()] if all(patterns) else []
-    for m in range(1, n + 1):
-        yield level
-        nxt: list[Perm] = []
-        for sigma in level:
-            for pos in range(m):
-                candidate = sigma[:pos] + (m,) + sigma[pos:]
-                ok = True
-                for p in short:
-                    if len(p) == 3:
-                        if _extension_creates_len3(candidate, pos, p):
-                            ok = False
-                            break
-                    elif contains(candidate, p):
-                        ok = False
-                        break
-                if ok:
-                    nxt.append(candidate)
-        level = nxt
-    yield level
+
+def _grow(n: int, pats: tuple[Perm, ...], value: Callable[[Sequence[int]], int],
+          r: int | None, every_depth: bool,
+          leaves: list[Perm] | None = None) -> list[list[int]]:
+    """Walk the generating tree of S_m(pats), m <= n, depth first.
+
+    Returns ``counts[m][k]``, the number of avoiders of length m with
+    statistic value k, filled for m = n (for every m when `every_depth`).
+    Each parent computes its active sites once and tallies its children's
+    values without building them.  With `r` set the statistic is des_r(r),
+    updated from the neighbours a, b of the inserted maximum m + 1 as
+    ``s - [a > b + r] + [m + 1 > b + r]``; otherwise `value` is evaluated on
+    each child.  When `leaves` is a list the avoiders of length n are
+    appended to it.  Only the path from the root is alive: O(n) memory
+    besides the leaves.
+    """
+    counts = [[0] * (m + 1) for m in range(n + 1)]
+    if not all(pats):
+        # every permutation, even the empty one, contains the empty pattern
+        return counts
+    counts[0][0] = 1
+    if n == 0:
+        if leaves is not None:
+            leaves.append(())
+        return counts
+    rules = [_site_rule(p) for p in pats if len(p) <= n]
+    node: list[int] = []
+
+    def descend(s: int) -> None:
+        top = len(node) + 1
+        sites = _active_sites(node, rules)
+        if r is not None:
+            # sentinels: no pair is broken at site 0, none is made at site m
+            ext = [0, *node, top]
+            thr = top - r
+            values = [s - (ext[i] > ext[i + 1] + r) + (ext[i + 1] < thr)
+                      for i in sites]
+        else:
+            values = []
+            for i in sites:
+                node.insert(i, top)
+                values.append(value(node))
+                del node[i]
+        if every_depth or top == n:
+            row = counts[top]
+            for t in values:
+                row[t] += 1
+        if top == n:
+            if leaves is not None:
+                leaves.extend((*node[:i], top, *node[i:]) for i in sites)
+            return
+        for i, t in zip(sites, values):
+            node.insert(i, top)
+            descend(t)
+            del node[i]
+
+    descend(0)
+    return counts
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
                        limits: Limits = DEFAULT_LIMITS,
                        max_n: int | None = None) -> Iterator[Perm]:
-    """Yield S_n(patterns) exactly once each, in lexicographic order."""
-    # keep only the last level (maxlen=1 drops each earlier one as it goes)
-    level = deque(_levels(n, patterns, limits, max_n), maxlen=1).pop()
-    # a built level is a list; the unrestricted stream is already in order
-    yield from sorted(level) if isinstance(level, list) else level
+    """Yield S_n(patterns) exactly once each, in lexicographic order.
+
+    The leaves of the generating tree are collected and sorted.  With no
+    patterns the permutations stream from itertools, already in order, so a
+    caller that stops early never builds S_n.
+    """
+    pats = _checked_patterns(n, patterns, limits, max_n)
+    if not pats:
+        yield from itertools.permutations(range(1, n + 1))
+        return
+    leaves: list[Perm] = []
+    _grow(n, pats, des, 0, False, leaves)
+    yield from sorted(leaves)
 
 
-def count_avoiders(n: int, patterns: Iterable[Sequence[int]], **kw) -> int:
-    return sum(1 for _ in enumerate_avoiders(n, patterns, **kw))
+def count_avoiders(n: int, patterns: Iterable[Sequence[int]],
+                   limits: Limits = DEFAULT_LIMITS,
+                   max_n: int | None = None) -> int:
+    """The size of S_n(patterns), tallied without building its members."""
+    pats = _checked_patterns(n, patterns, limits, max_n)
+    return sum(_grow(n, pats, des, 0, False)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +499,9 @@ _PLAIN_STATS = {
 }
 
 
-def _stat_function(name: str) -> Callable[[Sequence[int]], int]:
-    """Resolve a statistic name to the function that evaluates it.
+def _resolve_stat(name: str) -> tuple[Callable[[Sequence[int]], int], int | None]:
+    """Resolve a statistic name to the function that evaluates it, and to r
+    when it counts r-descents (which the generating tree updates in O(1)).
 
     Accepts the plain names, ``des_r(r)``, and the shorthand ``des_k`` for a
     literal non-negative integer k.  ``des_r(0)`` is des and ``des_r(1)`` is
@@ -342,12 +509,16 @@ def _stat_function(name: str) -> Callable[[Sequence[int]], int]:
     """
     name = name.strip()
     if name in _PLAIN_STATS:
-        return _PLAIN_STATS[name]
+        return _PLAIN_STATS[name], {"des": 0, "bdes": 1}.get(name)
     if name.startswith("des_r(") and name.endswith(")"):
-        return functools.partial(des_r, r=int(name[len("des_r("):-1]))
-    if name.startswith("des_") and name[len("des_"):].isdigit():
-        return functools.partial(des_r, r=int(name[len("des_"):]))
-    raise ValueError(f"unknown statistic {name!r}")
+        r = int(name[len("des_r("):-1])
+    elif name.startswith("des_") and name[len("des_"):].isdigit():
+        r = int(name[len("des_"):])
+    else:
+        raise ValueError(f"unknown statistic {name!r}")
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    return functools.partial(des_r, r=r), r
 
 
 def statistic(pi: Sequence[int], name: str) -> int:
@@ -356,7 +527,7 @@ def statistic(pi: Sequence[int], name: str) -> int:
     >>> statistic((7, 4, 2, 1, 3, 6, 5), "des_r(1)")
     2
     """
-    return _stat_function(name)(pi)
+    return _resolve_stat(name)[0](pi)
 
 
 def statistic_set(pi: Sequence[int], which: str) -> set[int]:
@@ -446,33 +617,28 @@ class DistributionTable:
         return sum(self.counts)
 
 
-def _tally(m: int, patterns: tuple[Perm, ...], stat: str,
-           value: Callable[[Sequence[int]], int],
-           level: Iterable[Perm]) -> DistributionTable:
-    found = Counter(map(value, level))
-    return DistributionTable(n=m, stat=stat, patterns=patterns,
-                             counts=tuple(found[k] for k in range(m + 1)))
-
-
 def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,
                        limits: Limits = DEFAULT_LIMITS,
                        max_n: int | None = None) -> DistributionTable:
-    """Brute-force distribution of a statistic over S_n(patterns)."""
-    value = _stat_function(stat)
-    pats = tuple(sorted({check_permutation(p) for p in patterns}))
-    level = deque(_levels(n, pats, limits, max_n), maxlen=1).pop()
-    return _tally(n, pats, stat, value, level)
+    """Brute-force distribution of a statistic over S_n(patterns), tallied
+    from the last level of the generating tree without building it."""
+    value, r = _resolve_stat(stat)
+    pats = _checked_patterns(n, patterns, limits, max_n)
+    counts = _grow(n, pats, value, r, every_depth=False)
+    return DistributionTable(n=n, stat=stat, patterns=pats, counts=tuple(counts[n]))
 
 
 def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
                       limits: Limits = DEFAULT_LIMITS,
                       max_n: int | None = None) -> list[DistributionTable]:
-    """The tables of lengths 0..n from one levelwise pass: equal to
-    ``distribution_table(m, ...)`` for each m, with the guard applied to n."""
-    value = _stat_function(stat)
-    pats = tuple(sorted({check_permutation(p) for p in patterns}))
-    return [_tally(m, pats, stat, value, level)
-            for m, level in enumerate(_levels(n, pats, limits, max_n))]
+    """The tables of lengths 0..n from one walk of the generating tree,
+    tallied at every depth: equal to ``distribution_table(m, ...)`` for each
+    m, with the guard applied to n."""
+    value, r = _resolve_stat(stat)
+    pats = _checked_patterns(n, patterns, limits, max_n)
+    counts = _grow(n, pats, value, r, every_depth=True)
+    return [DistributionTable(n=m, stat=stat, patterns=pats, counts=tuple(row))
+            for m, row in enumerate(counts)]
 
 
 # ---------------------------------------------------------------------------

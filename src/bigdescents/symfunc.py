@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetError
-from .perms import check_permutation, enumerate_avoiders, statistic_set
+from .perms import check_permutation, enumerate_avoiders
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -186,10 +186,11 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits,
     pats = tuple(check_permutation(p) for p in patterns)
     m = max(n - 1, 0)
     by_mask = [0] * (1 << m)
-    for pi in enumerate_avoiders(n, pats, limits=limits, max_n=n):
+    for pi in enumerate_avoiders(n, pats, limits=limits, max_n=max_n):
         mask = 0
-        for k in statistic_set(pi, f"Des_r({r})"):
-            mask |= 1 << (k - 1)
+        for k, (a, b) in enumerate(zip(pi, pi[1:])):
+            if a > b + r:
+                mask |= 1 << k
         by_mask[mask] += 1
     return by_mask
 

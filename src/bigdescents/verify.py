@@ -91,7 +91,7 @@ def check_bijections(max_n: int,
     out = []
     for name, b in sorted(BIJECTIONS.items()):
         for n in range(b.min_length, max_n + 1):
-            report = verify_transfer(name, n)
+            report = verify_transfer(name, n, limits)
             ok = report.all_pass()
             witness = (f"{report.round_trip_failures} round-trip failures; "
                        + "; ".join(f"{r.label}: {r.failures}"

@@ -7,9 +7,9 @@ ones).  The partitions below are the complete classifications for all pattern
 sets of size 1 and size 2 inside S_3; ``class_partition_report`` re-derives
 them by exhaustive pairwise comparison, which is how the package certifies
 the classification.  Each set's rows for lengths 0..max_n come from one
-levelwise pass (``perms.distribution_rows``); the per-class formula and
-series routes that reproduce the same rows are the ``rows`` callables of
-``catalogue.TABLE_CLASS_ROUTES``.
+walk of its generating tree (``perms.distribution_rows``); the per-class
+formula and series routes that reproduce the same rows are the ``rows``
+callables of ``catalogue.TABLE_CLASS_ROUTES``.
 """
 
 from __future__ import annotations

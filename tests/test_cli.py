@@ -249,6 +249,33 @@ class TestDeterminism:
         assert "avoider_guard_patterns=5" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("qsym", "--patterns", "123", "--n", "7"),
+        ("bijection", "--id", "chi", "--verify-n", "6"),
+        ("bijection", "--id", "psi", "--verify-n", "6"),
+    ])
+    def test_config_reaches_qsym_and_bijection(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text('{"avoider_guard_patterns": 5}')
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 3
+        assert "avoider_guard_patterns=5" in err
+        assert out == ""
+
+    def test_qsym_readme_example_unchanged_under_the_guard(self, capsys):
+        code, out, _ = run(capsys, "qsym", "--patterns", "123", "--n", "5",
+                           "--basis", "schur")
+        assert code == 0 and out == "s(2,2,1)+4s(3,2)+3s(4,1)+5s(5)\n"
+
+    def test_psi_verifier_guarded_before_enumeration(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "bijection", "--id", "psi",
+                             "--verify-n", "15")
+        assert code == 3
+        assert "avoider_guard_patterns=14" in err
+        assert out == ""
+        assert time.monotonic() - start < 1.0
+
     def test_schur_scan_guarded_before_enumeration(self, capsys):
         start = time.monotonic()
         code, out, err = run(capsys, "conjecture", "--which", "schur-positive",

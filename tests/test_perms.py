@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -217,12 +218,15 @@ class TestDistributionRows:
             assert len(distribution_rows(n, ((2, 3, 1),), "bdes")) == n + 1
 
     def test_guard_fires_before_any_level(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(perms, "_extension_creates_len3",
-                            lambda *a: built.append(a) or False)
+        computed = []
+        monkeypatch.setattr(perms, "_active_sites",
+                            lambda *a: computed.append(a) or range(0))
         with pytest.raises(BudgetError):
             distribution_rows(15, ((2, 3, 1),), "bdes")
-        assert built == []
+        assert computed == []
+        # the patch is live: below the guard the tree asks it for sites
+        distribution_rows(3, ((2, 3, 1),), "bdes")
+        assert computed
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -231,6 +235,48 @@ class TestDistributionRows:
     def test_unknown_stat_rejected(self):
         with pytest.raises(ValueError):
             distribution_rows(3, (), "zigzag")
+
+
+LENGTH_4_SETS = [((1, 2, 3, 4),), ((4, 3, 2, 1),), ((1, 3, 4, 2),),
+                 ((2, 1, 4, 3),), ((1, 4, 2, 3),), ((2, 1, 3), (1, 2, 3, 4))]
+ORACLE_SETS = [*ALL_SINGLETONS, *ALL_PAIRS, *LENGTH_4_SETS, (), ((),)]
+ORACLE_STATS = {**perms._PLAIN_STATS, "des_r(2)": lambda pi: des_r(pi, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def containment(n):
+    """Each permutation of length n with the oracle patterns it contains."""
+    patterns = {p for ps in ORACLE_SETS for p in ps}
+    return [(pi, {p for p in patterns if contains(pi, p)})
+            for pi in itertools.permutations(range(1, n + 1))]
+
+
+def naive_class(patterns, n):
+    """S_n(patterns) by filtering all of S_n through ``contains``."""
+    return [pi for pi, found in containment(n) if found.isdisjoint(patterns)]
+
+
+class TestTreeAgainstNaiveFilter:
+    """The generating tree against an oracle that builds no tree: every
+    permutation of length n <= 7, kept when ``contains`` finds no pattern."""
+
+    @pytest.mark.parametrize("patterns", ORACLE_SETS)
+    def test_rows_match_naive_counts(self, patterns):
+        classes = [naive_class(patterns, n) for n in range(8)]
+        for stat, value in ORACLE_STATS.items():
+            rows = distribution_rows(7, patterns, stat)
+            assert len(rows) == len(classes)
+            for n, (row, naive) in enumerate(zip(rows, classes)):
+                found = [0] * (n + 1)
+                for pi in naive:
+                    found[value(pi)] += 1
+                assert row.counts == tuple(found), (stat, n)
+
+    @pytest.mark.parametrize("patterns", LENGTH_4_SETS)
+    def test_enumeration_matches_naive_list(self, patterns):
+        for n in range(8):
+            assert list(enumerate_avoiders(n, patterns)) == \
+                naive_class(patterns, n)
 
 
 class TestWilfEquivalenceData:
