@@ -19,12 +19,16 @@ divides by ``x**k * c`` for a polynomial ``c`` and certifies exactness term by
 term; several closed forms in this package divide by non-unit denominators
 (x-multiples and t-polynomials) whose cancellation the identities guarantee,
 so a failed exact division is a hard error, never a silent truncation.
+Underneath, ``MultiPoly.divmod`` divides by the divisor's graded-lex leading
+term and returns the remainder; ``MultiPoly.exact_div`` is ``divmod`` that
+refuses a nonzero remainder.  The univariate root counting in
+``conjectures`` runs on ``divmod`` with polynomials in t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 from .errors import DivergenceError, InexactDivisionError, NonInvertibleError
@@ -122,6 +126,14 @@ class MultiPoly:
         exps = [0] * _NVARS
         exps[_VAR_INDEX[name]] = power
         return cls({tuple(exps): 1})
+
+    @classmethod
+    def univariate(cls, coeffs: Iterable[Scalar], name: str = "t") -> "MultiPoly":
+        """The polynomial in ``name`` with ascending coefficients ``coeffs``
+        (the inverse of ``to_univariate``)."""
+        i = _VAR_INDEX[name]
+        return cls({_ZERO_EXP[:i] + (k,) + _ZERO_EXP[i + 1:]: q
+                    for k, q in enumerate(coeffs)})
 
     @staticmethod
     def coerce(value: "MultiPoly | Scalar") -> "MultiPoly":
@@ -281,25 +293,49 @@ class MultiPoly:
         exps = max(self.terms, key=_grlex_key)
         return exps, self.terms[exps]
 
-    def exact_div(self, divisor: "MultiPoly | Scalar") -> "MultiPoly":
-        """Exact polynomial division; raises InexactDivisionError otherwise."""
+    def divmod(self, divisor: "MultiPoly | Scalar") -> tuple["MultiPoly", "MultiPoly"]:
+        """Division by the graded-lex leading term of ``divisor``.
+
+        Returns ``(q, r)`` with ``self == q * divisor + r`` and no term of
+        ``r`` divisible by the divisor's leading monomial.  With a single
+        divisor, ``r`` is zero exactly when ``divisor`` divides ``self``.
+        """
         divisor = MultiPoly.coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_const():
-            return self * _reciprocal(divisor.const_value())
+            return self * _reciprocal(divisor.const_value()), MultiPoly.zero()
         lead_e, lead_q = divisor.leading_term()
-        remainder = self
+        tail = [(e, q) for e, q in divisor.terms.items() if e != lead_e]
+        # Every term the tail adds is below the leading term just removed
+        # (grlex respects products), so no remainder term is touched again.
+        work = dict(self.terms)
         quotient: dict[tuple[int, ...], Scalar] = {}
-        while not remainder.is_zero():
-            exps, q = remainder.leading_term()
-            diff = tuple(a - b for a, b in zip(exps, lead_e))
-            if any(d < 0 for d in diff):
-                raise InexactDivisionError(f"{self} is not divisible by {divisor}")
+        remainder: dict[tuple[int, ...], Scalar] = {}
+        while work:
+            exps = max(work, key=_grlex_key)
+            q = work.pop(exps)
+            diff = tuple(map(sub, exps, lead_e))
+            if min(diff) < 0:
+                remainder[exps] = q
+                continue
             coeff = _exact(Fraction(q, lead_q))
             quotient[diff] = coeff
-            remainder = remainder - MultiPoly({diff: coeff}) * divisor
-        return MultiPoly(quotient)
+            for e, c in tail:
+                key = tuple(map(add, diff, e))
+                r = work.get(key, 0) - coeff * c
+                if r:
+                    work[key] = r
+                else:
+                    work.pop(key, None)
+        return MultiPoly(quotient), MultiPoly(remainder)
+
+    def exact_div(self, divisor: "MultiPoly | Scalar") -> "MultiPoly":
+        """Exact polynomial division; raises InexactDivisionError otherwise."""
+        quotient, remainder = self.divmod(divisor)
+        if not remainder.is_zero():
+            raise InexactDivisionError(f"{self} is not divisible by {divisor}")
+        return quotient
 
     # -- conversion and display --------------------------------------------
 

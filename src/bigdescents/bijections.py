@@ -408,6 +408,7 @@ def phi_231_321_inv(w: BinaryWord) -> Perm:
 class Bijection:
     name: str
     domain_patterns: tuple[Perm, ...] | None  # None: domain is Dyck paths
+    codomain: Callable[[str], object]  # parses one image written as text
     min_length: int
     forward: Callable
     backward: Callable
@@ -431,7 +432,8 @@ def _register(b: Bijection):
 
 
 _register(Bijection(
-    name="omega_f", domain_patterns=((2, 3, 1),), min_length=0,
+    name="omega_f", domain_patterns=((2, 3, 1),),
+    codomain=DyckPath, min_length=0,
     forward=omega_f, backward=omega_f_inv,
     identities=(
         ("bdes <-> occ_DUU", perms.bdes, _occ("DUU")),
@@ -439,7 +441,8 @@ _register(Bijection(
     ),
 ))
 _register(Bijection(
-    name="omega_l", domain_patterns=((2, 3, 1),), min_length=0,
+    name="omega_l", domain_patterns=((2, 3, 1),),
+    codomain=DyckPath, min_length=0,
     forward=omega_l, backward=omega_l_inv,
     identities=(
         ("pk <-> occ_DUU", perms.pk, _occ("DUU")),
@@ -447,7 +450,8 @@ _register(Bijection(
     ),
 ))
 _register(Bijection(
-    name="chi", domain_patterns=((3, 2, 1),), min_length=0,
+    name="chi", domain_patterns=((3, 2, 1),),
+    codomain=DyckPath, min_length=0,
     forward=chi, backward=chi_inv,
     identities=(
         ("des <-> occ_UDD", perms.des, _occ("UDD")),
@@ -460,7 +464,8 @@ _register(Bijection(
     ),
 ))
 _register(Bijection(
-    name="psi", domain_patterns=None, min_length=1,
+    name="psi", domain_patterns=None,
+    codomain=TwoMotzkinPath.parse, min_length=1,
     forward=psi, backward=psi_inv,
     identities=(
         ("pk = d + h1 + 1", lambda p: path_statistic(p, "pk"),
@@ -470,29 +475,34 @@ _register(Bijection(
     ),
 ))
 _register(Bijection(
-    name="phi_213_231", domain_patterns=((2, 1, 3), (2, 3, 1)), min_length=1,
+    name="phi_213_231", domain_patterns=((2, 1, 3), (2, 3, 1)),
+    codomain=BinaryWord, min_length=1,
     forward=phi_213_231, backward=phi_213_231_inv,
     identities=(("bdes <-> occ_01", perms.bdes, _word_occ("01")),),
 ))
 _register(Bijection(
-    name="phi_213_312", domain_patterns=((2, 1, 3), (3, 1, 2)), min_length=1,
+    name="phi_213_312", domain_patterns=((2, 1, 3), (3, 1, 2)),
+    codomain=BinaryWord, min_length=1,
     forward=phi_213_312, backward=phi_213_312_inv,
     identities=(("bdes <-> occ_01", perms.bdes, _word_occ("01")),),
 ))
 _register(Bijection(
-    name="phi_123_132", domain_patterns=((1, 2, 3), (1, 3, 2)), min_length=1,
+    name="phi_123_132", domain_patterns=((1, 2, 3), (1, 3, 2)),
+    codomain=BinaryWord, min_length=1,
     forward=phi_123_132, backward=phi_123_132_inv,
     identities=(("bdes <-> occ_10 + occ_011", perms.bdes,
                  lambda w: occ_factor(w, "10") + occ_factor(w, "011")),),
 ))
 _register(Bijection(
-    name="phi_132_213", domain_patterns=((1, 3, 2), (2, 1, 3)), min_length=1,
+    name="phi_132_213", domain_patterns=((1, 3, 2), (2, 1, 3)),
+    codomain=BinaryWord, min_length=1,
     forward=phi_132_213, backward=phi_132_213_inv,
     identities=(("bdes <-> occ_10 + occ_011", perms.bdes,
                  lambda w: occ_factor(w, "10") + occ_factor(w, "011")),),
 ))
 _register(Bijection(
-    name="phi_231_321", domain_patterns=((2, 3, 1), (3, 2, 1)), min_length=1,
+    name="phi_231_321", domain_patterns=((2, 3, 1), (3, 2, 1)),
+    codomain=BinaryWord, min_length=1,
     forward=phi_231_321, backward=phi_231_321_inv,
     identities=(("bdes <-> occ_001", perms.bdes, _word_occ("001")),),
 ))

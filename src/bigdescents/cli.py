@@ -21,7 +21,7 @@ import sys
 from . import bijections, conjectures, genfun, verify
 from .config import DEFAULT_LIMITS, Limits, load_limits
 from .errors import BudgetError
-from .paths import BinaryWord, DyckPath, TwoMotzkinPath
+from .paths import DyckPath
 from .perms import (distribution_rows, distribution_table, format_permutation,
                     parse_pattern_set, parse_permutation)
 from .symfunc import (asymmetry_witness, format_schur, qsym_fundamental,
@@ -171,15 +171,11 @@ def _cmd_series(args, limits: Limits) -> int:
 
 
 def _parse_bijection_input(name: str, text: str, direction: str):
-    domain_is_path = bijections.BIJECTIONS[name].domain_patterns is None
+    b = bijections.BIJECTIONS[name]
     text = text.strip()
     if direction == "apply":
-        return DyckPath(text) if domain_is_path else parse_permutation(text)
-    if name in ("omega_f", "omega_l", "chi"):
-        return DyckPath(text)
-    if name == "psi":
-        return TwoMotzkinPath.parse(text)
-    return BinaryWord(text)
+        return DyckPath(text) if b.domain_patterns is None else parse_permutation(text)
+    return b.codomain(text)
 
 
 def _cmd_bijection(args, limits: Limits) -> int:

@@ -1,10 +1,12 @@
 """Exact checkers for real-rootedness, log-concavity, and related identities.
 
-Polynomials here are univariate in t with exact rational coefficients,
-represented as coefficient lists (index = degree).  Root counting is fully
-exact: Sturm's theorem on the radical (squarefree part), with multiplicities
-recovered from Yun's squarefree decomposition.  There is no floating-point
-root finding anywhere.
+Polynomials here are univariate in t with exact rational coefficients, held
+as ``algebra.MultiPoly`` values; the public entry points also take
+coefficient lists (index = degree) and convert them once with ``poly``.
+Root counting is fully exact: Sturm's theorem on the radical (squarefree
+part), with multiplicities recovered from Yun's squarefree decomposition,
+all on ``MultiPoly.divmod``.  There is no floating-point root finding
+anywhere.
 
 Conventions: the zero polynomial is rejected by the root counters; constants
 and degree-1 polynomials count as (vacuously) real-rooted.  Scans over
@@ -15,183 +17,120 @@ avoider class) as vacuously satisfying every property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
+from .algebra import MultiPoly
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BudgetError, InexactDivisionError
+from .errors import BudgetError
 from .perms import distribution_rows, distribution_table
 from .wilf import (ALL_PAIRS, ALL_SINGLETONS, NON_REAL_ROOTED_CLASS, PatternTuple)
 
-Poly = list[Fraction]
+_T = MultiPoly.var("t")
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers
+# univariate polynomials in t
 # ---------------------------------------------------------------------------
 
-def poly(coeffs: Sequence) -> Poly:
-    out = [Fraction(c) for c in coeffs]
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out or [Fraction(0)]
+def poly(p: MultiPoly | Sequence) -> MultiPoly:
+    """A coefficient list (index = degree) as a polynomial in t; a
+    ``MultiPoly`` in t alone is returned as it is."""
+    if not isinstance(p, MultiPoly):
+        return MultiPoly.univariate(p)
+    if p.used_vars() - {"t"}:
+        raise ValueError(f"{p} is not a polynomial in t alone")
+    return p
 
 
-def degree(p: Poly) -> int:
-    return -1 if is_zero(p) else len(p) - 1
+def degree(p: MultiPoly) -> int:
+    """Degree in t; -1 for the zero polynomial."""
+    return p.degree("t")
 
 
-def is_zero(p: Poly) -> bool:
-    return all(not c for c in p)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if is_zero(a) or is_zero(b):
-        return [Fraction(0)]
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly(out)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return poly(out)
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, [-c for c in b])
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return poly([i * c for i, c in enumerate(p)][1:] or [0])
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    a = poly(a)
-    b = poly(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while not is_zero(r) and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        factor = r[-1] / lead
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r = poly(r)
-        if not is_zero(r) and len(r) - 1 >= shift + db:
-            raise ArithmeticError("leading term failed to cancel")
-    return poly(q), r
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = poly(a), poly(b)
-    while not is_zero(b):
-        a, b = b, poly_divmod(a, b)[1]
-    if is_zero(a):
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd by Euclid's algorithm (zero when both are zero)."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    if a.is_zero():
         return a
-    return poly([c / a[-1] for c in a])  # monic
+    return a.exact_div(a.leading_term()[1])
 
 
-def radical(p: Poly) -> Poly:
+def radical(p: MultiPoly) -> MultiPoly:
     """Product of the distinct irreducible factors: p / gcd(p, p')."""
-    if is_zero(p):
+    if p.is_zero():
         raise ValueError("the zero polynomial has no radical")
     if degree(p) == 0:
-        return poly([1])
-    g = poly_gcd(p, poly_derivative(p))
-    q, r = poly_divmod(p, g)
-    if not is_zero(r):
-        raise InexactDivisionError(f"gcd {g} does not divide {p}")
-    return q
+        return MultiPoly.one()
+    return p.exact_div(poly_gcd(p, p.derivative("t")))
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Yun's algorithm: p = c * prod q_i^i with the q_i squarefree, coprime."""
-    if is_zero(p):
+    if p.is_zero():
         raise ValueError("the zero polynomial has no squarefree decomposition")
     if degree(p) == 0:
         return []
-    dp = poly_derivative(p)
+    dp = p.derivative("t")
     a = poly_gcd(p, dp)
-    b = poly_divmod(p, a)[0]
-    c = poly_divmod(dp, a)[0]
-    d = poly_sub(c, poly_derivative(b))
-    out: list[tuple[Poly, int]] = []
+    b = p.exact_div(a)
+    d = dp.exact_div(a) - b.derivative("t")
+    out: list[tuple[MultiPoly, int]] = []
     i = 1
     while degree(b) > 0:
         a = poly_gcd(b, d)
         if degree(a) > 0:
             out.append((a, i))
-        b, _ = poly_divmod(b, a)
-        c, _ = poly_divmod(d, a)
-        d = poly_sub(c, poly_derivative(b))
+        b = b.exact_div(a)
+        d = d.exact_div(a) - b.derivative("t")
         i += 1
     return out
 
 
-def _sign_at_plus_inf(p: Poly) -> int:
-    return 1 if p[-1] > 0 else -1
+def _sign_changes(signs: list[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sign_at_minus_inf(p: Poly) -> int:
-    s = _sign_at_plus_inf(p)
-    return s if degree(p) % 2 == 0 else -s
-
-
-def _sign_changes(signs: list[int]) -> int:
-    filtered = [s for s in signs if s]
-    return sum(1 for a, b in zip(filtered, filtered[1:]) if a != b)
-
-
-def sturm_distinct_real_roots(p: Poly) -> int:
+def sturm_distinct_real_roots(p: MultiPoly) -> int:
     """Distinct real roots of a nonzero polynomial via a Sturm chain.
 
     The chain is built on the radical, so multiple roots are counted once.
+    Each member's sign at +inf is its leading coefficient's; at -inf it
+    flips with odd degree.
     """
-    if is_zero(p):
+    if p.is_zero():
         raise ValueError("the zero polynomial is excluded")
     r = radical(p)
     if degree(r) == 0:
         return 0
-    chain = [r, poly_derivative(r)]
-    while degree(chain[-1]) >= 0 and not is_zero(chain[-1]):
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if is_zero(rem):
+    chain = [r, r.derivative("t")]
+    while True:
+        rem = chain[-2].divmod(chain[-1])[1]
+        if rem.is_zero():
             break
-        chain.append([-c for c in rem])
-    at_minus = [_sign_at_minus_inf(q) for q in chain if not is_zero(q)]
-    at_plus = [_sign_at_plus_inf(q) for q in chain if not is_zero(q)]
+        chain.append(-rem)
+    at_plus = [q.leading_term()[1] > 0 for q in chain]
+    at_minus = [s != (degree(q) % 2 == 1) for s, q in zip(at_plus, chain)]
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
-def real_root_count(p: Sequence) -> int:
+def real_root_count(p: MultiPoly | Sequence) -> int:
     """Number of real roots counted without multiplicity."""
     return sturm_distinct_real_roots(poly(p))
 
 
-def real_root_count_with_multiplicity(p: Sequence) -> int:
+def real_root_count_with_multiplicity(p: MultiPoly | Sequence) -> int:
     q = poly(p)
-    if is_zero(q):
+    if q.is_zero():
         raise ValueError("the zero polynomial is excluded")
     return sum(mult * sturm_distinct_real_roots(factor)
                for factor, mult in squarefree_decomposition(q))
 
 
-def is_real_rooted(p: Sequence) -> bool:
+def is_real_rooted(p: MultiPoly | Sequence) -> bool:
     """All roots real (degree <= 1 and nonzero constants are vacuous truths)."""
     q = poly(p)
-    if is_zero(q):
+    if q.is_zero():
         raise ValueError("the zero polynomial is excluded")
     d = degree(q)
     if d <= 1:
@@ -232,20 +171,14 @@ def branden_check(n: int) -> bool:
         raise ValueError("defined for n >= 1")
     a_poly = distribution_table(n, ((2, 3, 1),), "des").poly()
     p_poly = distribution_table(n, ((2, 3, 1),), "pk").poly()
-    lhs = poly([c * 2 ** (n - 1) for c in a_poly])
-    rhs = [Fraction(0)]
-    one_plus_t = poly([1, 1])
+    rhs = MultiPoly.zero()
     for k, coeff in enumerate(p_poly):
         if not coeff:
             continue
         if n - 1 - 2 * k < 0:
             return False
-        term = poly([0] * k + [coeff * 4 ** k])
-        power = poly([1])
-        for _ in range(n - 1 - 2 * k):
-            power = poly_mul(power, one_plus_t)
-        rhs = poly_add(rhs, poly_mul(term, power))
-    return lhs == poly(rhs)
+        rhs = rhs + coeff * 4 ** k * _T ** k * (1 + _T) ** (n - 1 - 2 * k)
+    return poly(a_poly) * 2 ** (n - 1) == rhs
 
 
 def stembridge_consistency(n: int) -> bool:
@@ -325,7 +258,7 @@ def conjecture_scan(which: str, max_n: int,
                 counts = table.counts
                 p = poly(counts)
                 if which == "real_rooted":
-                    if is_zero(p):
+                    if p.is_zero():
                         holds, witness = True, None
                     else:
                         holds = is_real_rooted(p)

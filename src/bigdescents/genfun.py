@@ -448,10 +448,6 @@ def b231_312(n: int, k: int) -> int:
 # r-Eulerian polynomials and the generalized Carlitz identity
 # ---------------------------------------------------------------------------
 
-def _poly_derivative(p: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(p)][1:] or [0]
-
-
 def eulerian_r(n: int, r: int) -> list[int]:
     """Distribution of r-descents over the full symmetric group S_n.
 
@@ -461,40 +457,37 @@ def eulerian_r(n: int, r: int) -> list[int]:
     """
     if n < 0 or r < 0:
         raise ValueError("n and r must be non-negative")
-    if n <= r:
-        return distribution_table(n, (), f"des_r({r})", max_n=9).poly()
-    prev = eulerian_r(n - 1, r)
-    deriv = _poly_derivative(prev)
-    out = [0] * (len(prev) + 2)
-    for i, c in enumerate(prev):           # (r+1) A + (n-r-1) t A
-        out[i] += (r + 1) * c
-        out[i + 1] += (n - r - 1) * c
-    for i, c in enumerate(deriv):          # t A' - t^2 A'
-        out[i + 1] += c
-        out[i + 2] -= c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    base = min(n, r)
+    a = MultiPoly.univariate(
+        distribution_table(base, (), f"des_r({r})", max_n=9).poly())
+    for m in range(base + 1, n + 1):
+        a = (r + 1 + (m - r - 1) * _T) * a + _T * (1 - _T) * a.derivative("t")
+    return a.to_univariate("t")
+
+
+def _carlitz_coeff(eulerian: list[int], n: int, r: int, k: int) -> Fraction:
+    """Coefficient of t^k in A(t) / ((r+1)! (1-t)^(n+1+r)), A = A_{n+r}."""
+    total = sum(
+        eulerian[i] * math.comb(k - i + n + r, n + r)
+        for i in range(min(k, len(eulerian) - 1) + 1)
+    )
+    return Fraction(total, math.factorial(r + 1))
 
 
 def carlitz_lhs_coeff(n: int, r: int, k: int) -> Fraction:
     """Coefficient of t^k in A_{n+r}(t) / ((r+1)! (1-t)^(n+1+r))."""
     if n < 1 or r < 0 or k < 0:
         raise ValueError("need n >= 1, r >= 0, k >= 0")
-    poly = eulerian_r(n + r, r)
-    total = sum(
-        poly[i] * math.comb(k - i + n + r, n + r)
-        for i in range(min(k, len(poly) - 1) + 1)
-    )
-    return Fraction(total, math.factorial(r + 1))
+    return _carlitz_coeff(eulerian_r(n + r, r), n, r, k)
 
 
 def carlitz_verify(n: int, r: int, K: int) -> bool:
     """First K coefficients against (k+1+r)^(n-1) C(k+1+r, r+1)."""
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
+    if n < 1 or r < 0 or K < 1:
+        raise ValueError("need n >= 1, r >= 0 and K >= 1")
+    eulerian = eulerian_r(n + r, r)
     return all(
-        carlitz_lhs_coeff(n, r, k)
+        _carlitz_coeff(eulerian, n, r, k)
         == (k + 1 + r) ** (n - 1) * math.comb(k + 1 + r, r + 1)
         for k in range(K)
     )

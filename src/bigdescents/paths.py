@@ -14,7 +14,7 @@ independently, each starting from 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,6 @@ class BinaryWord:
         return len(self.bits)
 
 
-Path = Union[DyckPath, BinaryWord]
-
 
 def validate(kind: str, text: str) -> bool:
     """Check a serialized path against its type invariants without raising."""
@@ -140,7 +138,7 @@ def validate(kind: str, text: str) -> bool:
 # factor statistics
 # ---------------------------------------------------------------------------
 
-def occ_factor(p: Path, factor: str, level0_only: bool = False) -> int:
+def occ_factor(p: DyckPath | BinaryWord, factor: str, level0_only: bool = False) -> int:
     """Occurrences (possibly overlapping) of a factor; optionally only those
     starting at height 0 (Dyck paths only).
 

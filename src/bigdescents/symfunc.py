@@ -231,6 +231,27 @@ def qsym_sum(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
     return QsymExpansion(n=n, basis="monomial_qsym", coeffs=coeffs)
 
 
+def _rearrangements(parts: Sequence[int]) -> Iterator[Composition]:
+    """The distinct rearrangements of ``parts``, in lexicographic order.
+
+    Each step is the next-permutation successor, so equal parts are never
+    swapped with each other: 1^9 yields one tuple, not 9! of them.
+    """
+    a = sorted(parts)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 def asymmetry_witness(q: QsymExpansion) -> tuple[Composition, Composition] | None:
     """A pair of compositions with the same parts but different coefficients,
     or None when the expansion is symmetric."""
@@ -243,7 +264,7 @@ def asymmetry_witness(q: QsymExpansion) -> tuple[Composition, Composition] | Non
             seen[lam] = comp
     for lam, rep in seen.items():
         value = q.coefficient(rep)
-        for comp in set(itertools.permutations(lam)):
+        for comp in _rearrangements(lam):
             if q.coefficient(comp) != value:
                 a, b = sorted((rep, comp))
                 return (a, b)
@@ -296,7 +317,7 @@ def schur_to_monomial_qsym(e: SymExpansion) -> QsymExpansion:
             k = kostka(lam, mu)
             if not k:
                 continue
-            for comp in set(itertools.permutations(mu)):
+            for comp in _rearrangements(mu):
                 coeffs[comp] = coeffs.get(comp, 0) + a * k
     return QsymExpansion(n=e.n, basis="monomial_qsym",
                          coeffs={c: v for c, v in coeffs.items() if v})

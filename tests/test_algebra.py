@@ -63,6 +63,13 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             (t * s).to_univariate("t")
 
+    def test_univariate_inverts_to_univariate(self):
+        assert MultiPoly.univariate([4, 9, 1]) == 4 + 9 * t + t ** 2
+        assert MultiPoly.univariate([0, Fraction(1, 2)], "s") == s * Fraction(1, 2)
+        assert MultiPoly.univariate([0, 0]).is_zero()
+        for coeffs in ([4, 9, 1], [0], [0, 0, 3], [Fraction(1, 3), -2]):
+            assert MultiPoly.univariate(coeffs).to_univariate("t") == coeffs
+
     def test_str_is_readable(self):
         assert str(5 + 25 * t + 12 * t ** 2) == "5 + 25*t + 12*t^2"
         assert str(MultiPoly.zero()) == "0"
@@ -268,6 +275,61 @@ def small_polys(draw, unit=False):
     for d, c in enumerate(coeffs):
         terms[(d, 0, 0, 0, 0)] = c
     return MultiPoly(terms)
+
+
+@st.composite
+def small_bivariate(draw):
+    """A polynomial in t and s of degree at most 3 in each."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, st.integers(-4, 4), max_size=5))
+    return MultiPoly({(i, j, 0, 0, 0): c for (i, j), c in terms.items()})
+
+
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+class TestDivmod:
+    def test_univariate(self):
+        q, r = (5 + 2 * t + t ** 3).divmod(1 + t ** 2)
+        assert (q, r) == (t, 5 + t)
+        q, r = (1 + t).divmod(2 * t)
+        assert (q, r) == (MultiPoly.const(Fraction(1, 2)), MultiPoly.one())
+
+    def test_multivariate_remainder_keeps_undividable_terms(self):
+        # lead of t + s is t (t > s in the variable order); s^2 is left over.
+        q, r = (t ** 2 + s ** 2).divmod(t + s)
+        assert (q, r) == (t - s, 2 * s ** 2)
+
+    @given(small_bivariate(), small_bivariate())
+    @settings(max_examples=80, deadline=None)
+    def test_division_identity_and_reduced_remainder(self, p, d):
+        if d.is_zero():
+            return
+        q, r = p.divmod(d)
+        assert q * d + r == p
+        lead, _ = d.leading_term()
+        assert not any(_divides(lead, exps) for exps in r.terms)
+
+    @given(small_bivariate(), small_bivariate())
+    @settings(max_examples=60, deadline=None)
+    def test_remainder_vanishes_on_multiples(self, a, d):
+        if d.is_zero():
+            return
+        assert (a * d).divmod(d) == (a, MultiPoly.zero())
+
+    def test_constant_divisor(self):
+        p = 3 + t * s - 4 * s ** 2
+        for c in (1, -2, Fraction(2, 3), MultiPoly.const(5)):
+            q, r = p.divmod(c)
+            assert r.is_zero()
+            assert q * c == p
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            (1 + t).divmod(0)
+        with pytest.raises(ZeroDivisionError):
+            (1 + t).divmod(MultiPoly.zero())
 
 
 @st.composite

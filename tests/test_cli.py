@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from bigdescents.bijections import BIJECTIONS
 from bigdescents.cli import main
+from bigdescents.perms import enumerate_avoiders, format_permutation
 
 
 def run(capsys, *argv):
@@ -118,6 +120,21 @@ class TestBijection:
         code, out, _ = run(capsys, "bijection", "--id", "psi",
                            "--invert", "h1 u h1 h0 u d d")
         assert code == 0 and out.strip() == "UDUUDUUUDUDDUDDD"
+
+    @pytest.mark.parametrize("name", sorted(BIJECTIONS))
+    def test_invert_parses_every_codomain(self, capsys, name):
+        # Dyck paths (omega_f, omega_l, chi), 2-Motzkin paths (psi) and
+        # binary words (the phi maps): each read back by its registry parser.
+        b = BIJECTIONS[name]
+        if b.domain_patterns is None:
+            x = "UUDUDDUD"
+        else:
+            x = format_permutation(list(enumerate_avoiders(5, b.domain_patterns))[-1])
+        code, image, _ = run(capsys, "bijection", "--id", name, "--apply", x)
+        assert code == 0
+        code, back, _ = run(capsys, "bijection", "--id", name,
+                            "--invert", image.strip())
+        assert code == 0 and back.strip() == x
 
     def test_verify_report(self, capsys):
         code, out, _ = run(capsys, "bijection", "--id", "omega_f",

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigdescents import conjectures as cj
 from bigdescents.conjectures import (branden_check, conjecture_scan, degree,
                                      is_log_concave, is_real_rooted,
-                                     is_unimodal, poly, poly_gcd, poly_mul,
+                                     is_unimodal, poly, poly_gcd,
                                      real_root_count,
                                      real_root_count_with_multiplicity,
                                      squarefree_decomposition,
@@ -27,16 +26,16 @@ class TestRootCounting:
             real_root_count([0])
 
     def test_multiplicities(self):
-        squared = poly_mul(poly([1, 1]), poly([1, 1]))  # (1+t)^2
+        squared = poly([1, 1]) * poly([1, 1])  # (1+t)^2
         assert real_root_count(squared) == 1
         assert real_root_count_with_multiplicity(squared) == 2
         assert is_real_rooted(squared)
-        mixed = poly_mul(squared, poly([1, 0, 1]))      # (1+t)^2 (1+t^2)
+        mixed = squared * poly([1, 0, 1])  # (1+t)^2 (1+t^2)
         assert real_root_count(mixed) == 1
         assert not is_real_rooted(mixed)
 
     def test_squarefree_decomposition(self):
-        p = poly_mul(poly_mul(poly([1, 1]), poly([1, 1])), poly([-1, 1]))
+        p = poly([1, 1]) * poly([1, 1]) * poly([-1, 1])
         parts = squarefree_decomposition(p)
         assert sorted(mult for _, mult in parts) == [1, 2]
         total = sum(mult * degree(q) for q, mult in parts)
@@ -47,11 +46,11 @@ class TestRootCounting:
     @settings(max_examples=60, deadline=None)
     def test_root_count_additive_for_coprime_factors(self, a, b):
         pa, pb = poly(a), poly(b)
-        if cj.is_zero(pa) or cj.is_zero(pb):
+        if pa.is_zero() or pb.is_zero():
             return
         if degree(poly_gcd(pa, pb)) > 0:
             return
-        assert real_root_count(poly_mul(pa, pb)) == \
+        assert real_root_count(pa * pb) == \
             real_root_count(pa) + real_root_count(pb)
 
 
@@ -74,7 +73,7 @@ class TestSequenceShape:
             for n in range(8):
                 counts = distribution_table(n, patterns, "bdes").counts
                 p = poly(counts)
-                if cj.is_zero(p):
+                if p.is_zero():
                     continue
                 if is_real_rooted(p):
                     assert is_log_concave(counts)

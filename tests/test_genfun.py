@@ -212,6 +212,18 @@ class TestEulerian:
             for n in range(1, 7):
                 assert carlitz_verify(n, r, 6)
 
+    def test_carlitz_verify_builds_the_polynomial_once(self, monkeypatch):
+        from bigdescents import genfun
+        calls = []
+
+        def counting(n, r):
+            calls.append((n, r))
+            return eulerian_r(n, r)
+
+        monkeypatch.setattr(genfun, "eulerian_r", counting)
+        assert genfun.carlitz_verify(4, 2, 6)
+        assert calls == [(6, 2)]
+
     def test_carlitz_lhs_coefficient_is_exact(self):
         value = formula("carlitz_lhs_coeff", n=3, r=0, k=2)
         assert value == Fraction(27)

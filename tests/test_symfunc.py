@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from bigdescents.errors import BudgetError
-from bigdescents.symfunc import (QsymExpansion, SymExpansion,
+from bigdescents.symfunc import (QsymExpansion, SymExpansion, _rearrangements,
                                  asymmetry_witness, composition_from_set,
                                  compositions_of, format_schur,
                                  fundamental_to_monomial, is_schur_positive,
@@ -16,6 +18,13 @@ class TestCompositionsAndPartitions:
         assert composition_from_set(6, {2, 3}) == (2, 1, 3)
         assert composition_from_set(4, set()) == (4,)
         assert composition_from_set(0, set()) == ()
+
+    def test_rearrangements_are_the_distinct_permutations_in_order(self):
+        for n in range(8):
+            for mu in partitions_of(n):
+                assert list(_rearrangements(mu)) == \
+                    sorted(set(itertools.permutations(mu)))
+        assert list(_rearrangements((1,) * 9)) == [(1,) * 9]
 
     def test_compositions_count(self):
         for n in range(1, 7):

@@ -1,13 +1,21 @@
-"""Closed forms re-expanded by sympy, independently of ``bigdescents.algebra``.
+"""Closed forms and real-root counts checked by sympy, independently of
+``bigdescents.algebra``.
 
 The exact-algebra kernel checks its two routes against each other; this
-oracle expands the square roots with sympy's own ``series`` so that a kernel
-rewrite cannot pass only by agreeing with itself.  sympy is optional.
+oracle expands the square roots with sympy's own ``series`` and counts real
+roots with sympy's own root isolation, so that a kernel rewrite cannot pass
+only by agreeing with itself.  sympy is optional.
 """
+
+import random
 
 import pytest
 
+from bigdescents.conjectures import (real_root_count,
+                                     real_root_count_with_multiplicity)
 from bigdescents.genfun import expand, series_row
+from bigdescents.perms import distribution_rows
+from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
 
 sp = pytest.importorskip("sympy")
 
@@ -53,3 +61,39 @@ def test_gtilde_coefficients_match_sympy():
         want_terms = {(i, j, 0, 0, 0): q
                       for (i, j), q in sp.Poly(coeff, t, s).as_dict().items()}
         assert series.coefficient(n).terms == want_terms
+
+
+def sympy_root_counts(coeffs):
+    """(distinct, with multiplicity) real roots of an ascending coefficient
+    list: ``count_roots`` counts distinct roots, ``real_roots`` repeats each
+    root by its multiplicity."""
+    p = sp.Poly(list(reversed(coeffs)), t)
+    return p.count_roots(), len(sp.real_roots(p))
+
+
+def assert_root_counts_match(coeffs):
+    ours = (real_root_count(coeffs), real_root_count_with_multiplicity(coeffs))
+    assert ours == sympy_root_counts(coeffs), coeffs
+
+
+@pytest.mark.parametrize("patterns", ALL_SINGLETONS + ALL_PAIRS,
+                         ids=lambda ps: "-".join("".join(map(str, p)) for p in ps))
+def test_bdes_root_counts_match_sympy(patterns):
+    for table in distribution_rows(9, patterns, "bdes"):
+        if any(table.counts):
+            assert_root_counts_match(list(table.counts))
+
+
+def test_root_counts_of_products_with_repeated_factors_match_sympy():
+    rng = random.Random(5)
+    for _ in range(150):
+        product = sp.Integer(rng.choice([1, -1, 2, -3]))
+        for _ in range(rng.randint(1, 3)):
+            factor = sum(rng.randint(-4, 4) * t ** k
+                         for k in range(rng.randint(1, 3) + 1))
+            if factor.is_number:
+                factor += t
+            product *= factor ** rng.randint(1, 3)
+        coeffs = [int(c) for c in sp.Poly(product, t).all_coeffs()[::-1]]
+        if any(coeffs):
+            assert_root_counts_match(coeffs)
