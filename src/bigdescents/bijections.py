@@ -1,9 +1,12 @@
 """Constructive bijections between avoider classes, paths, and binary words.
 
-Every bijection is registered with its domain (an avoidance class), codomain,
-forward and inverse maps, and the statistic identities it transports.  Domain
-checking is always on by default; pass ``check=False`` in bulk pipelines that
-have already validated their inputs.
+Every bijection is registered with its domain (an avoidance class and a
+parser, or Dyck paths), codomain parser, forward and inverse maps, and the
+statistic identities it transports.  The forward maps are plain maps on their
+domain and check nothing: ``apply`` checks the input once against the record
+(a permutation, avoiding the domain patterns, at least ``min_length`` long).
+The avoidance check is on by default; pass ``check=False`` to ``apply`` in
+bulk pipelines that have already validated their inputs.
 
 The nine bijections:
 
@@ -20,19 +23,21 @@ The nine bijections:
   n-1 (suffix-min/max indicators, resp. before/after-the-maximum indicators).
 - phi_123_132, phi_132_213, phi_231_321: avoiders of the pair to binary
   words of length n ending in 1 (indicator words of right-to-left maxima,
-  resp. left-to-right maxima).
+  ``rlmax_word``, for the first two; of left-to-right maxima, ``lrmax_word``,
+  for the third).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import perms
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetError, DomainViolationError
-from .paths import BinaryWord, DyckPath, TwoMotzkinPath, occ_factor, path_statistic
-from .perms import Perm, check_permutation, enumerate_avoiders, standardize
+from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, occ_factor,
+                    path_statistic, peak_coloring)
+from .perms import Perm, check_permutation, enumerate_avoiders, parse_permutation
 
 
 def _require_avoider(pi: Perm, patterns: tuple[Perm, ...]) -> None:
@@ -47,24 +52,22 @@ def _require_avoider(pi: Perm, patterns: tuple[Perm, ...]) -> None:
 # omega_f and omega_l: 231-avoiders <-> Dyck paths
 # ---------------------------------------------------------------------------
 
-def _split_at_max(pi: Perm) -> tuple[Perm, Perm]:
-    pos = pi.index(len(pi))
-    return pi[:pos], pi[pos + 1:]
+# In a 231-avoider sigma n tau every letter of tau exceeds every letter of
+# sigma (Krattenthaler, Adv. Appl. Math. 27, 2001), so each factor met by the
+# recursion holds consecutive values: build(lo, hi, base) encodes pi[lo:hi],
+# whose values are base+1 .. base+hi-lo, and std(tau) is tau less an offset.
 
-
-def omega_f(pi: Sequence[int], check: bool = True) -> DyckPath:
+def omega_f(pi: Perm) -> DyckPath:
     """First-return encoding: sigma n tau maps to U w(sigma) D w(std(tau))."""
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((2, 3, 1),))
 
-    def build(p: Perm) -> str:
-        if not p:
+    def build(lo: int, hi: int, base: int) -> str:
+        if lo == hi:
             return ""
-        sigma, tau = _split_at_max(p)
-        return "U" + build(sigma) + "D" + build(standardize(tau))
+        pos = pi.index(base + hi - lo, lo, hi)
+        return ("U" + build(lo, pos, base) + "D"
+                + build(pos + 1, hi, base + pos - lo))
 
-    return DyckPath(build(pi))
+    return DyckPath(build(0, len(pi), 0))
 
 
 def omega_f_inv(path: DyckPath) -> Perm:
@@ -85,19 +88,17 @@ def omega_f_inv(path: DyckPath) -> Perm:
     return build(path.steps)
 
 
-def omega_l(pi: Sequence[int], check: bool = True) -> DyckPath:
+def omega_l(pi: Perm) -> DyckPath:
     """Last-return encoding: sigma n tau maps to w(std(tau)) U w(sigma) D."""
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((2, 3, 1),))
 
-    def build(p: Perm) -> str:
-        if not p:
+    def build(lo: int, hi: int, base: int) -> str:
+        if lo == hi:
             return ""
-        sigma, tau = _split_at_max(p)
-        return build(standardize(tau)) + "U" + build(sigma) + "D"
+        pos = pi.index(base + hi - lo, lo, hi)
+        return (build(pos + 1, hi, base + pos - lo)
+                + "U" + build(lo, pos, base) + "D")
 
-    return DyckPath(build(pi))
+    return DyckPath(build(0, len(pi), 0))
 
 
 def omega_l_inv(path: DyckPath) -> Perm:
@@ -123,15 +124,12 @@ def omega_l_inv(path: DyckPath) -> Perm:
 # chi: 321-avoiders <-> Dyck paths
 # ---------------------------------------------------------------------------
 
-def chi(pi: Sequence[int], check: bool = True) -> DyckPath:
+def chi(pi: Perm) -> DyckPath:
     """Staircase profile of the permutation array, tight to the diagonal.
 
     >>> str(chi((2, 4, 1, 3, 7, 5, 6)))
     'UUDUUDDDUUUDDD'
     """
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((3, 2, 1),))
     word = []
     height = 0
     running = 0
@@ -173,34 +171,22 @@ def chi_inv(path: DyckPath, check: bool = True) -> Perm:
 # psi: Dyck paths <-> 2-Motzkin paths
 # ---------------------------------------------------------------------------
 
+# (i-th U step red, (i+1)-th D step red) -> step i of the 2-Motzkin word
+_PSI_STEPS = {(False, True): "u", (True, False): "d",
+              (False, False): "h0", (True, True): "h1"}
+
+
 def psi(path: DyckPath) -> TwoMotzkinPath:
     """Read the peak coloring off into a 2-Motzkin word of length m-1.
 
     >>> str(psi(DyckPath("UDUUDUUUDUDDUDDD")))
     'h1 u h1 h0 u d d'
     """
-    m = path.semilength
-    if m == 0:
-        raise ValueError("psi is defined for nonempty Dyck paths only")
-    steps = path.steps
-    red = [False] * len(steps)
-    for i in range(len(steps) - 1):
-        if steps[i] == "U" and steps[i + 1] == "D":
-            red[i] = red[i + 1] = True
-    u_color = [red[i] for i, s in enumerate(steps) if s == "U"]
-    d_color = [red[i] for i, s in enumerate(steps) if s == "D"]
-    out = []
-    for i in range(m - 1):
-        ured, dred = u_color[i], d_color[i + 1]
-        if not ured and dred:
-            out.append("u")
-        elif ured and not dred:
-            out.append("d")
-        elif not ured and not dred:
-            out.append("h0")
-        else:
-            out.append("h1")
-    return TwoMotzkinPath(tuple(out))
+    colored = list(zip(path.steps, peak_coloring(path).colors))
+    u_red = [c == "r" for s, c in colored if s == "U"]
+    d_red = [c == "r" for s, c in colored if s == "D"]
+    return TwoMotzkinPath(tuple(_PSI_STEPS[u_red[i], d_red[i + 1]]
+                                for i in range(path.semilength - 1)))
 
 
 def psi_inv(alpha: TwoMotzkinPath) -> DyckPath:
@@ -228,18 +214,13 @@ def psi_inv(alpha: TwoMotzkinPath) -> DyckPath:
 # phi bijections: pair-avoiders <-> binary words
 # ---------------------------------------------------------------------------
 
-def phi_213_231(pi: Sequence[int], check: bool = True) -> BinaryWord:
+def phi_213_231(pi: Perm) -> BinaryWord:
     """w_k = 1 if pi_k is the minimum of the suffix from k, 0 if the maximum.
 
     >>> str(phi_213_231((9, 1, 2, 3, 8, 4, 7, 6, 5)))
     '01110100'
     """
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((2, 1, 3), (2, 3, 1)))
     n = len(pi)
-    if n == 0:
-        raise ValueError("defined for nonempty permutations")
     bits = []
     lo, hi = 1, n
     for k in range(n - 1):
@@ -270,14 +251,9 @@ def phi_213_231_inv(w: BinaryWord) -> Perm:
     return tuple(out)
 
 
-def phi_213_312(pi: Sequence[int], check: bool = True) -> BinaryWord:
+def phi_213_312(pi: Perm) -> BinaryWord:
     """w_k = 1 if the letter k appears before n in pi, else 0."""
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((2, 1, 3), (3, 1, 2)))
     n = len(pi)
-    if n == 0:
-        raise ValueError("defined for nonempty permutations")
     cut = pi.index(n)
     before = set(pi[:cut])
     return BinaryWord("".join("1" if k in before else "0" for k in range(1, n)))
@@ -290,44 +266,18 @@ def phi_213_312_inv(w: BinaryWord) -> Perm:
     return tuple(before) + (n,) + tuple(reversed(after))
 
 
-def _rlmax_word(pi: Perm) -> BinaryWord:
+def rlmax_word(pi: Perm) -> BinaryWord:
+    """Indicator word of the right-to-left maxima (phi_123_132 and
+    phi_132_213; a nonempty word ends in 1)."""
     rl = perms.statistic_set(pi, "RLmax")
     return BinaryWord("".join("1" if k in rl else "0" for k in range(1, len(pi) + 1)))
 
 
-def _lrmax_word(pi: Perm) -> BinaryWord:
+def lrmax_word(pi: Perm) -> BinaryWord:
+    """Indicator word of the left-to-right maxima (phi_231_321; a nonempty
+    word ends in 1)."""
     lr = perms.statistic_set(pi, "LRmax")
     return BinaryWord("".join("1" if k in lr else "0" for k in range(1, len(pi) + 1)))
-
-
-def phi_123_132(pi: Sequence[int], check: bool = True) -> BinaryWord:
-    """Indicator word of the right-to-left maxima (always ends in 1)."""
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((1, 2, 3), (1, 3, 2)))
-    if not pi:
-        raise ValueError("defined for nonempty permutations")
-    return _rlmax_word(pi)
-
-
-def phi_132_213(pi: Sequence[int], check: bool = True) -> BinaryWord:
-    """Indicator word of the right-to-left maxima (always ends in 1)."""
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((1, 3, 2), (2, 1, 3)))
-    if not pi:
-        raise ValueError("defined for nonempty permutations")
-    return _rlmax_word(pi)
-
-
-def phi_231_321(pi: Sequence[int], check: bool = True) -> BinaryWord:
-    """Indicator word of the left-to-right maxima (always ends in 1)."""
-    pi = check_permutation(pi)
-    if check:
-        _require_avoider(pi, ((2, 3, 1), (3, 2, 1)))
-    if not pi:
-        raise ValueError("defined for nonempty permutations")
-    return _lrmax_word(pi)
 
 
 def _maxima_set_from_word(w: BinaryWord) -> set[int]:
@@ -408,12 +358,16 @@ def phi_231_321_inv(w: BinaryWord) -> Perm:
 class Bijection:
     name: str
     domain_patterns: tuple[Perm, ...] | None  # None: domain is Dyck paths
+    domain: Callable[[str], object]  # parses one domain object written as text
     codomain: Callable[[str], object]  # parses one image written as text
     min_length: int
     forward: Callable
     backward: Callable
     # identities: (label, statistic on the domain object, statistic on image)
     identities: tuple[tuple[str, Callable, Callable], ...]
+    # identities checked on the avoiders of the reversed domain patterns,
+    # each mapped through forward(reverse(pi))
+    reversed_identities: tuple[tuple[str, Callable, Callable], ...] = ()
 
 
 def _occ(factor: str, level0: bool = False):
@@ -433,7 +387,7 @@ def _register(b: Bijection):
 
 _register(Bijection(
     name="omega_f", domain_patterns=((2, 3, 1),),
-    codomain=DyckPath, min_length=0,
+    domain=parse_permutation, codomain=DyckPath, min_length=0,
     forward=omega_f, backward=omega_f_inv,
     identities=(
         ("bdes <-> occ_DUU", perms.bdes, _occ("DUU")),
@@ -442,7 +396,7 @@ _register(Bijection(
 ))
 _register(Bijection(
     name="omega_l", domain_patterns=((2, 3, 1),),
-    codomain=DyckPath, min_length=0,
+    domain=parse_permutation, codomain=DyckPath, min_length=0,
     forward=omega_l, backward=omega_l_inv,
     identities=(
         ("pk <-> occ_DUU", perms.pk, _occ("DUU")),
@@ -451,7 +405,7 @@ _register(Bijection(
 ))
 _register(Bijection(
     name="chi", domain_patterns=((3, 2, 1),),
-    codomain=DyckPath, min_length=0,
+    domain=parse_permutation, codomain=DyckPath, min_length=0,
     forward=chi, backward=chi_inv,
     identities=(
         ("des <-> occ_UDD", perms.des, _occ("UDD")),
@@ -462,10 +416,21 @@ _register(Bijection(
          lambda pi: 1 if pi and pi[0] > 1 else 0,
          lambda p: path_statistic(p, "ini_UU")),
     ),
+    # big descents of 123-avoiders match high/low big-ascent counts of the
+    # reversed 321-avoider's staircase path
+    reversed_identities=(
+        ("bdes <-> hibasc + lobasc of chi(reverse)",
+         perms.bdes,
+         lambda p: path_statistic(p, "hibasc") + path_statistic(p, "lobasc")),
+        ("rbdes <-> hibasc + lobasc + ini_UU of chi(reverse)",
+         perms.rbdes,
+         lambda p: (path_statistic(p, "hibasc") + path_statistic(p, "lobasc")
+                    + path_statistic(p, "ini_UU"))),
+    ),
 ))
 _register(Bijection(
     name="psi", domain_patterns=None,
-    codomain=TwoMotzkinPath.parse, min_length=1,
+    domain=DyckPath, codomain=TwoMotzkinPath.parse, min_length=1,
     forward=psi, backward=psi_inv,
     identities=(
         ("pk = d + h1 + 1", lambda p: path_statistic(p, "pk"),
@@ -476,59 +441,55 @@ _register(Bijection(
 ))
 _register(Bijection(
     name="phi_213_231", domain_patterns=((2, 1, 3), (2, 3, 1)),
-    codomain=BinaryWord, min_length=1,
+    domain=parse_permutation, codomain=BinaryWord, min_length=1,
     forward=phi_213_231, backward=phi_213_231_inv,
     identities=(("bdes <-> occ_01", perms.bdes, _word_occ("01")),),
 ))
 _register(Bijection(
     name="phi_213_312", domain_patterns=((2, 1, 3), (3, 1, 2)),
-    codomain=BinaryWord, min_length=1,
+    domain=parse_permutation, codomain=BinaryWord, min_length=1,
     forward=phi_213_312, backward=phi_213_312_inv,
     identities=(("bdes <-> occ_01", perms.bdes, _word_occ("01")),),
 ))
 _register(Bijection(
     name="phi_123_132", domain_patterns=((1, 2, 3), (1, 3, 2)),
-    codomain=BinaryWord, min_length=1,
-    forward=phi_123_132, backward=phi_123_132_inv,
+    domain=parse_permutation, codomain=BinaryWord, min_length=1,
+    forward=rlmax_word, backward=phi_123_132_inv,
     identities=(("bdes <-> occ_10 + occ_011", perms.bdes,
                  lambda w: occ_factor(w, "10") + occ_factor(w, "011")),),
 ))
 _register(Bijection(
     name="phi_132_213", domain_patterns=((1, 3, 2), (2, 1, 3)),
-    codomain=BinaryWord, min_length=1,
-    forward=phi_132_213, backward=phi_132_213_inv,
+    domain=parse_permutation, codomain=BinaryWord, min_length=1,
+    forward=rlmax_word, backward=phi_132_213_inv,
     identities=(("bdes <-> occ_10 + occ_011", perms.bdes,
                  lambda w: occ_factor(w, "10") + occ_factor(w, "011")),),
 ))
 _register(Bijection(
     name="phi_231_321", domain_patterns=((2, 3, 1), (3, 2, 1)),
-    codomain=BinaryWord, min_length=1,
-    forward=phi_231_321, backward=phi_231_321_inv,
+    domain=parse_permutation, codomain=BinaryWord, min_length=1,
+    forward=lrmax_word, backward=phi_231_321_inv,
     identities=(("bdes <-> occ_001", perms.bdes, _word_occ("001")),),
 ))
 
-# Statistic identities that factor through the reverse map: big descents of
-# 123-avoiders match high/low big-ascent counts of the reversed 321-avoider's
-# staircase path.
-REVERSED_CHI_IDENTITIES: tuple[tuple[str, Callable, Callable], ...] = (
-    ("bdes <-> hibasc + lobasc of chi(reverse)",
-     perms.bdes,
-     lambda p: path_statistic(p, "hibasc") + path_statistic(p, "lobasc")),
-    ("rbdes <-> hibasc + lobasc + ini_UU of chi(reverse)",
-     perms.rbdes,
-     lambda p: (path_statistic(p, "hibasc") + path_statistic(p, "lobasc")
-                + path_statistic(p, "ini_UU"))),
-)
-
 
 def apply(name: str, x, check: bool = True):
-    """Apply a bijection by name to a domain object."""
+    """Apply a bijection by name to a domain object, checked against the
+    record: a permutation (avoiding the domain patterns unless ``check`` is
+    false) or a Dyck path, at least ``min_length`` long."""
     b = _lookup(name)
     if b.domain_patterns is None:
         if not isinstance(x, DyckPath):
             raise TypeError(f"{name} expects a DyckPath")
-        return b.forward(x)
-    return b.forward(x, check=check)
+        size = x.semilength
+    else:
+        x = check_permutation(x)
+        if check:
+            _require_avoider(x, b.domain_patterns)
+        size = len(x)
+    if size < b.min_length:
+        raise ValueError(f"{name} is defined from length {b.min_length} on")
+    return b.forward(x)
 
 
 def invert(name: str, y):
@@ -603,7 +564,7 @@ def verify_transfer(name: str, n: int,
     population = 0
     bad_round_trip = 0
     failures = [0] * len(b.identities)
-    extra = REVERSED_CHI_IDENTITIES if name == "chi" else ()
+    extra = b.reversed_identities
     extra_failures = [0] * len(extra)
     extra_population = 0
     for x in _domain_objects(b, n, limits):
@@ -615,9 +576,10 @@ def verify_transfer(name: str, n: int,
             if dom_stat(x) != img_stat(y):
                 failures[i] += 1
     if extra:
-        for pi in enumerate_avoiders(n, ((1, 2, 3),), limits=limits):
+        reversed_patterns = tuple(perms.reverse(p) for p in b.domain_patterns)
+        for pi in enumerate_avoiders(n, reversed_patterns, limits=limits):
             extra_population += 1
-            image = chi(perms.reverse(pi), check=False)
+            image = b.forward(perms.reverse(pi))
             for i, (_, dom_stat, img_stat) in enumerate(extra):
                 if dom_stat(pi) != img_stat(image):
                     extra_failures[i] += 1

@@ -21,9 +21,8 @@ import sys
 from . import bijections, conjectures, genfun, verify
 from .config import DEFAULT_LIMITS, Limits, load_limits
 from .errors import BudgetError
-from .paths import DyckPath
 from .perms import (distribution_rows, distribution_table, format_permutation,
-                    parse_pattern_set, parse_permutation)
+                    parse_pattern_set)
 from .symfunc import (asymmetry_witness, format_schur, qsym_fundamental,
                       qsym_sum, schur_expand)
 
@@ -172,10 +171,7 @@ def _cmd_series(args, limits: Limits) -> int:
 
 def _parse_bijection_input(name: str, text: str, direction: str):
     b = bijections.BIJECTIONS[name]
-    text = text.strip()
-    if direction == "apply":
-        return DyckPath(text) if b.domain_patterns is None else parse_permutation(text)
-    return b.codomain(text)
+    return (b.domain if direction == "apply" else b.codomain)(text.strip())
 
 
 def _cmd_bijection(args, limits: Limits) -> int:

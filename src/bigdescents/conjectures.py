@@ -95,12 +95,18 @@ def sturm_distinct_real_roots(p: MultiPoly) -> int:
     """Distinct real roots of a nonzero polynomial via a Sturm chain.
 
     The chain is built on the radical, so multiple roots are counted once.
-    Each member's sign at +inf is its leading coefficient's; at -inf it
-    flips with odd degree.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial is excluded")
-    r = radical(p)
+    return _sturm_count(radical(p))
+
+
+def _sturm_count(r: MultiPoly) -> int:
+    """Real roots of a nonzero squarefree polynomial from its Sturm chain.
+
+    Each member's sign at +inf is its leading coefficient's; at -inf it
+    flips with odd degree.
+    """
     if degree(r) == 0:
         return 0
     chain = [r, r.derivative("t")]
@@ -123,7 +129,8 @@ def real_root_count_with_multiplicity(p: MultiPoly | Sequence) -> int:
     q = poly(p)
     if q.is_zero():
         raise ValueError("the zero polynomial is excluded")
-    return sum(mult * sturm_distinct_real_roots(factor)
+    # Yun's factors are squarefree already, so each takes the chain directly
+    return sum(mult * _sturm_count(factor)
                for factor, mult in squarefree_decomposition(q))
 
 
@@ -258,13 +265,13 @@ def conjecture_scan(which: str, max_n: int,
                 counts = table.counts
                 p = poly(counts)
                 if which == "real_rooted":
-                    if p.is_zero():
-                        holds, witness = True, None
-                    else:
-                        holds = is_real_rooted(p)
-                        witness = None if holds else (
-                            f"{real_root_count_with_multiplicity(p)} real roots "
-                            f"with multiplicity, degree {degree(p)}")
+                    # the zero and the degree <= 1 rows are vacuous truths
+                    d = degree(p)
+                    roots = (real_root_count_with_multiplicity(p) if d > 1
+                             else d)
+                    holds = roots == d
+                    witness = None if holds else (
+                        f"{roots} real roots with multiplicity, degree {d}")
                 elif which == "log_concave":
                     holds = is_log_concave(counts)
                     witness = None if holds else next(

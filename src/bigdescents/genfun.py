@@ -22,7 +22,9 @@ idempotence check certifies stabilization.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import MultiPoly, TruncatedSeries, series_compose
 from .errors import DivergenceError, InexactDivisionError
@@ -295,24 +297,32 @@ def _functional_W1_words(N: int) -> TruncatedSeries:
 # the id registry
 # ---------------------------------------------------------------------------
 
-GF_IDS: dict[str, dict] = {
-    "B132": {"closed": _closed_B132, "functional": _functional_B132, "var": "x"},
-    "B321": {"closed": _closed_B321, "var": "x"},
-    "B123": {"closed": _closed_B123, "var": "x"},
-    "Bgrave123": {"closed": _closed_Bgrave123, "var": "x"},
-    "B123_132": {"closed": _closed_B123_132, "var": "x"},
-    "B132_213": {"closed": _closed_B123_132, "var": "x"},
-    "B231_321": {"closed": _closed_B231_321, "var": "x"},
-    "B123_321": {"closed": _closed_B123_321, "var": "x"},
-    "V": {"closed": _closed_V, "functional": _functional_V, "var": "x"},
-    "What": {"closed": _closed_What, "functional": _functional_What, "var": "x"},
-    "W": {"closed": _closed_W, "functional": _functional_W, "var": "x"},
-    "G": {"closed": _closed_G, "functional": _functional_G, "var": "z"},
-    "Gtilde": {"closed": _closed_Gtilde, "functional": _functional_Gtilde, "var": "z"},
-    "F": {"closed": _closed_F, "var": "x"},
-    "R_run": {"closed": _closed_R_run, "var": "x", "needs_r": True},
-    "W1_words": {"closed": _closed_W1_words, "functional": _functional_W1_words,
-                 "var": "x"},
+@dataclass(frozen=True)
+class GFRoutes:
+    """The expansion routes of one named generating function."""
+
+    closed: Callable[..., TruncatedSeries]  # closed(N), or closed(N, r)
+    functional: Callable[[int], TruncatedSeries] | None = None
+    needs_r: bool = False  # the closed route takes the run-length parameter r
+
+
+GF_IDS: dict[str, GFRoutes] = {
+    "B132": GFRoutes(_closed_B132, _functional_B132),
+    "B321": GFRoutes(_closed_B321),
+    "B123": GFRoutes(_closed_B123),
+    "Bgrave123": GFRoutes(_closed_Bgrave123),
+    "B123_132": GFRoutes(_closed_B123_132),
+    "B132_213": GFRoutes(_closed_B123_132),
+    "B231_321": GFRoutes(_closed_B231_321),
+    "B123_321": GFRoutes(_closed_B123_321),
+    "V": GFRoutes(_closed_V, _functional_V),
+    "What": GFRoutes(_closed_What, _functional_What),
+    "W": GFRoutes(_closed_W, _functional_W),
+    "G": GFRoutes(_closed_G, _functional_G),
+    "Gtilde": GFRoutes(_closed_Gtilde, _functional_Gtilde),
+    "F": GFRoutes(_closed_F),
+    "R_run": GFRoutes(_closed_R_run, needs_r=True),
+    "W1_words": GFRoutes(_closed_W1_words, _functional_W1_words),
 }
 
 
@@ -321,26 +331,26 @@ def expand(gf_id: str, N: int, r: int | None = None) -> TruncatedSeries:
     info = _gf_info(gf_id)
     if N < 0:
         raise ValueError("order must be non-negative")
-    if info.get("needs_r"):
+    if info.needs_r:
         if r is None:
             raise ValueError(f"{gf_id} requires the run-length parameter r")
-        return info["closed"](N, r)
+        return info.closed(N, r)
     if r is not None:
         raise ValueError(f"{gf_id} takes no r parameter")
-    return info["closed"](N)
+    return info.closed(N)
 
 
 def expand_functional(gf_id: str, N: int) -> TruncatedSeries:
     """Expand through order N by functional-equation fixed point."""
     info = _gf_info(gf_id)
-    if "functional" not in info:
+    if info.functional is None:
         raise ValueError(f"{gf_id} has no functional-equation route")
     if N < 0:
         raise ValueError("order must be non-negative")
-    return info["functional"](N)
+    return info.functional(N)
 
 
-def _gf_info(gf_id: str) -> dict:
+def _gf_info(gf_id: str) -> GFRoutes:
     try:
         return GF_IDS[gf_id]
     except KeyError:

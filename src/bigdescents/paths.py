@@ -157,13 +157,15 @@ def occ_factor(p: DyckPath | BinaryWord, factor: str, level0_only: bool = False)
         raise TypeError("occ_factor expects a DyckPath or BinaryWord")
     if not factor:
         raise ValueError("empty factor")
+    starts = range(len(word) - len(factor) + 1)
+    if not level0_only:
+        return sum(word.startswith(factor, i) for i in starts)
     count = 0
     height = 0
-    for i in range(len(word) - len(factor) + 1):
-        if word[i:i + len(factor)] == factor and (not level0_only or height == 0):
+    for i in starts:
+        if height == 0 and word.startswith(factor, i):
             count += 1
-        if isinstance(p, DyckPath):
-            height += 1 if word[i] == "U" else -1
+        height += 1 if word[i] == "U" else -1
     return count
 
 
@@ -218,10 +220,6 @@ class PeakColoring:
 
     path: DyckPath
     colors: str
-
-    def blue_core(self) -> DyckPath:
-        return DyckPath("".join(s for s, c in zip(self.path.steps, self.colors)
-                                if c == "b"))
 
 
 def peak_coloring(p: DyckPath) -> PeakColoring:

@@ -146,10 +146,6 @@ def _contains_general(pi: Perm, sigma: Perm) -> bool:
     return extend(0, [])
 
 
-def avoids(pi: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
-    return not any(contains(pi, sigma) for sigma in patterns)
-
-
 # The generating tree of an avoider class (West, Discrete Math. 146, 1995):
 # the children of an avoider of length m are its insertions of the new maximum
 # m + 1 at the active sites i (0 <= i <= m, before the parent's letter i) that

@@ -44,15 +44,6 @@ def composition_from_set(n: int, subset: Iterable[int]) -> Composition:
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def compositions_of(n: int) -> Iterator[Composition]:
-    if n == 0:
-        yield ()
-        return
-    for mask_bits in itertools.chain.from_iterable(
-            itertools.combinations(range(1, n), k) for k in range(n)):
-        yield composition_from_set(n, mask_bits)
-
-
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in reverse-lexicographic (dominance-compatible) order."""
 
@@ -131,11 +122,6 @@ class QsymExpansion:
 
     def coefficient(self, comp: Composition) -> int:
         return self.coeffs.get(tuple(comp), 0)
-
-    def dimension(self) -> int:
-        """Total fundamental multiplicity: for sums over permutations this is
-        the number of permutations summed (each contributes one F term)."""
-        return sum(self.coeffs.values())
 
 
 @dataclass(frozen=True)

@@ -72,9 +72,6 @@ class PartitionReport:
     max_n: int
     comparisons: tuple[ClassComparison, ...]
 
-    def all_consistent(self) -> bool:
-        return all(c.consistent() for c in self.comparisons)
-
     def failures(self) -> list[ClassComparison]:
         return [c for c in self.comparisons if not c.consistent()]
 

@@ -174,7 +174,7 @@ def test_criterion_09_conjecture_scans():
 def test_criterion_10_wilf_class_partitions():
     with criterion(10, "equivalence-class partitions reproduced n<=8", 180):
         report = class_partition_report(8)
-        assert report.all_consistent(), report.failures()
+        assert not report.failures(), report.failures()
         # partition sizes: 4 singleton classes, 7 pair classes
         same = [c for c in report.comparisons if c.same_class]
         cross = [c for c in report.comparisons if not c.same_class]

@@ -172,10 +172,10 @@ class TestOrderZero:
     @pytest.mark.parametrize("gf_id,route", [
         (gf_id, route) for gf_id, info in sorted(GF_IDS.items())
         for route in ("closed", "functional")
-        if route == "closed" or "functional" in info])
+        if route == "closed" or info.functional is not None])
     def test_constant_term_matches_higher_order(self, gf_id, route):
         if route == "closed":
-            r = 2 if GF_IDS[gf_id].get("needs_r") else None
+            r = 2 if GF_IDS[gf_id].needs_r else None
             low, high = expand(gf_id, 0, r=r), expand(gf_id, 4, r=r)
         else:
             low, high = expand_functional(gf_id, 0), expand_functional(gf_id, 4)
@@ -259,9 +259,9 @@ class TestCoefficientTypes:
 
     def test_every_generating_function(self):
         for gf_id, info in GF_IDS.items():
-            series = expand(gf_id, 8, r=2 if info.get("needs_r") else None)
+            series = expand(gf_id, 8, r=2 if info.needs_r else None)
             assert_stored_exactly(series.coeffs)
-            if "functional" in info:
+            if info.functional is not None:
                 assert_stored_exactly(expand_functional(gf_id, 8).coeffs)
 
 

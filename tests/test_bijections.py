@@ -68,7 +68,8 @@ class TestDomainChecking:
             bj.apply("omega_f", (2, 3, 1))
 
     def test_check_can_be_disabled(self):
-        assert bj.chi((1, 3, 2), check=True) == bj.chi((1, 3, 2), check=False)
+        assert bj.apply("chi", (1, 3, 2), check=True) == \
+            bj.apply("chi", (1, 3, 2), check=False)
 
     def test_word_inverses_require_trailing_one(self):
         with pytest.raises(ValueError):
@@ -77,6 +78,30 @@ class TestDomainChecking:
     def test_psi_rejects_empty(self):
         with pytest.raises(ValueError):
             bj.apply("psi", DyckPath(""))
+
+
+PERMUTATION_DOMAINS = sorted(name for name, b in bj.BIJECTIONS.items()
+                             if b.domain_patterns is not None)
+
+
+class TestApplyChecksTheRecord:
+    @pytest.mark.parametrize("name", PERMUTATION_DOMAINS)
+    def test_each_domain_pattern_is_refused(self, name):
+        for sigma in bj.BIJECTIONS[name].domain_patterns:
+            with pytest.raises(DomainViolationError):
+                bj.apply(name, sigma)
+
+    @pytest.mark.parametrize("name", PERMUTATION_DOMAINS)
+    def test_empty_permutation_refused_iff_min_length(self, name):
+        if bj.BIJECTIONS[name].min_length > 0:
+            with pytest.raises(ValueError):
+                bj.apply(name, ())
+        else:
+            assert bj.invert(name, bj.apply(name, ())) == ()
+
+    def test_not_a_permutation(self):
+        with pytest.raises(ValueError):
+            bj.apply("chi", (1, 1))
 
 
 ROUND_TRIP_SIZES = range(0, 7)
@@ -100,23 +125,22 @@ class TestRoundTrips:
         for n in range(1, 7):
             from bigdescents.paths import iter_binary_words
             for w in iter_binary_words(n - 1):
-                assert bj.phi_213_231(bj.phi_213_231_inv(w), check=True) == w
-                assert bj.phi_213_312(bj.phi_213_312_inv(w), check=True) == w
+                for name in ("phi_213_231", "phi_213_312"):
+                    assert bj.apply(name, bj.invert(name, w)) == w
             for w in iter_binary_words(n):
                 if not w.bits.endswith("1"):
                     continue
-                assert bj.phi_123_132(bj.phi_123_132_inv(w), check=True) == w
-                assert bj.phi_132_213(bj.phi_132_213_inv(w), check=True) == w
-                assert bj.phi_231_321(bj.phi_231_321_inv(w), check=True) == w
+                for name in ("phi_123_132", "phi_132_213", "phi_231_321"):
+                    assert bj.apply(name, bj.invert(name, w)) == w
 
 
 class TestImages:
     def test_omegas_are_onto_dyck_paths(self):
         for n in range(7):
             paths = {str(p) for p in iter_dyck_paths(n)}
-            f_images = {str(bj.omega_f(pi, check=False))
+            f_images = {str(bj.apply("omega_f", pi, check=False))
                         for pi in enumerate_avoiders(n, ((2, 3, 1),))}
-            l_images = {str(bj.omega_l(pi, check=False))
+            l_images = {str(bj.apply("omega_l", pi, check=False))
                         for pi in enumerate_avoiders(n, ((2, 3, 1),))}
             assert f_images == paths
             assert l_images == paths
@@ -130,9 +154,9 @@ class TestImages:
     def test_rlmax_images_end_in_one(self):
         for n in range(1, 7):
             for pi in enumerate_avoiders(n, ((1, 2, 3), (1, 3, 2))):
-                assert bj.phi_123_132(pi, check=False).bits.endswith("1")
+                assert bj.apply("phi_123_132", pi, check=False).bits.endswith("1")
             for pi in enumerate_avoiders(n, ((1, 3, 2), (2, 1, 3))):
-                assert bj.phi_132_213(pi, check=False).bits.endswith("1")
+                assert bj.apply("phi_132_213", pi, check=False).bits.endswith("1")
 
 
 class TestStatisticTransfer:
@@ -163,14 +187,14 @@ class TestComposites:
     def test_bdes_preserving_between_pair_classes(self):
         for n in range(1, 7):
             for pi in enumerate_avoiders(n, ((2, 1, 3), (2, 3, 1))):
-                image = bj.phi_213_312_inv(bj.phi_213_231(pi, check=False))
+                image = bj.phi_213_312_inv(bj.apply("phi_213_231", pi, check=False))
                 assert bdes(image) == bdes(pi)
             for pi in enumerate_avoiders(n, ((1, 2, 3), (1, 3, 2))):
-                image = bj.phi_132_213_inv(bj.phi_123_132(pi, check=False))
+                image = bj.phi_132_213_inv(bj.apply("phi_123_132", pi, check=False))
                 assert bdes(image) == bdes(pi)
 
     def test_reversal_carries_123_to_321(self):
         for n in range(7):
             for pi in enumerate_avoiders(n, ((1, 2, 3),)):
-                mu = bj.chi(reverse(pi))  # raises if not 321-avoiding
+                mu = bj.apply("chi", reverse(pi))  # raises if not 321-avoiding
                 assert mu.semilength == n

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bigdescents import conjectures as cj
 from bigdescents.conjectures import (branden_check, conjecture_scan, degree,
                                      is_log_concave, is_real_rooted,
                                      is_unimodal, poly, poly_gcd,
@@ -132,3 +133,24 @@ class TestScans:
         data = report.to_json()
         assert data["as_predicted"] is True
         assert len(data["records"]) == len(report.records)
+
+    def test_failing_row_counts_its_roots_once(self, monkeypatch):
+        # one failing row: the {123, 132} class at n = 7, degree 4, 2 real roots
+        calls = {"radical": 0, "squarefree_decomposition": 0}
+        for fn_name in calls:
+            real = getattr(cj, fn_name)
+
+            def counted(p, real=real, fn_name=fn_name):
+                calls[fn_name] += 1
+                return real(p)
+
+            monkeypatch.setattr(cj, fn_name, counted)
+        rows = cj.distribution_rows
+        monkeypatch.setattr(cj, "_SCAN_TARGETS", (((1, 2, 3), (1, 3, 2)),))
+        monkeypatch.setattr(cj, "distribution_rows",
+                            lambda *a, **k: rows(*a, **k)[7:])
+        (record,) = conjecture_scan("real_rooted", 7).records
+        assert (record.n, record.holds) == (7, False)
+        assert record.witness == "2 real roots with multiplicity, degree 4"
+        # Yun's factors are squarefree, so no radical is taken of them
+        assert calls == {"radical": 0, "squarefree_decomposition": 1}

@@ -24,12 +24,12 @@ GOLDEN_PATH = Path(__file__).with_name("golden_series.json")
 
 def _jobs():
     for gf_id, info in GF_IDS.items():
-        if info.get("needs_r"):
+        if info.needs_r:
             for r in (2, 3):
                 yield f"expand:{gf_id}:r={r}", lambda i=gf_id, r=r: expand(i, ORDER, r)
         else:
             yield f"expand:{gf_id}", lambda i=gf_id: expand(i, ORDER)
-        if "functional" in info:
+        if info.functional is not None:
             yield (f"expand_functional:{gf_id}",
                    lambda i=gf_id: expand_functional(i, ORDER))
 

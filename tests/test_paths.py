@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bigdescents.genfun import catalan
@@ -47,6 +49,28 @@ class TestOccFactor:
     def test_level0_bounded_by_total(self):
         for mu in iter_dyck_paths(5):
             assert occ_factor(mu, "UD", True) <= occ_factor(mu, "UD")
+
+    def test_matches_a_sliding_window(self):
+        factors = ["".join(f) for k in range(1, 5)
+                   for f in itertools.product("UD", repeat=k)]
+        for m in range(6):
+            for mu in iter_dyck_paths(m):
+                steps = mu.steps
+                heights = [0] + mu.heights()
+                for factor in factors:
+                    starts = [i for i in range(len(steps) - len(factor) + 1)
+                              if steps[i:i + len(factor)] == factor]
+                    assert occ_factor(mu, factor) == len(starts)
+                    assert occ_factor(mu, factor, level0_only=True) == \
+                        sum(1 for i in starts if heights[i] == 0)
+
+    def test_rejects_other_objects_and_the_empty_factor(self):
+        with pytest.raises(TypeError):
+            occ_factor("UD", "UD")
+        with pytest.raises(ValueError):
+            occ_factor(DyckPath("UD"), "")
+        with pytest.raises(ValueError):
+            occ_factor(BinaryWord("01"), "", level0_only=True)
 
 
 class TestReturnDecompose:
@@ -122,8 +146,9 @@ class TestPeakColoring:
 
     def test_blue_core_is_dyck(self):
         for mu in iter_dyck_paths(6):
-            core = peak_coloring(mu).blue_core()
-            assert DyckPath.is_valid(core.steps)
+            colors = peak_coloring(mu).colors
+            core = "".join(s for s, c in zip(mu.steps, colors) if c == "b")
+            assert DyckPath.is_valid(core)
 
 
 class TestRunCount:

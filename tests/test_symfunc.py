@@ -5,7 +5,7 @@ import pytest
 from bigdescents.errors import BudgetError
 from bigdescents.symfunc import (QsymExpansion, SymExpansion, _rearrangements,
                                  asymmetry_witness, composition_from_set,
-                                 compositions_of, format_schur,
+                                 format_schur,
                                  fundamental_to_monomial, is_schur_positive,
                                  is_symmetric, kostka, partitions_of,
                                  qsym_fundamental, qsym_sum,
@@ -25,10 +25,6 @@ class TestCompositionsAndPartitions:
                 assert list(_rearrangements(mu)) == \
                     sorted(set(itertools.permutations(mu)))
         assert list(_rearrangements((1,) * 9)) == [(1,) * 9]
-
-    def test_compositions_count(self):
-        for n in range(1, 7):
-            assert sum(1 for _ in compositions_of(n)) == 2 ** (n - 1)
 
     def test_partitions(self):
         assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
@@ -73,7 +69,8 @@ class TestQsymSums:
         for patterns in ((), ((1, 2, 3),)):
             for n in range(6):
                 q = qsym_fundamental(n, patterns)
-                assert q.dimension() == count_avoiders(n, patterns)
+                # each permutation contributes one F term
+                assert sum(q.coeffs.values()) == count_avoiders(n, patterns)
 
     def test_weight_two(self):
         q = qsym_sum(2, ())
