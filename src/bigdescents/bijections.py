@@ -29,14 +29,15 @@ The nine bijections:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from . import perms
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BudgetError, DomainViolationError
+from .errors import DomainViolationError
 from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, occ_factor,
-                    path_statistic, peak_coloring)
+                    path_statistic)
 from .perms import Perm, check_permutation, enumerate_avoiders, parse_permutation
 
 
@@ -182,9 +183,9 @@ def psi(path: DyckPath) -> TwoMotzkinPath:
     >>> str(psi(DyckPath("UDUUDUUUDUDDUDDD")))
     'h1 u h1 h0 u d d'
     """
-    colored = list(zip(path.steps, peak_coloring(path).colors))
-    u_red = [c == "r" for s, c in colored if s == "U"]
-    d_red = [c == "r" for s, c in colored if s == "D"]
+    steps = path.steps  # a U is red iff a D follows, a D iff a U precedes
+    u_red = [steps.startswith("D", i + 1) for i, s in enumerate(steps) if s == "U"]
+    d_red = [steps[i - 1] == "U" for i, s in enumerate(steps) if s == "D"]
     return TwoMotzkinPath(tuple(_PSI_STEPS[u_red[i], d_red[i + 1]]
                                 for i in range(path.semilength - 1)))
 
@@ -378,6 +379,13 @@ def _word_occ(factor: str):
     return lambda w: occ_factor(w, factor)
 
 
+@functools.lru_cache(maxsize=1)
+def _basc(p: DyckPath) -> int:
+    """hibasc + lobasc, computed once for the image both of chi's reversed
+    identities read in turn."""
+    return path_statistic(p, "hibasc") + path_statistic(p, "lobasc")
+
+
 BIJECTIONS: dict[str, Bijection] = {}
 
 
@@ -419,13 +427,9 @@ _register(Bijection(
     # big descents of 123-avoiders match high/low big-ascent counts of the
     # reversed 321-avoider's staircase path
     reversed_identities=(
-        ("bdes <-> hibasc + lobasc of chi(reverse)",
-         perms.bdes,
-         lambda p: path_statistic(p, "hibasc") + path_statistic(p, "lobasc")),
+        ("bdes <-> hibasc + lobasc of chi(reverse)", perms.bdes, _basc),
         ("rbdes <-> hibasc + lobasc + ini_UU of chi(reverse)",
-         perms.rbdes,
-         lambda p: (path_statistic(p, "hibasc") + path_statistic(p, "lobasc")
-                    + path_statistic(p, "ini_UU"))),
+         perms.rbdes, lambda p: _basc(p) + path_statistic(p, "ini_UU")),
     ),
 ))
 _register(Bijection(
@@ -542,12 +546,7 @@ def _domain_objects(b: Bijection, n: int, limits: Limits = DEFAULT_LIMITS):
     if b.domain_patterns is None:
         # Dyck paths of semilength n are as many as the avoiders of one
         # length-3 pattern, so they share the avoider-class guard
-        guard = limits.avoider_guard_patterns
-        if n > guard:
-            raise BudgetError(
-                f"n={n} exceeds enumeration guard avoider_guard_patterns={guard}; "
-                f"pass a Limits override to go further"
-            )
+        limits.check("avoider_guard_patterns", n)
         from .paths import iter_dyck_paths
         yield from iter_dyck_paths(n)
     else:

@@ -15,6 +15,7 @@ points at.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,6 +26,10 @@ from .perms import (distribution_rows, distribution_table, format_permutation,
                     parse_pattern_set)
 from .symfunc import (asymmetry_witness, format_schur, qsym_fundamental,
                       qsym_sum, schur_expand)
+
+
+_MAX_N_HELP = ("set every enumeration guard (avoider_guard_empty, "
+               "avoider_guard_patterns, qsym_guard) to this length")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "hibasc, lobasc, or des_r(r)")
     p.add_argument("--format", default="text",
                    choices=["text", "json", "tsv", "bfile"])
-    p.add_argument("--max-n", type=int, default=None,
-                   help="override the enumeration guard")
+    p.add_argument("--max-n", type=int, default=None, help=_MAX_N_HELP)
 
     p = sub.add_parser("verify", help="run a cross-verification suite")
     p.add_argument("--scope", default="all",
@@ -84,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="schur",
                    choices=["schur", "monomial", "fundamental"])
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None, help=_MAX_N_HELP)
 
     p = sub.add_parser("conjecture", help="scan a conjectured property")
     p.add_argument("--which", required=True,
@@ -106,19 +110,26 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _with_max_n(limits: Limits, max_n: int | None) -> Limits:
+    """The guards of `table`/`qsym`: ``--max-n`` replaces whichever applies."""
+    if max_n is None:
+        return limits
+    return dataclasses.replace(limits, avoider_guard_empty=max_n,
+                               avoider_guard_patterns=max_n, qsym_guard=max_n)
+
+
 def _cmd_table(args, limits: Limits) -> int:
+    limits = _with_max_n(limits, args.max_n)
     patterns = parse_pattern_set(args.patterns)
     if args.format == "bfile":
         # the whole triangle up to n, rows trimmed, flat indices
         index = limits.bfile_offset
-        for row in distribution_rows(args.n, patterns, args.stat,
-                                     limits=limits, max_n=args.max_n):
+        for row in distribution_rows(args.n, patterns, args.stat, limits=limits):
             for value in row.poly():
                 print(f"{index} {value}")
                 index += 1
         return 0
-    table = distribution_table(args.n, patterns, args.stat,
-                               limits=limits, max_n=args.max_n)
+    table = distribution_table(args.n, patterns, args.stat, limits=limits)
     if args.format == "text":
         print(" ".join(map(str, table.counts)))
     elif args.format == "tsv":
@@ -202,10 +213,10 @@ def _cmd_bijection(args, limits: Limits) -> int:
 
 
 def _cmd_qsym(args, limits: Limits) -> int:
+    limits = _with_max_n(limits, args.max_n)
     patterns = parse_pattern_set(args.patterns)
     if args.basis == "fundamental":
-        q = qsym_fundamental(args.n, patterns, r=args.r,
-                             limits=limits, max_n=args.max_n)
+        q = qsym_fundamental(args.n, patterns, r=args.r, limits=limits)
         items = sorted(q.coeffs.items())
         if args.format == "json":
             print(json.dumps({"basis": "fundamental", "n": args.n,
@@ -214,7 +225,7 @@ def _cmd_qsym(args, limits: Limits) -> int:
         else:
             print(" + ".join(f"{v}*F{list(c)}" for c, v in items) or "0")
         return 0
-    q = qsym_sum(args.n, patterns, r=args.r, limits=limits, max_n=args.max_n)
+    q = qsym_sum(args.n, patterns, r=args.r, limits=limits)
     if args.basis == "monomial":
         items = sorted(q.coeffs.items())
         banner = asymmetry_witness(q)

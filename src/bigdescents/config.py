@@ -1,16 +1,21 @@
-"""Size guards and defaults, overridable per call or from a JSON config file.
+"""Size guards and defaults, held in one `Limits` value.
 
 Exhaustive enumeration over S_n grows factorially and over avoider classes
 like the Catalan numbers, so every brute-force entry point is guarded.  The
 defaults below keep any single call comfortably inside a desk-scale budget;
-reproduction scripts rely on the hard defaults, and callers that need more
-can pass an explicit limit or load a config file with larger guards.
+reproduction scripts rely on the hard defaults.  A caller that needs more
+passes ``limits=Limits(...)`` (or ``dataclasses.replace(DEFAULT_LIMITS,
+...)``); the CLI builds that value from a JSON config file and, for `table`
+and `qsym`, from ``--max-n``.  `Limits.check` is the one place a job over a
+guard is refused.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+
+from .errors import BudgetError
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,13 @@ class Limits:
             if getattr(self, f.name) <= 0 and f.name != "bfile_offset":
                 raise ValueError(f"guard {f.name} must be positive")
         return self
+
+    def check(self, guard: str, n: int) -> None:
+        """Refuse a job of size n above the guard field named `guard`."""
+        limit = getattr(self, guard)
+        if n > limit:
+            raise BudgetError(f"n={n} exceeds guard {guard}={limit}; "
+                              f"pass a larger Limits value to go further")
 
 
 DEFAULT_LIMITS = Limits()

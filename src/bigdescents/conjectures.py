@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .algebra import MultiPoly
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BudgetError
 from .perms import distribution_rows, distribution_table
 from .wilf import (ALL_PAIRS, ALL_SINGLETONS, NON_REAL_ROOTED_CLASS, PatternTuple)
 
@@ -287,8 +286,7 @@ def conjecture_scan(which: str, max_n: int,
         return ScanReport(which=which, max_n=max_n, records=tuple(records))
     if which == "schur_positive":
         from .symfunc import asymmetry_witness, is_schur_positive, qsym_sum, schur_expand
-        if max_n > limits.qsym_guard:
-            raise BudgetError(f"max_n={max_n} exceeds qsym_guard={limits.qsym_guard}")
+        limits.check("qsym_guard", max_n)
         for patterns in _SCHUR_TARGETS:
             for n in range(max_n + 1):
                 q = qsym_sum(n, patterns, r=1, limits=limits)

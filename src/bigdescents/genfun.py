@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import MultiPoly, TruncatedSeries, series_compose
+from .config import Limits
 from .errors import DivergenceError, InexactDivisionError
 from .perms import distribution_table
 
@@ -458,6 +459,10 @@ def b231_312(n: int, k: int) -> int:
 # r-Eulerian polynomials and the generalized Carlitz identity
 # ---------------------------------------------------------------------------
 
+# eulerian_r's brute-force base case, S_min(n, r), is refused above length 9
+_EULERIAN_BASE = Limits(avoider_guard_empty=9)
+
+
 def eulerian_r(n: int, r: int) -> list[int]:
     """Distribution of r-descents over the full symmetric group S_n.
 
@@ -468,8 +473,8 @@ def eulerian_r(n: int, r: int) -> list[int]:
     if n < 0 or r < 0:
         raise ValueError("n and r must be non-negative")
     base = min(n, r)
-    a = MultiPoly.univariate(
-        distribution_table(base, (), f"des_r({r})", max_n=9).poly())
+    table = distribution_table(base, (), f"des_r({r})", limits=_EULERIAN_BASE)
+    a = MultiPoly.univariate(table.poly())
     for m in range(base + 1, n + 1):
         a = (r + 1 + (m - r - 1) * _T) * a + _T * (1 - _T) * a.derivative("t")
     return a.to_univariate("t")

@@ -5,10 +5,11 @@ occurrence whose first step starts at height 0.  Factor occurrences may
 overlap (sliding-window counting).
 
 Peak coloring: the U and D steps belonging to UD-factors (peaks) are red,
-all other steps blue.  Within each maximal ascent run followed by a descent
-run, exactly the last U and the first D are red.  The blue steps of a Dyck
-path form a Dyck path again (its core); blue U and blue D steps are numbered
-independently, each starting from 1.
+all other steps blue, so a U step is red iff a D follows it and a D step is
+red iff a U precedes it.  Within each maximal ascent run followed by a
+descent run, exactly the last U and the first D are red.  The blue steps of
+a Dyck path form a Dyck path again (its core); blue U and blue D steps are
+numbered independently, each starting from 1.
 """
 
 from __future__ import annotations
@@ -122,18 +123,6 @@ class BinaryWord:
         return len(self.bits)
 
 
-
-def validate(kind: str, text: str) -> bool:
-    """Check a serialized path against its type invariants without raising."""
-    if kind == "dyck":
-        return DyckPath.is_valid(text)
-    if kind == "motzkin2":
-        return TwoMotzkinPath.is_valid(tuple(text.split()))
-    if kind == "binary":
-        return BinaryWord.is_valid(text)
-    raise ValueError(f"unknown path kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # factor statistics
 # ---------------------------------------------------------------------------
@@ -214,27 +203,6 @@ def return_decompose(p: DyckPath, which: str = "first") -> tuple[DyckPath, DyckP
     raise ValueError(f"unknown decomposition {which!r}")
 
 
-@dataclass(frozen=True)
-class PeakColoring:
-    """Red/blue step coloring of a Dyck path ('r' = in a peak, 'b' = not)."""
-
-    path: DyckPath
-    colors: str
-
-
-def peak_coloring(p: DyckPath) -> PeakColoring:
-    colors = ["b"] * len(p.steps)
-    for i in range(len(p.steps) - 1):
-        if p.steps[i] == "U" and p.steps[i + 1] == "D":
-            colors[i] = colors[i + 1] = "r"
-    return PeakColoring(path=p, colors="".join(colors))
-
-
-def _peak_positions(p: DyckPath) -> list[int]:
-    return [i for i in range(len(p.steps) - 1)
-            if p.steps[i] == "U" and p.steps[i + 1] == "D"]
-
-
 def path_statistic(p: DyckPath, name: str) -> int:
     """Path statistics: pk, con, hibasc, lobasc, ini_UU, returns.
 
@@ -261,15 +229,13 @@ def path_statistic(p: DyckPath, name: str) -> int:
         return sum(1 for i in range(len(downs) - 1)
                    if downs[i + 1] == downs[i] + 1 and ups[i + 1] != ups[i] + 1)
     if name == "hibasc":
-        peaks = _peak_positions(p)
-        return sum(1 for j in range(1, len(peaks))
-                   if peaks[j] != peaks[j - 1] + 2)
+        # peaks after the first, less those right after a peak (UDUD)
+        return max(occ_factor(p, "UD") - 1 - occ_factor(p, "UDUD"), 0)
     if name == "lobasc":
-        coloring = peak_coloring(p)
-        blue_u = [i for i, (s, c) in enumerate(zip(steps, coloring.colors))
-                  if s == "U" and c == "b"]
-        blue_d = [i for i, (s, c) in enumerate(zip(steps, coloring.colors))
-                  if s == "D" and c == "b"]
+        blue_u = [i for i, s in enumerate(steps)
+                  if s == "U" and not steps.startswith("D", i + 1)]
+        blue_d = [i for i, s in enumerate(steps)
+                  if s == "D" and steps[i - 1] != "U"]
         return sum(1 for l in range(len(blue_d) - 1)
                    if blue_d[l + 1] == blue_d[l] + 1 and blue_u[l + 1] != blue_u[l] + 1)
     raise ValueError(f"unknown path statistic {name!r}")

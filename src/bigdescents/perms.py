@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BudgetError
 
 Perm = tuple[int, ...]
 
@@ -306,22 +305,14 @@ def _active_sites(parent: list[int], rules) -> Sequence[int]:
     return range(len(parent) + 1) if sites is None else sites
 
 
-def _checked_patterns(n: int, patterns: Iterable[Sequence[int]], limits: Limits,
-                      max_n: int | None) -> tuple[Perm, ...]:
+def _checked_patterns(n: int, patterns: Iterable[Sequence[int]],
+                      limits: Limits) -> tuple[Perm, ...]:
     """Validate the length and the patterns (returned sorted and without
     repeats) and apply the enumeration guard for length n."""
     if n < 0:
         raise ValueError("length must be non-negative")
     pats = tuple(sorted({check_permutation(p) for p in patterns}))
-    guard = max_n if max_n is not None else (
-        limits.avoider_guard_empty if not pats else limits.avoider_guard_patterns
-    )
-    if n > guard:
-        kind = "avoider_guard_empty" if not pats else "avoider_guard_patterns"
-        raise BudgetError(
-            f"n={n} exceeds enumeration guard {kind}={guard}; "
-            f"pass max_n or a Limits override to go further"
-        )
+    limits.check("avoider_guard_patterns" if pats else "avoider_guard_empty", n)
     return pats
 
 
@@ -385,15 +376,14 @@ def _grow(n: int, pats: tuple[Perm, ...], value: Callable[[Sequence[int]], int],
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
-                       limits: Limits = DEFAULT_LIMITS,
-                       max_n: int | None = None) -> Iterator[Perm]:
+                       limits: Limits = DEFAULT_LIMITS) -> Iterator[Perm]:
     """Yield S_n(patterns) exactly once each, in lexicographic order.
 
     The leaves of the generating tree are collected and sorted.  With no
     patterns the permutations stream from itertools, already in order, so a
     caller that stops early never builds S_n.
     """
-    pats = _checked_patterns(n, patterns, limits, max_n)
+    pats = _checked_patterns(n, patterns, limits)
     if not pats:
         yield from itertools.permutations(range(1, n + 1))
         return
@@ -403,10 +393,9 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
 
 
 def count_avoiders(n: int, patterns: Iterable[Sequence[int]],
-                   limits: Limits = DEFAULT_LIMITS,
-                   max_n: int | None = None) -> int:
+                   limits: Limits = DEFAULT_LIMITS) -> int:
     """The size of S_n(patterns), tallied without building its members."""
-    pats = _checked_patterns(n, patterns, limits, max_n)
+    pats = _checked_patterns(n, patterns, limits)
     return sum(_grow(n, pats, des, 0, False)[n])
 
 
@@ -614,24 +603,22 @@ class DistributionTable:
 
 
 def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,
-                       limits: Limits = DEFAULT_LIMITS,
-                       max_n: int | None = None) -> DistributionTable:
+                       limits: Limits = DEFAULT_LIMITS) -> DistributionTable:
     """Brute-force distribution of a statistic over S_n(patterns), tallied
     from the last level of the generating tree without building it."""
     value, r = _resolve_stat(stat)
-    pats = _checked_patterns(n, patterns, limits, max_n)
+    pats = _checked_patterns(n, patterns, limits)
     counts = _grow(n, pats, value, r, every_depth=False)
     return DistributionTable(n=n, stat=stat, patterns=pats, counts=tuple(counts[n]))
 
 
 def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
-                      limits: Limits = DEFAULT_LIMITS,
-                      max_n: int | None = None) -> list[DistributionTable]:
+                      limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
     """The tables of lengths 0..n from one walk of the generating tree,
     tallied at every depth: equal to ``distribution_table(m, ...)`` for each
     m, with the guard applied to n."""
     value, r = _resolve_stat(stat)
-    pats = _checked_patterns(n, patterns, limits, max_n)
+    pats = _checked_patterns(n, patterns, limits)
     counts = _grow(n, pats, value, r, every_depth=True)
     return [DistributionTable(n=m, stat=stat, patterns=pats, counts=tuple(row))
             for m, row in enumerate(counts)]

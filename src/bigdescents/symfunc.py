@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BudgetError
 from .perms import check_permutation, enumerate_avoiders
 
 Composition = tuple[int, ...]
@@ -161,18 +160,15 @@ def fundamental_to_monomial(n: int, subset: Iterable[int]) -> QsymExpansion:
     return QsymExpansion(n=n, basis="monomial_qsym", coeffs=coeffs)
 
 
-def _descent_set_counts(n: int, patterns, r: int, limits: Limits,
-                        max_n: int | None) -> list[int]:
+def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
     """Count avoiders by their r-descent set, encoded as a bitmask of [n-1]."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    guard = max_n if max_n is not None else limits.qsym_guard
-    if n > guard:
-        raise BudgetError(f"n={n} exceeds qsym_guard={guard}")
+    limits.check("qsym_guard", n)
     pats = tuple(check_permutation(p) for p in patterns)
     m = max(n - 1, 0)
     by_mask = [0] * (1 << m)
-    for pi in enumerate_avoiders(n, pats, limits=limits, max_n=max_n):
+    for pi in enumerate_avoiders(n, pats, limits=limits):
         mask = 0
         for k, (a, b) in enumerate(zip(pi, pi[1:])):
             if a > b + r:
@@ -187,21 +183,19 @@ def _mask_to_comp(n: int, mask: int) -> Composition:
 
 
 def qsym_fundamental(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
-                     limits: Limits = DEFAULT_LIMITS,
-                     max_n: int | None = None) -> QsymExpansion:
+                     limits: Limits = DEFAULT_LIMITS) -> QsymExpansion:
     """Sum of F_{n, Des_r(pi)} over the avoiders, in the fundamental basis
     (coefficients keyed by the composition determined by the descent set)."""
-    by_mask = _descent_set_counts(n, patterns, r, limits, max_n)
+    by_mask = _descent_set_counts(n, patterns, r, limits)
     coeffs = {_mask_to_comp(n, mask): c for mask, c in enumerate(by_mask) if c}
     return QsymExpansion(n=n, basis="fundamental", coeffs=coeffs)
 
 
 def qsym_sum(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
-             limits: Limits = DEFAULT_LIMITS,
-             max_n: int | None = None) -> QsymExpansion:
+             limits: Limits = DEFAULT_LIMITS) -> QsymExpansion:
     """Sum of F_{n, Des_r(pi)} over the avoiders of the patterns,
     returned in the monomial quasisymmetric basis."""
-    by_mask = _descent_set_counts(n, patterns, r, limits, max_n)
+    by_mask = _descent_set_counts(n, patterns, r, limits)
     m = max(n - 1, 0)
     # subset-sum transform: M-coefficient of alpha(T) sums F-counts over S <= T
     sums = list(by_mask)

@@ -19,6 +19,39 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} certifies with assert at lines {lines}"
 
 
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return None
+
+
+def _budget_raises(path: Path) -> list[str]:
+    """The qualified names of the functions in `path` that raise BudgetError."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and _raised_name(child) == "BudgetError":
+                found.append(f"{path.stem}.{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+def test_one_function_refuses_over_guard_jobs():
+    raises = [name for path in sorted(PACKAGE.rglob("*.py"))
+              for name in _budget_raises(path)]
+    assert raises == ["config.Limits.check"]
+
+
 def test_counting_formulas_reject_a_remainder(monkeypatch):
     monkeypatch.setattr(genfun, "binom", lambda a, b: 1)
     with pytest.raises(InexactDivisionError):

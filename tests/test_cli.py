@@ -57,11 +57,6 @@ class TestTable:
         indices = [int(line.split()[0]) for line in lines]
         assert indices == list(range(1, 8))
 
-    def test_guard_exit_code(self, capsys):
-        code, _, err = run(capsys, "table", "--patterns", "132", "--n", "20")
-        assert code == 3
-        assert "guard" in err
-
     def test_invalid_stat_exit_code(self, capsys):
         code, _, err = run(capsys, "table", "--patterns", "132", "--n", "3",
                            "--stat", "sideways")
@@ -183,9 +178,14 @@ class TestQsym:
         assert code == 1
         assert "not symmetric" in err
 
-    def test_guard(self, capsys):
-        code, _, err = run(capsys, "qsym", "--patterns", "", "--n", "9")
-        assert code == 3
+    def test_max_n_sets_every_guard(self, tmp_path, capsys):
+        # n = 9 is over both the default qsym_guard and the config's avoider
+        # guard; --max-n 9 lifts the two
+        cfg = tmp_path / "limits.json"
+        cfg.write_text('{"avoider_guard_patterns": 5}')
+        code, out, _ = run(capsys, "--config", str(cfg), "qsym",
+                           "--patterns", "123", "--n", "9", "--max-n", "9")
+        assert code == 0 and out.strip().endswith("s(9)")
 
 
 class TestVerifyAndConjecture:
@@ -246,57 +246,62 @@ class TestDeterminism:
                 "--format", "json")
         assert a == b
 
-    def test_config_file_overrides(self, tmp_path, capsys):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"avoider_guard_patterns": 5}')
-        code, _, err = run(capsys, "--config", str(cfg), "table",
-                           "--patterns", "132", "--n", "6")
-        assert code == 3
-
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--max-n", "8"),
-        ("conjecture", "--which", "real-rooted", "--max-n", "8"),
-    ])
-    def test_config_reaches_verify_and_conjecture(self, tmp_path, capsys,
-                                                  argv):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"avoider_guard_patterns": 5}')
-        code, out, err = run(capsys, "--config", str(cfg), *argv)
-        assert code == 3
-        assert "avoider_guard_patterns=5" in err
-        assert out == ""
-
-    @pytest.mark.parametrize("argv", [
-        ("qsym", "--patterns", "123", "--n", "7"),
-        ("bijection", "--id", "chi", "--verify-n", "6"),
-        ("bijection", "--id", "psi", "--verify-n", "6"),
-    ])
-    def test_config_reaches_qsym_and_bijection(self, tmp_path, capsys, argv):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"avoider_guard_patterns": 5}')
-        code, out, err = run(capsys, "--config", str(cfg), *argv)
-        assert code == 3
-        assert "avoider_guard_patterns=5" in err
-        assert out == ""
-
     def test_qsym_readme_example_unchanged_under_the_guard(self, capsys):
         code, out, _ = run(capsys, "qsym", "--patterns", "123", "--n", "5",
                            "--basis", "schur")
         assert code == 0 and out == "s(2,2,1)+4s(3,2)+3s(4,1)+5s(5)\n"
 
-    def test_psi_verifier_guarded_before_enumeration(self, capsys):
-        start = time.monotonic()
-        code, out, err = run(capsys, "bijection", "--id", "psi",
-                             "--verify-n", "15")
-        assert code == 3
-        assert "avoider_guard_patterns=14" in err
-        assert out == ""
-        assert time.monotonic() - start < 1.0
 
-    def test_schur_scan_guarded_before_enumeration(self, capsys):
-        start = time.monotonic()
-        code, out, err = run(capsys, "conjecture", "--which", "schur-positive",
-                             "--max-n", "9")
-        assert code == 3
-        assert "qsym_guard=8" in err
-        assert time.monotonic() - start < 1.0
+# Every over-guard job: (config file or None, argv, the guard it names).
+# `series` has no row: its --order has no guard yet (ROADMAP item 2).
+_SMALL_PATTERN_GUARD = {"avoider_guard_patterns": 5}
+OVER_GUARD_JOBS = [
+    pytest.param(None, ("table", "--patterns", "132", "--n", "20"),
+                 "avoider_guard_patterns=14", id="table-pattern-class"),
+    pytest.param(None, ("table", "--patterns", "", "--n", "12"),
+                 "avoider_guard_empty=11", id="table-full-group"),
+    pytest.param(None, ("table", "--patterns", "132", "--n", "8",
+                        "--max-n", "7"),
+                 "avoider_guard_patterns=7", id="table-max-n"),
+    pytest.param(_SMALL_PATTERN_GUARD, ("table", "--patterns", "132", "--n", "6"),
+                 "avoider_guard_patterns=5", id="config-table"),
+    pytest.param(None, ("qsym", "--patterns", "", "--n", "9"),
+                 "qsym_guard=8", id="qsym"),
+    pytest.param(_SMALL_PATTERN_GUARD, ("qsym", "--patterns", "123", "--n", "7"),
+                 "avoider_guard_patterns=5", id="config-qsym"),
+    pytest.param(_SMALL_PATTERN_GUARD, ("verify", "--max-n", "8"),
+                 "avoider_guard_patterns=5", id="config-verify"),
+    pytest.param(_SMALL_PATTERN_GUARD,
+                 ("conjecture", "--which", "real-rooted", "--max-n", "8"),
+                 "avoider_guard_patterns=5", id="config-conjecture"),
+    pytest.param(None, ("conjecture", "--which", "schur-positive",
+                        "--max-n", "9"),
+                 "qsym_guard=8", id="conjecture-schur-positive"),
+    pytest.param(_SMALL_PATTERN_GUARD,
+                 ("bijection", "--id", "chi", "--verify-n", "6"),
+                 "avoider_guard_patterns=5", id="config-bijection-chi"),
+    pytest.param(_SMALL_PATTERN_GUARD,
+                 ("bijection", "--id", "psi", "--verify-n", "6"),
+                 "avoider_guard_patterns=5", id="config-bijection-psi"),
+    pytest.param(None, ("bijection", "--id", "psi", "--verify-n", "15"),
+                 "avoider_guard_patterns=14", id="bijection-psi"),
+    pytest.param(None, ("formula", "--id", "eulerian_r", "--n", "10",
+                        "--r", "10"),
+                 "avoider_guard_empty=9", id="formula-eulerian-r"),
+]
+
+
+@pytest.mark.parametrize("config, argv, guard", OVER_GUARD_JOBS)
+def test_over_guard_job_exits_3(tmp_path, capsys, config, argv, guard):
+    prefix = ()
+    if config is not None:
+        cfg = tmp_path / "limits.json"
+        cfg.write_text(json.dumps(config))
+        prefix = ("--config", str(cfg))
+    start = time.monotonic()
+    code, out, err = run(capsys, *prefix, *argv)
+    elapsed = time.monotonic() - start
+    assert code == 3
+    assert out == ""
+    assert guard in err
+    assert elapsed < 1.0, "the guard must refuse before any enumeration"

@@ -2,31 +2,31 @@ import itertools
 
 import pytest
 
+from bigdescents.bijections import psi
 from bigdescents.genfun import catalan
-from bigdescents.paths import (BinaryWord, DyckPath,
+from bigdescents.paths import (BinaryWord, DyckPath, TwoMotzkinPath,
                                iter_binary_words, iter_dyck_paths,
                                iter_two_motzkin, occ_factor, path_statistic,
-                               peak_coloring, return_decompose, run_count,
-                               validate)
+                               return_decompose, run_count)
 
 
 class TestValidation:
     def test_dyck(self):
-        assert validate("dyck", "UUDD")
-        assert not validate("dyck", "UDD")
-        assert not validate("dyck", "UDU")
-        assert validate("dyck", "")
+        assert DyckPath.is_valid("UUDD")
+        assert not DyckPath.is_valid("UDD")
+        assert not DyckPath.is_valid("UDU")
+        assert DyckPath.is_valid("")
         with pytest.raises(ValueError):
             DyckPath("DU")
 
     def test_two_motzkin(self):
-        assert validate("motzkin2", "h1 u d")
-        assert not validate("motzkin2", "d u")
-        assert not validate("motzkin2", "u h2 d")
+        assert TwoMotzkinPath.is_valid(("h1", "u", "d"))
+        assert not TwoMotzkinPath.is_valid(("d", "u"))
+        assert not TwoMotzkinPath.is_valid(("u", "h2", "d"))
 
     def test_binary(self):
-        assert validate("binary", "0101")
-        assert not validate("binary", "012")
+        assert BinaryWord.is_valid("0101")
+        assert not BinaryWord.is_valid("012")
 
 
 class TestOccFactor:
@@ -134,21 +134,52 @@ class TestPathStatistics:
             path_statistic(DyckPath("UD"), "area")
 
 
+def peak_colors(mu: DyckPath) -> str:
+    """Oracle coloring: 'r' on the two steps of every UD-factor, else 'b'."""
+    colors = ["b"] * len(mu.steps)
+    for i in range(len(mu.steps) - 1):
+        if mu.steps.startswith("UD", i):
+            colors[i] = colors[i + 1] = "r"
+    return "".join(colors)
+
+
 class TestPeakColoring:
+    """psi, hibasc and lobasc read red steps off the word; here the coloring
+    is built from its definition and checked against them."""
+
     def test_red_steps_are_adjacent_pairs(self):
-        for mu in iter_dyck_paths(5):
-            coloring = peak_coloring(mu)
-            reds = [i for i, c in enumerate(coloring.colors) if c == "r"]
-            assert len(reds) % 2 == 0
-            for a, b in zip(reds[::2], reds[1::2]):
-                assert b == a + 1
-                assert mu.steps[a:b + 1] == "UD"
+        for m in range(1, 8):
+            for mu in iter_dyck_paths(m):
+                colors = peak_colors(mu)
+                reds = [i for i, c in enumerate(colors) if c == "r"]
+                for a, b in zip(reds[::2], reds[1::2]):
+                    assert b == a + 1
+                    assert mu.steps[a:b + 1] == "UD"
+                peaks = reds[::2]
+                assert path_statistic(mu, "hibasc") == sum(
+                    1 for j in range(1, len(peaks)) if peaks[j] != peaks[j - 1] + 2)
+                # psi's i-th token holds the colors of the i-th U and the
+                # (i+1)-th D step
+                u_red = [c == "r" for s, c in zip(mu.steps, colors) if s == "U"]
+                d_red = [c == "r" for s, c in zip(mu.steps, colors) if s == "D"]
+                pairs = {"u": (False, True), "d": (True, False),
+                         "h0": (False, False), "h1": (True, True)}
+                assert [pairs[tok] for tok in psi(mu).steps] == list(
+                    zip(u_red, d_red[1:]))
 
     def test_blue_core_is_dyck(self):
-        for mu in iter_dyck_paths(6):
-            colors = peak_coloring(mu).colors
-            core = "".join(s for s, c in zip(mu.steps, colors) if c == "b")
-            assert DyckPath.is_valid(core)
+        for m in range(8):
+            for mu in iter_dyck_paths(m):
+                colors = peak_colors(mu)
+                core = "".join(s for s, c in zip(mu.steps, colors) if c == "b")
+                assert DyckPath.is_valid(core)
+                # lobasc: blue D steps l, l+1 adjacent, blue U steps l, l+1 not
+                steps = list(zip(mu.steps, colors))
+                ups = [i for i, (s, c) in enumerate(steps) if s + c == "Ub"]
+                downs = [i for i, (s, c) in enumerate(steps) if s + c == "Db"]
+                assert path_statistic(mu, "lobasc") == sum(
+                    1 for l in range(len(downs) - 1)
+                    if downs[l + 1] == downs[l] + 1 and ups[l + 1] != ups[l] + 1)
 
 
 class TestRunCount:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bigdescents import perms
+from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.perms import (DistributionTable, PatternSet, bdes, contains,
                                count_avoiders, des, des_r, distribution_rows,
@@ -111,8 +112,9 @@ class TestEnumerateAvoiders:
             list(enumerate_avoiders(12, ()))
         with pytest.raises(BudgetError):
             list(enumerate_avoiders(15, ((1, 3, 2),)))
-        # explicit override allows more
-        assert next(enumerate_avoiders(12, (), max_n=12)) == tuple(range(1, 13))
+        # a larger Limits value allows more
+        wider = Limits(avoider_guard_empty=12)
+        assert next(enumerate_avoiders(12, (), limits=wider)) == tuple(range(1, 13))
 
 
 class TestStatistics:

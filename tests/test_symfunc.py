@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.symfunc import (QsymExpansion, SymExpansion, _rearrangements,
                                  asymmetry_witness, composition_from_set,
@@ -79,7 +80,7 @@ class TestQsymSums:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             qsym_sum(9, ())
-        assert qsym_sum(4, (), max_n=4).n == 4
+        assert qsym_sum(9, ((1, 2, 3),), limits=Limits(qsym_guard=9)).n == 9
 
     @pytest.mark.parametrize("patterns", sorted(SCHUR_TABLES))
     def test_schur_tables(self, patterns):
