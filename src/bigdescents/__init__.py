@@ -3,7 +3,7 @@ permutations: permutation and lattice-path statistics, the bijections
 relating them, generating functions with exact rational coefficients,
 quasisymmetric/Schur expansions, and conjecture checkers."""
 
-from .algebra import MultiPoly, TruncatedSeries, series_compose
+from .algebra import MultiPoly, TruncatedSeries
 from .bijections import (BIJECTIONS, apply, invert, reconstruct_from_maxima,
                          verify_transfer)
 from .config import DEFAULT_LIMITS, Limits
@@ -22,7 +22,7 @@ from .symfunc import (QsymExpansion, SymExpansion, fundamental_to_monomial,
 __version__ = "1.0.0"
 
 __all__ = [
-    "MultiPoly", "TruncatedSeries", "series_compose",
+    "MultiPoly", "TruncatedSeries",
     "BIJECTIONS", "apply", "invert", "reconstruct_from_maxima",
     "verify_transfer",
     "DEFAULT_LIMITS", "Limits",

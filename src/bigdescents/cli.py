@@ -64,8 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--r", type=int, default=None,
                    help="run-length parameter (R_run only)")
-    p.add_argument("--route", default="closed",
-                   choices=["closed", "functional", "both"])
+    p.add_argument("--route", default=None,
+                   choices=["closed", "functional", "both"],
+                   help="expansion route (default: the id's registered "
+                        "route, functional for F and closed otherwise); "
+                        "both cross-checks the two")
     p.add_argument("--format", default="text", choices=["text", "json"])
 
     p = sub.add_parser("bijection", help="apply, invert, or verify a bijection")
@@ -160,12 +163,13 @@ def _cmd_verify(args, limits: Limits) -> int:
 
 def _cmd_series(args, limits: Limits) -> int:
     order = args.order if args.order is not None else limits.series_order
+    route = args.route or genfun.GF_IDS[args.id].default
     closed = functional = None
-    if args.route in ("closed", "both"):
-        closed = genfun.expand(args.id, order, r=args.r)
-    if args.route in ("functional", "both"):
-        functional = genfun.expand_functional(args.id, order)
-    if args.route == "both" and closed.coeffs != functional.coeffs:
+    if route in ("closed", "both"):
+        closed = genfun.expand(args.id, order, r=args.r, limits=limits)
+    if route in ("functional", "both"):
+        functional = genfun.expand_functional(args.id, order, limits=limits)
+    if route == "both" and closed.coeffs != functional.coeffs:
         print(f"route mismatch for {args.id} at order {order}", file=sys.stderr)
         return 1
     series = closed if closed is not None else functional

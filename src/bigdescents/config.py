@@ -30,6 +30,8 @@ class Limits:
     qsym_guard: int = 8
     # default truncation order for generating function expansions
     series_order: int = 12
+    # ... and the largest order an expansion admits
+    series_guard: int = 30
     # starting line index for b-file output
     bfile_offset: int = 1
 

@@ -4,6 +4,12 @@ Every generating function record below expands through a requested truncation
 order with exact polynomial coefficients.  Ids with both a closed form and a
 functional-equation system get two independent routes (``expand`` and
 ``expand_functional``) whose agreement is part of the verification suite.
+Each id's registry record names the route `series` takes by default: the
+closed form, except for F.  F's closed route composes G with the
+peak-insertion substitutions; its functional (default) route pulls G's
+quadratic equation back through the same substitutions and solves it by
+the fixed-point sweeps below, which is far cheaper.  Every expansion is
+refused above the `series_guard` order of the caller's `Limits`.
 
 Conventions: x marks permutation/word length, z marks path length, t marks
 big descents (or the factor statistic standing in for them), s is the
@@ -27,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import MultiPoly, TruncatedSeries, series_compose
-from .config import Limits
+from .config import DEFAULT_LIMITS, Limits
 from .errors import DivergenceError, InexactDivisionError
 from .perms import distribution_table
 
@@ -172,24 +178,43 @@ def _closed_W1_words(N: int) -> TruncatedSeries:
     return (x * (1 - u * x ** 2)) / (1 - 2 * x + u * x ** 2 + (_T * u) * x ** 3)
 
 
+def _peak_insertion_subs(N: int) -> tuple[TruncatedSeries, ...]:
+    """The marker E and the substitutions (s, t, z) of the peak insertion.
+
+    E marks an inserted nonempty run of peaks; s_sub, t_sub and z_sub say how
+    many red peaks may be inserted at each vertex type of the blue core.
+    """
+    x = _x(N)
+    E = _U * (x / (1 - x))
+    a = 1 + E * (1 + _V + E)
+    return E, (E * (1 + E)) / a, ((1 + E) * (_V + E)) / a, a * x
+
+
+def _graft(G_sub: TruncatedSeries, E: TruncatedSeries) -> TruncatedSeries:
+    """F from the pulled-back core series: graft, then add the empty core."""
+    core = ((_W + E) * (G_sub - 1)).exact_div(0, _U)
+    return core + 1 / (1 - _x(G_sub.order))
+
+
+# the five-variable composition grows steeply (minutes at order 20), so
+# `_closed_F` is refused above order 16 whatever the caller's Limits
+_COMPOSITION_CAP = Limits(series_guard=16)
+
+
 def _closed_F(N: int) -> TruncatedSeries:
     """Peak-insertion decomposition: graft runs of peaks onto a blue core.
 
     The core path's joint peak/adjacency distribution (id G) is composed with
     the substitutions describing how many red peaks may be inserted at each
-    vertex type, then the empty-core geometric series is added back.
+    vertex type, then the empty-core geometric series is added back.  This
+    five-variable composition is the reference route behind ``--route
+    both``; the default route (`_functional_F`) reaches the same series from
+    G's quadratic equation pulled back through the same substitutions.
     """
-    x = _x(N)
-    frac = x / (1 - x)            # x/(1-x)
-    E = _U * frac                 # marks an inserted nonempty run of peaks
-    a = 1 + E * (1 + _V + E)
-    s_sub = (E * (1 + E)) / a
-    t_sub = ((1 + E) * (_V + E)) / a
-    z_sub = a * x
+    _COMPOSITION_CAP.check("series_guard", N)
+    E, s_sub, t_sub, z_sub = _peak_insertion_subs(N)
     G = _closed_G(N)
-    composed = series_compose(G, {"s": s_sub, "t": t_sub, "z": z_sub})
-    core = ((_W + E) * (composed - 1)).exact_div(0, _U)
-    return core + 1 / (1 - x)
+    return _graft(series_compose(G, {"s": s_sub, "t": t_sub, "z": z_sub}), E)
 
 
 def expand_by_peak_insertion(which: str, N: int) -> TruncatedSeries:
@@ -198,7 +223,7 @@ def expand_by_peak_insertion(which: str, N: int) -> TruncatedSeries:
             "Bgrave123": {"u": _T, "v": _T, "w": _T}}
     if which not in subs:
         raise ValueError(f"no pipeline specialization for {which!r}")
-    return _closed_F(N).map_coeffs(subs[which])
+    return _functional_F(N).map_coeffs(subs[which])
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +300,26 @@ def _functional_G(N: int) -> TruncatedSeries:
     return 1 + _S * _z(N) * _functional_Gtilde(N)
 
 
+def _functional_F(N: int) -> TruncatedSeries:
+    """F from G's quadratic t z G^2 - A G + 1 - z + t z = 0 pulled back.
+
+    With A = 1 - (1 + s - 2t) z, G = (1 - (1 - t) z)/A + (t z/A) G^2.  Put
+    s_sub, t_sub, z_sub in these coefficients: A_sub is a unit because z_sub
+    has no constant term, so the pulled-back G is the fixed point of a
+    quadratic that needs no composition and no division by t_sub.
+    """
+    E, s_sub, t_sub, z_sub = _peak_insertion_subs(N)
+    A_sub = 1 - (1 + s_sub - 2 * t_sub) * z_sub
+    c0 = (1 - (1 - t_sub) * z_sub) / A_sub
+    c2 = (t_sub * z_sub) / A_sub
+    H = TruncatedSeries.one(0, "x")
+    rhs = lambda H: c0 + c2 * H ** 2
+    for k in range(N + 1):
+        H = rhs(_grown(H, k))
+    _check_stable(H, rhs(H), "F")
+    return _graft(H, E)
+
+
 def _functional_W1_words(N: int) -> TruncatedSeries:
     x = _x(N)
     zero = TruncatedSeries.zero(0, "x")
@@ -305,6 +350,7 @@ class GFRoutes:
     closed: Callable[..., TruncatedSeries]  # closed(N), or closed(N, r)
     functional: Callable[[int], TruncatedSeries] | None = None
     needs_r: bool = False  # the closed route takes the run-length parameter r
+    default: str = "closed"  # the route `series` takes without --route
 
 
 GF_IDS: dict[str, GFRoutes] = {
@@ -321,17 +367,17 @@ GF_IDS: dict[str, GFRoutes] = {
     "W": GFRoutes(_closed_W, _functional_W),
     "G": GFRoutes(_closed_G, _functional_G),
     "Gtilde": GFRoutes(_closed_Gtilde, _functional_Gtilde),
-    "F": GFRoutes(_closed_F),
+    "F": GFRoutes(_closed_F, _functional_F, default="functional"),
     "R_run": GFRoutes(_closed_R_run, needs_r=True),
     "W1_words": GFRoutes(_closed_W1_words, _functional_W1_words),
 }
 
 
-def expand(gf_id: str, N: int, r: int | None = None) -> TruncatedSeries:
+def expand(gf_id: str, N: int, r: int | None = None,
+           limits: Limits = DEFAULT_LIMITS) -> TruncatedSeries:
     """Expand a named generating function through order N (closed route)."""
     info = _gf_info(gf_id)
-    if N < 0:
-        raise ValueError("order must be non-negative")
+    _check_order(N, limits)
     if info.needs_r:
         if r is None:
             raise ValueError(f"{gf_id} requires the run-length parameter r")
@@ -341,14 +387,20 @@ def expand(gf_id: str, N: int, r: int | None = None) -> TruncatedSeries:
     return info.closed(N)
 
 
-def expand_functional(gf_id: str, N: int) -> TruncatedSeries:
+def expand_functional(gf_id: str, N: int,
+                      limits: Limits = DEFAULT_LIMITS) -> TruncatedSeries:
     """Expand through order N by functional-equation fixed point."""
     info = _gf_info(gf_id)
     if info.functional is None:
         raise ValueError(f"{gf_id} has no functional-equation route")
+    _check_order(N, limits)
+    return info.functional(N)
+
+
+def _check_order(N: int, limits: Limits) -> None:
     if N < 0:
         raise ValueError("order must be non-negative")
-    return info.functional(N)
+    limits.check("series_guard", N)
 
 
 def _gf_info(gf_id: str) -> GFRoutes:

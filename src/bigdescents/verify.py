@@ -130,20 +130,22 @@ def check_bijections(max_n: int,
     return out
 
 
-def check_genfun_crossroutes(order: int) -> list[CheckResult]:
+def check_genfun_crossroutes(order: int,
+                             limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     out = []
     for gf_id, info in sorted(genfun.GF_IDS.items()):
-        if info.functional is None:
+        # pipeline-vs-closed:B123/Bgrave123 already certifies F's default route
+        if info.functional is None or info.default == "functional":
             continue
-        closed = genfun.expand(gf_id, order)
-        functional = genfun.expand_functional(gf_id, order)
+        closed = genfun.expand(gf_id, order, limits=limits)
+        functional = genfun.expand_functional(gf_id, order, limits=limits)
         ok = closed.coeffs == functional.coeffs
         witness = next((f"order {i}: {c} vs {f}" for i, (c, f) in
                         enumerate(zip(closed.coeffs, functional.coeffs))
                         if c != f), None)
         out.append(_result(f"dual-route:{gf_id}", order, order + 1, ok, witness))
     for which in ("B123", "Bgrave123"):
-        closed = genfun.expand(which, order)
+        closed = genfun.expand(which, order, limits=limits)
         pipeline = genfun.expand_by_peak_insertion(which, order)
         ok = closed.coeffs == pipeline.coeffs
         out.append(_result(f"pipeline-vs-closed:{which}", order, order + 1,
@@ -155,8 +157,7 @@ SCOPES = {
     "class-equalities": check_class_equalities,
     "formulas": check_formulas,
     "bijections": check_bijections,
-    # expands series only, so no enumeration guard applies
-    "genfun-crossroutes": lambda order, limits: check_genfun_crossroutes(order),
+    "genfun-crossroutes": check_genfun_crossroutes,
 }
 
 

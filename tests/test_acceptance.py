@@ -109,7 +109,8 @@ def test_criterion_05_bijection_suite():
 
 def test_criterion_06_dual_route_agreement():
     with criterion(6, "closed vs functional routes through order 10", 60):
-        for gf_id in ("B132", "V", "What", "W", "Gtilde", "G", "W1_words"):
+        for gf_id in ("B132", "V", "What", "W", "Gtilde", "G", "W1_words",
+                      "F"):
             assert genfun.expand(gf_id, 10).coeffs == \
                 genfun.expand_functional(gf_id, 10).coeffs, gf_id
         for which in ("B123", "Bgrave123"):

@@ -89,6 +89,13 @@ class TestSeries:
         assert data["order"] == 4
         assert data["rows"][3] == {"n": 3, "poly": "2 + 2*t"}
 
+    def test_f_routes_print_the_same_series(self, capsys):
+        # no --route takes F's registered default, the quadratic fixed point
+        outputs = [run(capsys, "series", "--id", "F", "--order", "6", *route)
+                   for route in ((), ("--route", "closed"), ("--route", "both"))]
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_order_zero(self, capsys):
         code, out, _ = run(capsys, "series", "--id", "B132", "--order", "0",
                            "--route", "both")
@@ -253,7 +260,6 @@ class TestDeterminism:
 
 
 # Every over-guard job: (config file or None, argv, the guard it names).
-# `series` has no row: its --order has no guard yet (ROADMAP item 2).
 _SMALL_PATTERN_GUARD = {"avoider_guard_patterns": 5}
 OVER_GUARD_JOBS = [
     pytest.param(None, ("table", "--patterns", "132", "--n", "20"),
@@ -285,6 +291,14 @@ OVER_GUARD_JOBS = [
                  "avoider_guard_patterns=5", id="config-bijection-psi"),
     pytest.param(None, ("bijection", "--id", "psi", "--verify-n", "15"),
                  "avoider_guard_patterns=14", id="bijection-psi"),
+    pytest.param(None, ("series", "--id", "F", "--order", "31"),
+                 "series_guard=30", id="series"),
+    pytest.param(None, ("series", "--id", "F", "--order", "17",
+                        "--route", "closed"),
+                 "series_guard=16", id="series-f-composition"),
+    pytest.param({"series_guard": 10},
+                 ("series", "--id", "B132", "--order", "11", "--route", "both"),
+                 "series_guard=10", id="config-series"),
     pytest.param(None, ("formula", "--id", "eulerian_r", "--n", "10",
                         "--r", "10"),
                  "avoider_guard_empty=9", id="formula-eulerian-r"),

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bigdescents.algebra import MultiPoly
-from bigdescents.genfun import (b123, b231, b231_joint, binom, carlitz_verify,
-                                catalan, eulerian_r, expand,
+from bigdescents.genfun import (GF_IDS, b123, b231, b231_joint, binom,
+                                carlitz_verify, catalan, eulerian_r, expand,
                                 expand_by_peak_insertion, expand_functional,
                                 formula, narayana, series_row)
 from bigdescents.perms import (distribution_rows, distribution_table,
@@ -66,9 +66,17 @@ class TestClosedForms:
 
 class TestDualRoutes:
     @pytest.mark.parametrize("gf_id", ["B132", "V", "What", "W", "Gtilde",
-                                       "G", "W1_words"])
+                                       "G", "W1_words", "F"])
     def test_closed_equals_functional(self, gf_id):
         assert expand(gf_id, 10).coeffs == expand_functional(gf_id, 10).coeffs
+
+    def test_f_quadratic_agrees_with_composition_through_order_14(self):
+        assert expand("F", 14).coeffs == expand_functional("F", 14).coeffs
+
+    def test_every_default_route_exists(self):
+        assert {i for i, info in GF_IDS.items() if info.default != "closed"} \
+            == {"F"}
+        assert GF_IDS["F"].functional is not None
 
     def test_functional_route_missing(self):
         with pytest.raises(ValueError):
