@@ -11,7 +11,10 @@ bulk pipelines that have already validated their inputs.
 The nine bijections:
 
 - omega_f, omega_l: 231-avoiders to Dyck paths, via the first/last return
-  decompositions matched against the sigma-n-tau decomposition.
+  decompositions matched against the sigma-n-tau decomposition.  Reflecting
+  a path (reading it backwards with U and D swapped) turns its first-return
+  decomposition into its last-return one, so omega_l = mirror o omega_f and
+  omega_l_inv = omega_f_inv o mirror.
 - chi: 321-avoiders to Dyck paths.  The path's k-th D step sits at height
   max(pi_1..pi_k) (north/east staircase tight against the diagonal, north
   playing U and east playing D); peaks correspond to weak excedances.
@@ -89,36 +92,22 @@ def omega_f_inv(path: DyckPath) -> Perm:
     return build(path.steps)
 
 
+_SWAP_UD = str.maketrans("UD", "DU")
+
+
+def _mirror(path: DyckPath) -> DyckPath:
+    """The path read backwards with U and D swapped (its reflection)."""
+    return DyckPath(path.steps[::-1].translate(_SWAP_UD))
+
+
 def omega_l(pi: Perm) -> DyckPath:
-    """Last-return encoding: sigma n tau maps to w(std(tau)) U w(sigma) D."""
-
-    def build(lo: int, hi: int, base: int) -> str:
-        if lo == hi:
-            return ""
-        pos = pi.index(base + hi - lo, lo, hi)
-        return (build(pos + 1, hi, base + pos - lo)
-                + "U" + build(lo, pos, base) + "D")
-
-    return DyckPath(build(0, len(pi), 0))
+    """Last-return encoding: sigma n tau maps to w(std(tau)) U w(sigma) D,
+    the mirror of `omega_f`'s path."""
+    return _mirror(omega_f(pi))
 
 
 def omega_l_inv(path: DyckPath) -> Perm:
-    def build(steps: str) -> Perm:
-        if not steps:
-            return ()
-        height = 0
-        start = 0
-        for i, ch in enumerate(steps[:-1]):
-            height += 1 if ch == "U" else -1
-            if height == 0:
-                start = i + 1
-        tau = build(steps[:start])
-        sigma = build(steps[start + 1:-1])
-        shift = len(sigma)
-        n = len(steps) // 2
-        return sigma + (n,) + tuple(v + shift for v in tau)
-
-    return build(path.steps)
+    return omega_f_inv(_mirror(path))
 
 
 # ---------------------------------------------------------------------------

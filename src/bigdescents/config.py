@@ -45,8 +45,7 @@ class Limits:
         """Refuse a job of size n above the guard field named `guard`."""
         limit = getattr(self, guard)
         if n > limit:
-            raise BudgetError(f"n={n} exceeds guard {guard}={limit}; "
-                              f"pass a larger Limits value to go further")
+            raise BudgetError(f"n={n} exceeds guard {guard}={limit}")
 
 
 DEFAULT_LIMITS = Limits()

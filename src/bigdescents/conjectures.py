@@ -3,9 +3,9 @@
 Polynomials here are univariate in t with exact rational coefficients, held
 as ``algebra.MultiPoly`` values; the public entry points also take
 coefficient lists (index = degree) and convert them once with ``poly``.
-Root counting is fully exact: Sturm's theorem on the radical (squarefree
-part), with multiplicities recovered from Yun's squarefree decomposition,
-all on ``MultiPoly.divmod``.  There is no floating-point root finding
+Root counting is fully exact: Sturm's theorem on each factor of Yun's
+squarefree decomposition, which also gives the multiplicities, all on
+``MultiPoly.divmod``.  There is no floating-point root finding
 anywhere.
 
 Conventions: the zero polynomial is rejected by the root counters; constants
@@ -55,15 +55,6 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return a.exact_div(a.leading_term()[1])
 
 
-def radical(p: MultiPoly) -> MultiPoly:
-    """Product of the distinct irreducible factors: p / gcd(p, p')."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no radical")
-    if degree(p) == 0:
-        return MultiPoly.one()
-    return p.exact_div(poly_gcd(p, p.derivative("t")))
-
-
 def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Yun's algorithm: p = c * prod q_i^i with the q_i squarefree, coprime."""
     if p.is_zero():
@@ -90,16 +81,6 @@ def _sign_changes(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def sturm_distinct_real_roots(p: MultiPoly) -> int:
-    """Distinct real roots of a nonzero polynomial via a Sturm chain.
-
-    The chain is built on the radical, so multiple roots are counted once.
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial is excluded")
-    return _sturm_count(radical(p))
-
-
 def _sturm_count(r: MultiPoly) -> int:
     """Real roots of a nonzero squarefree polynomial from its Sturm chain.
 
@@ -119,18 +100,19 @@ def _sturm_count(r: MultiPoly) -> int:
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
+# Yun's factors are squarefree, so each takes its Sturm chain directly, and
+# coprime, so their distinct roots add up; squarefree_decomposition rejects
+# the zero polynomial
+
 def real_root_count(p: MultiPoly | Sequence) -> int:
     """Number of real roots counted without multiplicity."""
-    return sturm_distinct_real_roots(poly(p))
+    return sum(_sturm_count(factor)
+               for factor, _ in squarefree_decomposition(poly(p)))
 
 
 def real_root_count_with_multiplicity(p: MultiPoly | Sequence) -> int:
-    q = poly(p)
-    if q.is_zero():
-        raise ValueError("the zero polynomial is excluded")
-    # Yun's factors are squarefree already, so each takes the chain directly
     return sum(mult * _sturm_count(factor)
-               for factor, mult in squarefree_decomposition(q))
+               for factor, mult in squarefree_decomposition(poly(p)))
 
 
 def is_real_rooted(p: MultiPoly | Sequence) -> bool:

@@ -8,7 +8,7 @@ Each id's registry record names the route `series` takes by default: the
 closed form, except for F.  F's closed route composes G with the
 peak-insertion substitutions; its functional (default) route pulls G's
 quadratic equation back through the same substitutions and solves it by
-the fixed-point sweeps below, which is far cheaper.  Every expansion is
+the fixed-point solver below, which is far cheaper.  Every expansion is
 refused above the `series_guard` order of the caller's `Limits`.
 
 Conventions: x marks permutation/word length, z marks path length, t marks
@@ -16,13 +16,10 @@ big descents (or the factor statistic standing in for them), s is the
 secondary marker in the joint path statistics, and u, v, w mark high big
 ascents, low big ascents, and an initial double rise of a Dyck path.
 
-Fixed-point iterations start from 1 (or 0 for unknowns with zero constant
-term) at truncation order 0 and run sweep k at order k, for k = 0..N, on the
-previous iterate padded with a zero coefficient.  Sweep k pins down
-coefficient k because every unknown on a right-hand side is multiplied by
-the series variable (directly or through a Gauss-Seidel update earlier in the
-sweep), so the coefficients below k are already final.  A final full-order
-idempotence check certifies stabilization.
+Every functional route is a right-hand side handed to the one solver,
+`_solve`, whose docstring states the sweep order and the certificate: the
+fixed point is checked on every unknown, and a system that does not settle
+raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -230,43 +227,44 @@ def expand_by_peak_insertion(which: str, N: int) -> TruncatedSeries:
 # functional-equation expansions
 # ---------------------------------------------------------------------------
 
-def _check_stable(old, new, name: str):
-    if old != new:
+def _solve(rhs: Callable[..., tuple[TruncatedSeries, ...]], unknowns: int,
+           N: int, name: str, var: str = "x") -> tuple[TruncatedSeries, ...]:
+    """The fixed point of ``state = rhs(*state)`` through order N, certified.
+
+    Every unknown starts as the zero series at order 0 (the right-hand sides
+    supply the constant terms), and sweep k, for k = 0..N, runs `rhs` at
+    order k on the previous iterate padded with zero coefficients.  Sweep k
+    pins down coefficient k because every unknown on a right-hand side is
+    multiplied by the series variable (directly or through a Gauss-Seidel
+    update earlier in the sweep), so the coefficients below k are already
+    final.  A last sweep at order N must return every unknown unchanged;
+    otherwise the system has no fixed point and DivergenceError is raised.
+    """
+    zero = MultiPoly.zero()
+    state = (TruncatedSeries.zero(0, var),) * unknowns
+    for k in range(N + 1):
+        state = rhs(*(TruncatedSeries(s.coeffs + (zero,) * (k - s.order), var)
+                      for s in state))
+    if rhs(*state) != state:
         raise DivergenceError(f"fixed point for {name} did not stabilize")
-
-
-def _grown(series: TruncatedSeries, k: int) -> TruncatedSeries:
-    """``series`` extended to truncation order k by zero coefficients."""
-    pad = (MultiPoly.zero(),) * (k - series.order)
-    return TruncatedSeries(series.coeffs + pad, series.var)
+    return state
 
 
 def _functional_B132(N: int) -> TruncatedSeries:
     x = _x(N)
     tx = _T * x
-    B = TruncatedSeries.one(0, "x")
-    Bbar = TruncatedSeries.zero(0, "x")
 
-    def sweep(B, Bbar):
+    def rhs(B, Bbar):
         Bbar = x * (1 + Bbar + _T * (B - Bbar - 1))
-        B = 1 + Bbar + x * (B - 1) + tx * (B - 1) ** 2
-        return B, Bbar
+        return 1 + Bbar + x * (B - 1) + tx * (B - 1) ** 2, Bbar
 
-    for k in range(N + 1):
-        B, Bbar = sweep(_grown(B, k), _grown(Bbar, k))
-    _check_stable(B, sweep(B, Bbar)[0], "B132")
-    return B
+    return _solve(rhs, 2, N, "B132")[0]
 
 
 def _functional_V(N: int) -> TruncatedSeries:
     x = _x(N)
     a = x * ((_T - 1) * x + 1)
-    V = TruncatedSeries.one(0, "x")
-    rhs = lambda V: 1 + a * V ** 2
-    for k in range(N + 1):
-        V = rhs(_grown(V, k))
-    _check_stable(V, rhs(V), "V")
-    return V
+    return _solve(lambda V: (1 + a * V ** 2,), 1, N, "V")[0]
 
 
 def _functional_What(N: int) -> TruncatedSeries:
@@ -277,23 +275,14 @@ def _functional_What(N: int) -> TruncatedSeries:
 
 def _functional_W(N: int) -> TruncatedSeries:
     What = _functional_What(N)
-    W = TruncatedSeries.one(0, "x")
-    for k in range(N + 1):
-        W = 1 + What * _grown(W, k)
-    _check_stable(W, 1 + What * W, "W")
-    return W
+    return _solve(lambda W: (1 + What * W,), 1, N, "W")[0]
 
 
 def _functional_Gtilde(N: int) -> TruncatedSeries:
     z = _z(N)
     a = (1 + _S) * z
     b = (_T * _S) * z ** 2
-    G = TruncatedSeries.one(0, "z")
-    rhs = lambda G: 1 + a * G + b * G ** 2
-    for k in range(N + 1):
-        G = rhs(_grown(G, k))
-    _check_stable(G, rhs(G), "Gtilde")
-    return G
+    return _solve(lambda G: (1 + a * G + b * G ** 2,), 1, N, "Gtilde", "z")[0]
 
 
 def _functional_G(N: int) -> TruncatedSeries:
@@ -312,31 +301,20 @@ def _functional_F(N: int) -> TruncatedSeries:
     A_sub = 1 - (1 + s_sub - 2 * t_sub) * z_sub
     c0 = (1 - (1 - t_sub) * z_sub) / A_sub
     c2 = (t_sub * z_sub) / A_sub
-    H = TruncatedSeries.one(0, "x")
-    rhs = lambda H: c0 + c2 * H ** 2
-    for k in range(N + 1):
-        H = rhs(_grown(H, k))
-    _check_stable(H, rhs(H), "F")
+    (H,) = _solve(lambda H: (c0 + c2 * H ** 2,), 1, N, "F")
     return _graft(H, E)
 
 
 def _functional_W1_words(N: int) -> TruncatedSeries:
     x = _x(N)
-    zero = TruncatedSeries.zero(0, "x")
-    W1 = W0 = W01 = W11 = zero
 
-    def sweep(W1, W0, W01, W11):
+    def rhs(W1, W0, W01, W11):
         W0 = (1 + W0 + _T * W1) * x
         W01 = W0 * x
         W11 = (x + _T * W01 + W11) * x
-        W1 = x + W01 + W11
-        return W1, W0, W01, W11
+        return x + W01 + W11, W0, W01, W11
 
-    state = (W1, W0, W01, W11)
-    for k in range(N + 1):
-        state = sweep(*(_grown(part, k) for part in state))
-    _check_stable(state[0], sweep(*state)[0], "W1_words")
-    return state[0]
+    return _solve(rhs, 4, N, "W1_words")[0]
 
 
 # ---------------------------------------------------------------------------

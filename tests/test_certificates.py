@@ -60,7 +60,7 @@ def test_counting_formulas_reject_a_remainder(monkeypatch):
         genfun.narayana(3, 1)   # 1/2
 
 
-def test_radical_rejects_a_remainder(monkeypatch):
+def test_squarefree_decomposition_rejects_a_remainder(monkeypatch):
     monkeypatch.setattr(conjectures, "poly_gcd", lambda a, b: conjectures.poly([1, 1]))
     with pytest.raises(InexactDivisionError):
-        conjectures.radical(conjectures.poly([1, 0, 1]))
+        conjectures.squarefree_decomposition(conjectures.poly([1, 0, 1]))

@@ -299,6 +299,9 @@ OVER_GUARD_JOBS = [
     pytest.param({"series_guard": 10},
                  ("series", "--id", "B132", "--order", "11", "--route", "both"),
                  "series_guard=10", id="config-series"),
+    pytest.param({"series_guard": 40},
+                 ("series", "--id", "F", "--order", "17", "--route", "closed"),
+                 "series_guard=16", id="config-series-f-composition"),
     pytest.param(None, ("formula", "--id", "eulerian_r", "--n", "10",
                         "--r", "10"),
                  "avoider_guard_empty=9", id="formula-eulerian-r"),
@@ -318,4 +321,6 @@ def test_over_guard_job_exits_3(tmp_path, capsys, config, argv, guard):
     assert code == 3
     assert out == ""
     assert guard in err
+    # no guard promises a way past it: a module-constant cap has no Limits field
+    assert "pass a larger Limits value" not in err
     assert elapsed < 1.0, "the guard must refuse before any enumeration"

@@ -136,15 +136,15 @@ class TestScans:
 
     def test_failing_row_counts_its_roots_once(self, monkeypatch):
         # one failing row: the {123, 132} class at n = 7, degree 4, 2 real roots
-        calls = {"radical": 0, "squarefree_decomposition": 0}
-        for fn_name in calls:
-            real = getattr(cj, fn_name)
+        calls = 0
+        real = cj.squarefree_decomposition
 
-            def counted(p, real=real, fn_name=fn_name):
-                calls[fn_name] += 1
-                return real(p)
+        def counted(p):
+            nonlocal calls
+            calls += 1
+            return real(p)
 
-            monkeypatch.setattr(cj, fn_name, counted)
+        monkeypatch.setattr(cj, "squarefree_decomposition", counted)
         rows = cj.distribution_rows
         monkeypatch.setattr(cj, "_SCAN_TARGETS", (((1, 2, 3), (1, 3, 2)),))
         monkeypatch.setattr(cj, "distribution_rows",
@@ -152,5 +152,4 @@ class TestScans:
         (record,) = conjecture_scan("real_rooted", 7).records
         assert (record.n, record.holds) == (7, False)
         assert record.witness == "2 real roots with multiplicity, degree 4"
-        # Yun's factors are squarefree, so no radical is taken of them
-        assert calls == {"radical": 0, "squarefree_decomposition": 1}
+        assert calls == 1

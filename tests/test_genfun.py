@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bigdescents.algebra import MultiPoly
+from bigdescents import genfun
+from bigdescents.algebra import MultiPoly, TruncatedSeries
+from bigdescents.errors import DivergenceError
 from bigdescents.genfun import (GF_IDS, b123, b231, b231_joint, binom,
                                 carlitz_verify, catalan, eulerian_r, expand,
                                 expand_by_peak_insertion, expand_functional,
@@ -102,6 +104,18 @@ class TestDualRoutes:
                 assert t_deg >= s_deg  # sdes never exceeds des
                 expected = expected + MultiPoly({(t_deg - s_deg, 0, 0, 0, 0): q})
             assert expected == b321.coefficient(n)
+
+
+class TestSolver:
+    def test_no_fixed_point_diverges(self):
+        with pytest.raises(DivergenceError, match="no_root"):
+            genfun._solve(lambda f: (1 + f,), 1, 5, "no_root")
+
+    def test_every_unknown_is_certified(self):
+        # f settles to 1/(1-x); g never does, so certifying f alone passes
+        x = TruncatedSeries.gen(5, "x")
+        with pytest.raises(DivergenceError, match="second"):
+            genfun._solve(lambda f, g: (1 + x * f, 1 + g), 2, 5, "second")
 
 
 class TestPeakInsertionPipeline:
