@@ -11,10 +11,13 @@ bulk pipelines that have already validated their inputs.
 The nine bijections:
 
 - omega_f, omega_l: 231-avoiders to Dyck paths, via the first/last return
-  decompositions matched against the sigma-n-tau decomposition.  Reflecting
-  a path (reading it backwards with U and D swapped) turns its first-return
-  decomposition into its last-return one, so omega_l = mirror o omega_f and
-  omega_l_inv = omega_f_inv o mirror.
+  decompositions matched against the sigma-n-tau decomposition.  omega_l is
+  the push/pop word of one right-to-left stack pass over the permutation.
+  Reflecting a path (reading it backwards with U and D swapped) turns its
+  last-return decomposition into its first-return one, so
+  omega_f = mirror o omega_l.  The inverse decodes the first-return
+  decomposition over index ranges of the steps, sharing nothing with the
+  stack pass, and omega_l_inv = omega_f_inv o mirror.
 - chi: 321-avoiders to Dyck paths.  The path's k-th D step sits at height
   max(pi_1..pi_k) (north/east staircase tight against the diagonal, north
   playing U and east playing D); peaks correspond to weak excedances.
@@ -32,7 +35,6 @@ The nine bijections:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,39 +59,31 @@ def _require_avoider(pi: Perm, patterns: tuple[Perm, ...]) -> None:
 # ---------------------------------------------------------------------------
 
 # In a 231-avoider sigma n tau every letter of tau exceeds every letter of
-# sigma (Krattenthaler, Adv. Appl. Math. 27, 2001), so each factor met by the
-# recursion holds consecutive values: build(lo, hi, base) encodes pi[lo:hi],
-# whose values are base+1 .. base+hi-lo, and std(tau) is tau less an offset.
+# sigma (Krattenthaler, Adv. Appl. Math. 27, 2001).  Read right to left, the
+# pass below pushes the letters of tau, pops them all when n arrives, pushes
+# n and then treats sigma on top of it, so its word is w(std(tau)) U w(sigma)
+# D: the last-return encoding, with no recursion (the stack word of Knuth,
+# TAOCP vol. 1, 2.2.1, ex. 5).
 
-def omega_f(pi: Perm) -> DyckPath:
-    """First-return encoding: sigma n tau maps to U w(sigma) D w(std(tau))."""
+def omega_l(pi: Perm) -> DyckPath:
+    """Last-return encoding: sigma n tau maps to w(std(tau)) U w(sigma) D.
 
-    def build(lo: int, hi: int, base: int) -> str:
-        if lo == hi:
-            return ""
-        pos = pi.index(base + hi - lo, lo, hi)
-        return ("U" + build(lo, pos, base) + "D"
-                + build(pos + 1, hi, base + pos - lo))
+    Right to left, each letter pops (D) every smaller letter on top of the
+    stack and is then pushed (U); whatever is left is popped at the end.
 
-    return DyckPath(build(0, len(pi), 0))
-
-
-def omega_f_inv(path: DyckPath) -> Perm:
-    def build(steps: str) -> Perm:
-        if not steps:
-            return ()
-        height = 0
-        for i, ch in enumerate(steps):
-            height += 1 if ch == "U" else -1
-            if height == 0:
-                break
-        sigma = build(steps[1:i])
-        tau = build(steps[i + 1:])
-        shift = len(sigma)
-        n = len(steps) // 2
-        return sigma + (n,) + tuple(v + shift for v in tau)
-
-    return build(path.steps)
+    >>> str(omega_l((3, 1, 2, 5, 4)))
+    'UDUUUDDUDD'
+    """
+    word = []
+    stack = []
+    for v in reversed(pi):
+        while stack and stack[-1] < v:
+            stack.pop()
+            word.append("D")
+        stack.append(v)
+        word.append("U")
+    word.append("D" * len(stack))
+    return DyckPath("".join(word))
 
 
 _SWAP_UD = str.maketrans("UD", "DU")
@@ -100,10 +94,38 @@ def _mirror(path: DyckPath) -> DyckPath:
     return DyckPath(path.steps[::-1].translate(_SWAP_UD))
 
 
-def omega_l(pi: Perm) -> DyckPath:
-    """Last-return encoding: sigma n tau maps to w(std(tau)) U w(sigma) D,
-    the mirror of `omega_f`'s path."""
-    return _mirror(omega_f(pi))
+def omega_f(pi: Perm) -> DyckPath:
+    """First-return encoding: sigma n tau maps to U w(sigma) D w(std(tau)),
+    the mirror of `omega_l`'s path (reflection swaps the first-return and
+    last-return decompositions)."""
+    return _mirror(omega_l(pi))
+
+
+def omega_f_inv(path: DyckPath) -> Perm:
+    """Decode U w(sigma) D w(tau) as sigma n tau over index ranges of the
+    steps, each U matched to its D once up front."""
+    steps = path.steps
+    match = [0] * len(steps)
+    opened = []
+    for i, ch in enumerate(steps):
+        if ch == "U":
+            opened.append(i)
+        else:
+            match[opened.pop()] = i
+    out: list[int] = []
+
+    def build(lo: int, hi: int, base: int) -> None:
+        # steps[lo:hi] is a Dyck word; append its permutation of the values
+        # base+1 .. base+(hi-lo)/2, taking tau in the loop
+        while lo < hi:
+            j = match[lo]
+            build(lo + 1, j, base)
+            out.append(base + (hi - lo) // 2)
+            base += (j - lo - 1) // 2
+            lo = j + 1
+
+    build(0, len(steps), 0)
+    return tuple(out)
 
 
 def omega_l_inv(path: DyckPath) -> Perm:
@@ -135,23 +157,21 @@ def chi_inv(path: DyckPath, check: bool = True) -> Perm:
     """Peaks become weak excedances; leftover rows and columns pair up
     in increasing order to fill the positions below the diagonal."""
     n = path.semilength
-    values: dict[int, int] = {}
-    height = 0
-    column = 0
-    steps = path.steps
-    for i, ch in enumerate(steps):
+    values = [0] * n  # by column; 0 marks a column without a peak
+    row_free = [True] * (n + 1)
+    height = column = 0
+    prev = ""
+    for ch in path.steps:
         if ch == "U":
             height += 1
         else:
-            column += 1
-            if i > 0 and steps[i - 1] == "U":
+            if prev == "U":
                 values[column] = height  # peak cell
-    free_cols = [c for c in range(1, n + 1) if c not in values]
-    used_rows = set(values.values())
-    free_rows = [r for r in range(1, n + 1) if r not in used_rows]
-    for c, r in zip(free_cols, free_rows):
-        values[c] = r
-    pi = tuple(values[c] for c in range(1, n + 1))
+                row_free[height] = False
+            column += 1
+        prev = ch
+    free_rows = (r for r in range(1, n + 1) if row_free[r])
+    pi = tuple(v or next(free_rows) for v in values)
     if check:
         pi = check_permutation(pi)
     return pi
@@ -368,11 +388,13 @@ def _word_occ(factor: str):
     return lambda w: occ_factor(w, factor)
 
 
-@functools.lru_cache(maxsize=1)
 def _basc(p: DyckPath) -> int:
-    """hibasc + lobasc, computed once for the image both of chi's reversed
-    identities read in turn."""
     return path_statistic(p, "hibasc") + path_statistic(p, "lobasc")
+
+
+def _d_plus_h1_plus_1(alpha: TwoMotzkinPath) -> int:
+    counts = alpha.step_counts()
+    return counts["d"] + counts["h1"] + 1
 
 
 BIJECTIONS: dict[str, Bijection] = {}
@@ -427,7 +449,7 @@ _register(Bijection(
     forward=psi, backward=psi_inv,
     identities=(
         ("pk = d + h1 + 1", lambda p: path_statistic(p, "pk"),
-         lambda a: a.step_counts()["d"] + a.step_counts()["h1"] + 1),
+         _d_plus_h1_plus_1),
         ("con = d", lambda p: path_statistic(p, "con"),
          lambda a: a.step_counts()["d"]),
     ),

@@ -41,11 +41,12 @@ class Limits:
                 raise ValueError(f"guard {f.name} must be positive")
         return self
 
-    def check(self, guard: str, n: int) -> None:
+    def check(self, guard: str, n: int, size: int | None = None) -> None:
         """Refuse a job of size n above the guard field named `guard`."""
         limit = getattr(self, guard)
         if n > limit:
-            raise BudgetError(f"n={n} exceeds guard {guard}={limit}")
+            raise BudgetError(f"n={n} exceeds guard {guard}={limit}"
+                              + ("" if size is None else f" ({size} permutations)"))
 
 
 DEFAULT_LIMITS = Limits()

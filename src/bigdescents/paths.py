@@ -10,12 +10,18 @@ red iff a U precedes it.  Within each maximal ascent run followed by a
 descent run, exactly the last U and the first D are red.  The blue steps of
 a Dyck path form a Dyck path again (its core); blue U and blue D steps are
 numbered independently, each starting from 1.
+
+Factor counts run on ``str.find``.  The statistics the bijection identities
+read (`path_statistics`) come from one scan of the steps, made at most once
+per path and cached on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,13 @@ class DyckPath:
     @property
     def semilength(self) -> int:
         return len(self.steps) // 2
+
+    @cached_property
+    def statistics(self) -> Mapping[str, int]:
+        """`path_statistics` of this path, computed on first use.  The cache
+        lives outside the dataclass fields, so it changes neither equality
+        nor the hash."""
+        return path_statistics(self)
 
     def heights(self) -> list[int]:
         """Heights after each step (length = number of steps)."""
@@ -146,15 +159,13 @@ def occ_factor(p: DyckPath | BinaryWord, factor: str, level0_only: bool = False)
         raise TypeError("occ_factor expects a DyckPath or BinaryWord")
     if not factor:
         raise ValueError("empty factor")
-    starts = range(len(word) - len(factor) + 1)
-    if not level0_only:
-        return sum(word.startswith(factor, i) for i in starts)
     count = 0
-    height = 0
-    for i in starts:
-        if height == 0 and word.startswith(factor, i):
+    i = word.find(factor)
+    while i >= 0:
+        # the height before step i is 2 * (U steps before i) - i
+        if not level0_only or 2 * word.count("U", 0, i) == i:
             count += 1
-        height += 1 if word[i] == "U" else -1
+        i = word.find(factor, i + 1)
     return count
 
 
@@ -203,8 +214,9 @@ def return_decompose(p: DyckPath, which: str = "first") -> tuple[DyckPath, DyckP
     raise ValueError(f"unknown decomposition {which!r}")
 
 
-def path_statistic(p: DyckPath, name: str) -> int:
-    """Path statistics: pk, con, hibasc, lobasc, ini_UU, returns.
+def path_statistics(p: DyckPath) -> Mapping[str, int]:
+    """The path statistics read by the bijection identities, by name, from
+    one scan of the steps (a read-only mapping):
 
     - pk: number of UD-factors.
     - con: indices i with the i-th and (i+1)-th D steps adjacent while the
@@ -215,30 +227,56 @@ def path_statistic(p: DyckPath, name: str) -> int:
       while the l-th and (l+1)-th blue U steps are not.
     - ini_UU: 1 if the path starts with UU.
     - returns: visits to height 0 after the start.
+
+    The k-th U step comes before the k-th D step, and likewise for the blue
+    (core) steps, so when a D step closes an adjacent pair of D steps the
+    matching pair of U steps has already been seen.  A U step is blue iff a
+    U follows it, and a D step iff a D precedes it, so two blue U steps are
+    adjacent exactly inside UUU and two blue D steps exactly inside DDD.
+
+    >>> dict(path_statistics(DyckPath("UUDUUDDDUUUDDD")))
+    {'pk': 3, 'con': 1, 'hibasc': 2, 'lobasc': 1, 'ini_UU': 1, 'returns': 2}
     """
     steps = p.steps
-    if name == "pk":
-        return occ_factor(p, "UD")
-    if name == "ini_UU":
-        return 1 if steps.startswith("UU") else 0
-    if name == "returns":
-        return sum(1 for h in p.heights() if h == 0)
-    if name == "con":
-        ups = [i for i, s in enumerate(steps) if s == "U"]
-        downs = [i for i, s in enumerate(steps) if s == "D"]
-        return sum(1 for i in range(len(downs) - 1)
-                   if downs[i + 1] == downs[i] + 1 and ups[i + 1] != ups[i] + 1)
-    if name == "hibasc":
-        # peaks after the first, less those right after a peak (UDUD)
-        return max(occ_factor(p, "UD") - 1 - occ_factor(p, "UDUD"), 0)
-    if name == "lobasc":
-        blue_u = [i for i, s in enumerate(steps)
-                  if s == "U" and not steps.startswith("D", i + 1)]
-        blue_d = [i for i, s in enumerate(steps)
-                  if s == "D" and steps[i - 1] != "U"]
-        return sum(1 for l in range(len(blue_d) - 1)
-                   if blue_d[l + 1] == blue_d[l] + 1 and blue_u[l + 1] != blue_u[l] + 1)
-    raise ValueError(f"unknown path statistic {name!r}")
+    pk = con = lobasc = returns = after_peak = 0
+    u_after_u = []  # per U step: the step before it is a U
+    blue_u_after_blue_u = []  # per blue U step: the blue U before it is adjacent
+    downs = blue_downs = height = 0
+    peak_d = False  # the last D step ended a peak
+    for before, prev, s in zip("  " + steps, " " + steps, steps):
+        if s == "U":
+            height += 1
+            u_after_u.append(prev == "U")
+            if prev == "U":  # the U before this one is blue
+                blue_u_after_blue_u.append(before == "U")
+        else:
+            height -= 1
+            if prev == "U":
+                pk += 1
+                if before == "D" and peak_d:
+                    after_peak += 1
+                peak_d = True
+            else:  # a blue D
+                peak_d = False
+                con += not u_after_u[downs]
+                if before == "D":
+                    lobasc += not blue_u_after_blue_u[blue_downs]
+                blue_downs += 1
+            downs += 1
+            if not height:
+                returns += 1
+    return MappingProxyType({
+        "pk": pk, "con": con, "hibasc": max(pk - 1 - after_peak, 0),
+        "lobasc": lobasc, "ini_UU": int(steps.startswith("UU")),
+        "returns": returns})
+
+
+def path_statistic(p: DyckPath, name: str) -> int:
+    """One of `path_statistics`, read from the path's cached scan."""
+    try:
+        return p.statistics[name]
+    except KeyError:
+        raise ValueError(f"unknown path statistic {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -312,8 +313,19 @@ def _checked_patterns(n: int, patterns: Iterable[Sequence[int]],
     if n < 0:
         raise ValueError("length must be non-negative")
     pats = tuple(sorted({check_permutation(p) for p in patterns}))
-    limits.check("avoider_guard_patterns" if pats else "avoider_guard_empty", n)
+    limits.check("avoider_guard_patterns" if pats else "avoider_guard_empty",
+                 n, _class_size(n, pats))
     return pats
+
+
+# The refusal states |S_n(pats)| where it has a closed form: n! for S_n and
+# the Catalan number for one length-3 pattern (Simion & Schmidt, 1985).  Past
+# length 100 it runs to hundreds of digits, and Python will not print an int
+# of more than 4300 digits.
+def _class_size(n: int, pats: tuple[Perm, ...]) -> int | None:
+    if n > 100 or len(pats) > 1 or pats and len(pats[0]) != 3:
+        return None
+    return math.comb(2 * n, n) // (n + 1) if pats else math.factorial(n)
 
 
 def _grow(n: int, pats: tuple[Perm, ...], value: Callable[[Sequence[int]], int],

@@ -5,7 +5,7 @@ from bigdescents.errors import DomainViolationError
 from bigdescents.genfun import catalan
 from bigdescents.paths import (BinaryWord, DyckPath, iter_dyck_paths,
                                iter_two_motzkin)
-from bigdescents.perms import bdes, enumerate_avoiders, reverse
+from bigdescents.perms import bdes, enumerate_avoiders, reverse, standardize
 
 
 class TestWorkedExamples:
@@ -28,6 +28,37 @@ class TestWorkedExamples:
     def test_omega_composite(self):
         path = bj.omega_f((5, 2, 1, 4, 3, 9, 6, 8, 7))
         assert bj.omega_l_inv(path) == (9, 1, 8, 6, 3, 2, 5, 4, 7)
+
+
+def first_return_word(pi) -> str:
+    """The paper's omega_f, recursively: sigma n tau maps to
+    U w(std(sigma)) D w(std(tau)), split at the maximum n."""
+    if not pi:
+        return ""
+    k = pi.index(len(pi))
+    return ("U" + first_return_word(standardize(pi[:k])) + "D"
+            + first_return_word(standardize(pi[k + 1:])))
+
+
+def mirror_word(word: str) -> str:
+    return word[::-1].translate(str.maketrans("UD", "DU"))
+
+
+class TestOmegaAgainstFirstReturn:
+    """omega_l's stack pass and its mirror omega_f against the recursive
+    first-return definition, on every 231-avoider of length 0-9."""
+
+    def test_images_and_inverses(self):
+        checked = 0
+        for n in range(10):
+            for pi in enumerate_avoiders(n, ((2, 3, 1),)):
+                word = first_return_word(pi)
+                assert bj.omega_f(pi).steps == word, pi
+                assert bj.omega_l(pi).steps == mirror_word(word), pi
+                assert bj.omega_f_inv(DyckPath(word)) == pi
+                assert bj.omega_l_inv(DyckPath(mirror_word(word))) == pi
+                checked += 1
+        assert checked == 6918
 
 
 class TestReconstructFromMaxima:

@@ -260,17 +260,20 @@ class TestDeterminism:
 
 
 # Every over-guard job: (config file or None, argv, the guard it names).
+# A table job also states the exact size of the class it would enumerate.
 _SMALL_PATTERN_GUARD = {"avoider_guard_patterns": 5}
 OVER_GUARD_JOBS = [
     pytest.param(None, ("table", "--patterns", "132", "--n", "20"),
-                 "avoider_guard_patterns=14", id="table-pattern-class"),
+                 "avoider_guard_patterns=14 (6564120420 permutations)",
+                 id="table-pattern-class"),
     pytest.param(None, ("table", "--patterns", "", "--n", "12"),
-                 "avoider_guard_empty=11", id="table-full-group"),
+                 "avoider_guard_empty=11 (479001600 permutations)",
+                 id="table-full-group"),
     pytest.param(None, ("table", "--patterns", "132", "--n", "8",
                         "--max-n", "7"),
-                 "avoider_guard_patterns=7", id="table-max-n"),
+                 "avoider_guard_patterns=7 (1430 permutations)", id="table-max-n"),
     pytest.param(_SMALL_PATTERN_GUARD, ("table", "--patterns", "132", "--n", "6"),
-                 "avoider_guard_patterns=5", id="config-table"),
+                 "avoider_guard_patterns=5 (132 permutations)", id="config-table"),
     pytest.param(None, ("qsym", "--patterns", "", "--n", "9"),
                  "qsym_guard=8", id="qsym"),
     pytest.param(_SMALL_PATTERN_GUARD, ("qsym", "--patterns", "123", "--n", "7"),

@@ -7,7 +7,7 @@ from bigdescents.genfun import catalan
 from bigdescents.paths import (BinaryWord, DyckPath, TwoMotzkinPath,
                                iter_binary_words, iter_dyck_paths,
                                iter_two_motzkin, occ_factor, path_statistic,
-                               return_decompose, run_count)
+                               path_statistics, return_decompose, run_count)
 
 
 class TestValidation:
@@ -180,6 +180,63 @@ class TestPeakColoring:
                 assert path_statistic(mu, "lobasc") == sum(
                     1 for l in range(len(downs) - 1)
                     if downs[l + 1] == downs[l] + 1 and ups[l + 1] != ups[l] + 1)
+
+
+def _adjacent_pairs(first: list[int], second: list[int]) -> int:
+    """Indices i with first[i], first[i+1] adjacent and second[i],
+    second[i+1] not (con on all steps, lobasc on the blue ones)."""
+    return sum(1 for i in range(len(first) - 1)
+               if first[i + 1] == first[i] + 1 and second[i + 1] != second[i] + 1)
+
+
+def _indices(labels, label: str) -> list[int]:
+    return [i for i, x in enumerate(labels) if x == label]
+
+
+def _peaks(steps: str) -> list[int]:
+    return [i for i in range(len(steps) - 1) if steps[i:i + 2] == "UD"]
+
+
+def _colored(mu: DyckPath) -> list[str]:
+    """Each step with its peak color: "Ur", "Ub", "Dr" or "Db"."""
+    return [s + c for s, c in zip(mu.steps, peak_colors(mu))]
+
+
+# Each statistic written from its definition in the path_statistics docstring.
+STATISTIC_ORACLES = {
+    "pk": lambda mu: len(_peaks(mu.steps)),
+    "con": lambda mu: _adjacent_pairs(_indices(mu.steps, "D"),
+                                      _indices(mu.steps, "U")),
+    "hibasc": lambda mu: sum(1 for a, b in zip(_peaks(mu.steps), _peaks(mu.steps)[1:])
+                             if b != a + 2),
+    "lobasc": lambda mu: _adjacent_pairs(_indices(_colored(mu), "Db"),
+                                         _indices(_colored(mu), "Ub")),
+    "ini_UU": lambda mu: int(mu.steps[:2] == "UU"),
+    "returns": lambda mu: mu.heights().count(0),
+}
+
+
+class TestOneScanStatistics:
+    def test_oracles_cover_every_field(self):
+        assert set(STATISTIC_ORACLES) == set(path_statistics(DyckPath("")))
+
+    @pytest.mark.parametrize("name", sorted(STATISTIC_ORACLES))
+    def test_matches_the_definition(self, name):
+        oracle = STATISTIC_ORACLES[name]
+        for m in range(9):
+            for mu in iter_dyck_paths(m):
+                assert path_statistic(mu, name) == oracle(mu), (mu, name)
+                assert path_statistics(mu)[name] == oracle(mu)
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        cached = DyckPath("UUDUUDDDUUUDDD")
+        assert path_statistic(cached, "hibasc") == 2
+        assert cached.statistics is cached.statistics  # scanned once
+        fresh = DyckPath("UUDUUDDDUUUDDD")
+        assert "statistics" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert len({cached, fresh}) == 1
+        assert repr(cached) == repr(fresh)
 
 
 class TestRunCount:

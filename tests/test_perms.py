@@ -110,8 +110,14 @@ class TestEnumerateAvoiders:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             list(enumerate_avoiders(12, ()))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"\(9694845 permutations\)"):
             list(enumerate_avoiders(15, ((1, 3, 2),)))
+        # no closed form for a pair, and none stated for an unprintable n!
+        with pytest.raises(BudgetError) as pair:
+            list(enumerate_avoiders(15, ((1, 3, 2), (1, 2, 3))))
+        with pytest.raises(BudgetError) as huge:
+            list(enumerate_avoiders(5000, ()))
+        assert "permutations" not in str(pair.value) + str(huge.value)
         # a larger Limits value allows more
         wider = Limits(avoider_guard_empty=12)
         assert next(enumerate_avoiders(12, (), limits=wider)) == tuple(range(1, 13))
