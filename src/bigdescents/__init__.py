@@ -13,9 +13,9 @@ from .genfun import (carlitz_verify, catalan, eulerian_r, expand,
                      expand_by_peak_insertion, expand_functional, formula)
 from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, occ_factor,
                     path_statistic, return_decompose, run_count)
-from .perms import (DistributionTable, PatternSet, contains,
-                    distribution_rows, distribution_table, enumerate_avoiders,
-                    standardize, statistic, statistic_set, symmetry)
+from .perms import (DistributionTable, contains, distribution_rows,
+                    distribution_table, enumerate_avoiders, standardize,
+                    statistic)
 from .symfunc import (QsymExpansion, SymExpansion, fundamental_to_monomial,
                       is_schur_positive, is_symmetric, qsym_sum, schur_expand)
 
@@ -32,10 +32,8 @@ __all__ = [
     "expand_by_peak_insertion", "expand_functional", "formula",
     "BinaryWord", "DyckPath", "TwoMotzkinPath", "occ_factor",
     "path_statistic", "return_decompose", "run_count",
-    "DistributionTable", "PatternSet", "contains", "distribution_rows",
-    "distribution_table",
-    "enumerate_avoiders", "standardize", "statistic", "statistic_set",
-    "symmetry",
+    "DistributionTable", "contains", "distribution_rows",
+    "distribution_table", "enumerate_avoiders", "standardize", "statistic",
     "QsymExpansion", "SymExpansion", "fundamental_to_monomial",
     "is_schur_positive", "is_symmetric", "qsym_sum", "schur_expand",
     "__version__",

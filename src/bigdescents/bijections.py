@@ -279,14 +279,14 @@ def phi_213_312_inv(w: BinaryWord) -> Perm:
 def rlmax_word(pi: Perm) -> BinaryWord:
     """Indicator word of the right-to-left maxima (phi_123_132 and
     phi_132_213; a nonempty word ends in 1)."""
-    rl = perms.statistic_set(pi, "RLmax")
+    rl = perms.left_to_right_maxima(reversed(pi))
     return BinaryWord("".join("1" if k in rl else "0" for k in range(1, len(pi) + 1)))
 
 
 def lrmax_word(pi: Perm) -> BinaryWord:
     """Indicator word of the left-to-right maxima (phi_231_321; a nonempty
     word ends in 1)."""
-    lr = perms.statistic_set(pi, "LRmax")
+    lr = perms.left_to_right_maxima(pi)
     return BinaryWord("".join("1" if k in lr else "0" for k in range(1, len(pi) + 1)))
 
 

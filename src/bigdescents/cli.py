@@ -22,8 +22,8 @@ import sys
 from . import bijections, conjectures, genfun, verify
 from .config import DEFAULT_LIMITS, Limits, load_limits
 from .errors import BudgetError
-from .perms import (distribution_rows, distribution_table, format_permutation,
-                    parse_pattern_set)
+from .perms import (STATISTICS, distribution_rows, distribution_table,
+                    format_permutation, parse_pattern_set)
 from .symfunc import (asymmetry_witness, format_schur, qsym_fundamental,
                       qsym_sum, schur_expand)
 
@@ -47,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         '"" means no restriction')
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", default="bdes",
-                   help="des, bdes, sdes, lddes, pk, rbdes, basc, lbasc, "
-                        "hibasc, lobasc, or des_r(r)")
+                   help=", ".join(STATISTICS) + ", or des_r(r)")
     p.add_argument("--format", default="text",
                    choices=["text", "json", "tsv", "bfile"])
     p.add_argument("--max-n", type=int, default=None, help=_MAX_N_HELP)
@@ -95,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="scan a conjectured property")
     p.add_argument("--which", required=True,
-                   choices=["real-rooted", "log-concave", "unimodal",
-                            "schur-positive"])
+                   choices=[name.replace("_", "-")
+                            for name in conjectures.SCANS])
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", default="text", choices=["text", "json"])
 

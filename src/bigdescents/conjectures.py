@@ -12,12 +12,18 @@ Conventions: the zero polynomial is rejected by the root counters; constants
 and degree-1 polynomials count as (vacuously) real-rooted.  Scans over
 distribution polynomials treat an identically-zero distribution (an empty
 avoider class) as vacuously satisfying every property.
+
+Each scan is one entry of ``SCANS``.  Real-rootedness, log-concavity and
+unimodality are ``RowProperty`` values: one witness function, which names
+the first failure of a row of counts and returns None where the row has the
+property, and the classes predicted to fail it.  ``is_log_concave`` and
+``is_unimodal`` ask whether the witness is None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import MultiPoly
 from .config import DEFAULT_LIMITS, Limits
@@ -115,32 +121,48 @@ def real_root_count_with_multiplicity(p: MultiPoly | Sequence) -> int:
                for factor, mult in squarefree_decomposition(poly(p)))
 
 
+def _real_rooted_witness(p: MultiPoly | Sequence) -> str | None:
+    """None when every root is real (the zero polynomial and degree <= 1
+    are vacuous truths), else the real roots counted against the degree."""
+    q = poly(p)
+    d = degree(q)
+    roots = real_root_count_with_multiplicity(q) if d > 1 else d
+    return None if roots == d else (
+        f"{roots} real roots with multiplicity, degree {d}")
+
+
+def _log_concave_witness(counts: Sequence[int]) -> str | None:
+    """The first interior index k with c_k^2 < c_{k-1} c_{k+1}, if any."""
+    return next((f"index {k}: {counts[k]}^2 < {counts[k-1]}*{counts[k+1]}"
+                 for k in range(1, len(counts) - 1)
+                 if counts[k] ** 2 < counts[k - 1] * counts[k + 1]), None)
+
+
+def _unimodal_witness(counts: Sequence[int]) -> str | None:
+    """None when the counts rise weakly and then fall weakly."""
+    k = 0
+    while k + 1 < len(counts) and counts[k] <= counts[k + 1]:
+        k += 1
+    while k + 1 < len(counts) and counts[k] >= counts[k + 1]:
+        k += 1
+    return None if k == len(counts) - 1 else "interior dip"
+
+
 def is_real_rooted(p: MultiPoly | Sequence) -> bool:
     """All roots real (degree <= 1 and nonzero constants are vacuous truths)."""
     q = poly(p)
     if q.is_zero():
         raise ValueError("the zero polynomial is excluded")
-    d = degree(q)
-    if d <= 1:
-        return True
-    return real_root_count_with_multiplicity(q) == d
+    return _real_rooted_witness(q) is None
 
 
 def is_log_concave(counts: Sequence[int]) -> bool:
     """c_k^2 >= c_{k-1} c_{k+1} at every interior index, literally."""
-    seq = list(counts)
-    return all(seq[k] ** 2 >= seq[k - 1] * seq[k + 1]
-               for k in range(1, len(seq) - 1))
+    return _log_concave_witness(list(counts)) is None
 
 
 def is_unimodal(counts: Sequence[int]) -> bool:
-    seq = list(counts)
-    k = 0
-    while k + 1 < len(seq) and seq[k] <= seq[k + 1]:
-        k += 1
-    while k + 1 < len(seq) and seq[k] >= seq[k + 1]:
-        k += 1
-    return k == len(seq) - 1
+    return _unimodal_witness(list(counts)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -228,62 +250,69 @@ _SCAN_TARGETS = ALL_SINGLETONS + ALL_PAIRS
 _SCHUR_TARGETS: tuple[PatternTuple, ...] = ((), ((1, 2, 3),), ((1, 2, 3, 4),))
 
 
+@dataclass(frozen=True)
+class RowProperty:
+    """A property of each bdes distribution row of the size-1 and size-2
+    classes.  `witness` maps a row's counts to None when the row has the
+    property and to the reason when it does not; each class in
+    `predicted_failures` is predicted to fail at some length."""
+
+    witness: Callable[[Sequence[int]], str | None]
+    predicted_failures: tuple[PatternTuple, ...] = ()
+
+    def records(self, max_n: int, limits: Limits) -> Iterator[ScanRecord]:
+        for patterns in _SCAN_TARGETS:
+            expected = patterns not in self.predicted_failures
+            for table in distribution_rows(max_n, patterns, "bdes",
+                                           limits=limits):
+                witness = self.witness(table.counts)
+                yield ScanRecord(patterns=patterns, n=table.n,
+                                 holds=witness is None, expected=expected,
+                                 witness=witness)
+
+
+def _schur_positive_records(max_n: int,
+                            limits: Limits) -> Iterator[ScanRecord]:
+    """Schur positivity of the big-descent quasisymmetric sums over S_n and
+    its 123- and 1234-avoiders, each predicted to hold."""
+    from .symfunc import asymmetry_witness, is_schur_positive, qsym_sum, schur_expand
+    limits.check("qsym_guard", max_n)
+    for patterns in _SCHUR_TARGETS:
+        for n in range(max_n + 1):
+            q = qsym_sum(n, patterns, r=1, limits=limits)
+            witness = None
+            bad = asymmetry_witness(q)
+            if bad is not None:
+                holds = False
+                witness = f"not symmetric: {bad[0]} vs {bad[1]}"
+            else:
+                expansion = schur_expand(q)
+                holds = is_schur_positive(expansion)
+                if not holds:
+                    witness = str(min(
+                        (lam for lam, c in expansion.coeffs.items() if c < 0)))
+            yield ScanRecord(patterns=patterns, n=n, holds=holds,
+                             expected=True, witness=witness)
+
+
+# Every scan by name: the records of lengths 0..max_n under the guards.
+SCANS: dict[str, Callable[[int, Limits], Iterator[ScanRecord]]] = {
+    "real_rooted": RowProperty(_real_rooted_witness,
+                               NON_REAL_ROOTED_CLASS).records,
+    "log_concave": RowProperty(_log_concave_witness).records,
+    "unimodal": RowProperty(_unimodal_witness).records,
+    "schur_positive": _schur_positive_records,
+}
+
+
 def conjecture_scan(which: str, max_n: int,
                     limits: Limits = DEFAULT_LIMITS) -> ScanReport:
-    """Scan a property over the size-1 and size-2 avoidance classes.
+    """Scan the property `which`, one of ``SCANS``, at lengths 0..max_n.
 
-    which: real_rooted | log_concave | unimodal | schur_positive.
     Failures are data, not errors; each record carries the verdict, the
     predicted verdict, and a witness when the property fails.
     """
-    records: list[ScanRecord] = []
-    if which in ("real_rooted", "log_concave", "unimodal"):
-        for patterns in _SCAN_TARGETS:
-            expected_fail = (which == "real_rooted"
-                             and patterns in NON_REAL_ROOTED_CLASS)
-            for table in distribution_rows(max_n, patterns, "bdes",
-                                           limits=limits):
-                counts = table.counts
-                p = poly(counts)
-                if which == "real_rooted":
-                    # the zero and the degree <= 1 rows are vacuous truths
-                    d = degree(p)
-                    roots = (real_root_count_with_multiplicity(p) if d > 1
-                             else d)
-                    holds = roots == d
-                    witness = None if holds else (
-                        f"{roots} real roots with multiplicity, degree {d}")
-                elif which == "log_concave":
-                    holds = is_log_concave(counts)
-                    witness = None if holds else next(
-                        f"index {k}: {counts[k]}^2 < {counts[k-1]}*{counts[k+1]}"
-                        for k in range(1, len(counts) - 1)
-                        if counts[k] ** 2 < counts[k - 1] * counts[k + 1])
-                else:
-                    holds = is_unimodal(counts)
-                    witness = None if holds else "interior dip"
-                records.append(ScanRecord(
-                    patterns=patterns, n=table.n, holds=holds,
-                    expected=not expected_fail, witness=witness))
-        return ScanReport(which=which, max_n=max_n, records=tuple(records))
-    if which == "schur_positive":
-        from .symfunc import asymmetry_witness, is_schur_positive, qsym_sum, schur_expand
-        limits.check("qsym_guard", max_n)
-        for patterns in _SCHUR_TARGETS:
-            for n in range(max_n + 1):
-                q = qsym_sum(n, patterns, r=1, limits=limits)
-                witness = None
-                bad = asymmetry_witness(q)
-                if bad is not None:
-                    holds = False
-                    witness = f"not symmetric: {bad[0]} vs {bad[1]}"
-                else:
-                    expansion = schur_expand(q)
-                    holds = is_schur_positive(expansion)
-                    if not holds:
-                        witness = str(min(
-                            (lam for lam, c in expansion.coeffs.items() if c < 0)))
-                records.append(ScanRecord(patterns=patterns, n=n, holds=holds,
-                                          expected=True, witness=witness))
-        return ScanReport(which=which, max_n=max_n, records=tuple(records))
-    raise ValueError(f"unknown scan {which!r}")
+    if which not in SCANS:
+        raise ValueError(f"unknown scan {which!r}")
+    return ScanReport(which=which, max_n=max_n,
+                      records=tuple(SCANS[which](max_n, limits)))

@@ -287,21 +287,19 @@ def iter_dyck_paths(m: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength m, in lexicographic order (D < U)."""
     if m < 0:
         raise ValueError("semilength must be non-negative")
-
-    def walk(prefix: list[str], ups: int, height: int):
-        if len(prefix) == 2 * m:
-            yield DyckPath("".join(prefix))
+    steps = ["U", "D"] * m
+    while True:
+        yield DyckPath("".join(steps))
+        # the next path turns the last D with a U after it into U, then
+        # takes the smallest completion: D down to height 0, then UD pairs
+        i, ups_after = 2 * m - 1, 0
+        while i >= 0 and (steps[i] == "U" or not ups_after):
+            ups_after += steps[i] == "U"
+            i -= 1
+        if i < 0:
             return
-        if height > 0:
-            prefix.append("D")
-            yield from walk(prefix, ups, height - 1)
-            prefix.pop()
-        if ups < m:
-            prefix.append("U")
-            yield from walk(prefix, ups + 1, height + 1)
-            prefix.pop()
-
-    yield from walk([], 0, 0)
+        height = 2 * (m - ups_after) - i + 1
+        steps[i:] = ["U"] + ["D"] * height + ["U", "D"] * (ups_after - 1)
 
 
 def iter_two_motzkin(n: int) -> Iterator[TwoMotzkinPath]:

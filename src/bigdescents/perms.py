@@ -10,7 +10,10 @@ pi_k > pi_{k+1} + r, a big descent when r = 1, and a small descent when
 pi_k = pi_{k+1} + 1.  Right big descents additionally count position n when
 pi_n > 1 (equivalently, big descents of the word pi with a 0 appended).
 Big ascents are positions with pi_k + 1 < pi_{k+1}; a big ascent k is high
-when k+1 is a weak excedance (pi_{k+1} >= k+1) and low otherwise.
+when k+1 is a weak excedance (pi_{k+1} >= k+1) and low otherwise.  Each named
+statistic is one entry of ``STATISTICS``: its value function and, for des and
+bdes, the r of the generating tree's O(1) update.  ``des_r(r)`` and its
+shorthand ``des_k`` name des_r for any r.
 
 Avoider classes are enumerated by one depth-first generating tree: each
 avoider of length m has as children its insertions of m + 1 at the active
@@ -29,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 
@@ -76,16 +79,6 @@ def complement(pi: Sequence[int]) -> Perm:
 
 def reverse_complement(pi: Sequence[int]) -> Perm:
     return complement(reverse(pi))
-
-
-def symmetry(pi: Sequence[int], kind: str) -> Perm:
-    """Apply one of the symmetries reverse, complement, reverse_complement."""
-    try:
-        fn = {"reverse": reverse, "complement": complement,
-              "reverse_complement": reverse_complement}[kind]
-    except KeyError:
-        raise ValueError(f"unknown symmetry {kind!r}") from None
-    return fn(tuple(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +321,18 @@ def _class_size(n: int, pats: tuple[Perm, ...]) -> int | None:
     return math.comb(2 * n, n) // (n + 1) if pats else math.factorial(n)
 
 
-def _grow(n: int, pats: tuple[Perm, ...], value: Callable[[Sequence[int]], int],
-          r: int | None, every_depth: bool,
+def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic, every_depth: bool,
           leaves: list[Perm] | None = None) -> list[list[int]]:
     """Walk the generating tree of S_m(pats), m <= n, depth first.
 
     Returns ``counts[m][k]``, the number of avoiders of length m with
     statistic value k, filled for m = n (for every m when `every_depth`).
     Each parent computes its active sites once and tallies its children's
-    values without building them.  With `r` set the statistic is des_r(r),
-    updated from the neighbours a, b of the inserted maximum m + 1 as
-    ``s - [a > b + r] + [m + 1 > b + r]``; otherwise `value` is evaluated on
-    each child.  When `leaves` is a list the avoiders of length n are
-    appended to it.  Only the path from the root is alive: O(n) memory
+    values without building them.  When ``stat.r`` is set the statistic is
+    des_r(r), updated from the neighbours a, b of the inserted maximum m + 1
+    as ``s - [a > b + r] + [m + 1 > b + r]``; otherwise ``stat.value`` is
+    evaluated on each child.  When `leaves` is a list the avoiders of length
+    n are appended to it.  Only the path from the root is alive: O(n) memory
     besides the leaves.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]
@@ -353,6 +345,7 @@ def _grow(n: int, pats: tuple[Perm, ...], value: Callable[[Sequence[int]], int],
             leaves.append(())
         return counts
     rules = [_site_rule(p) for p in pats if len(p) <= n]
+    value, r = stat
     node: list[int] = []
 
     def descend(s: int) -> None:
@@ -400,15 +393,8 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
         yield from itertools.permutations(range(1, n + 1))
         return
     leaves: list[Perm] = []
-    _grow(n, pats, des, 0, False, leaves)
+    _grow(n, pats, STATISTICS["des"], False, leaves)
     yield from sorted(leaves)
-
-
-def count_avoiders(n: int, patterns: Iterable[Sequence[int]],
-                   limits: Limits = DEFAULT_LIMITS) -> int:
-    """The size of S_n(patterns), tallied without building its members."""
-    pats = _checked_patterns(n, patterns, limits)
-    return sum(_grow(n, pats, des, 0, False)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +475,50 @@ def lobasc(pi: Sequence[int]) -> int:
                if pi[k - 1] + 1 < pi[k] and (k + 1) not in wex)
 
 
-_PLAIN_STATS = {
-    "des": des, "bdes": bdes, "sdes": sdes, "lddes": lddes, "pk": pk,
-    "rbdes": rbdes, "basc": basc, "lbasc": lbasc,
-    "hibasc": hibasc, "lobasc": lobasc,
+def left_to_right_maxima(word: Iterable[int]) -> set[int]:
+    """The letters larger than every letter before them.  The right-to-left
+    maxima of pi are those of ``reversed(pi)``; both contain n when pi is
+    nonempty."""
+    out, hi = set(), 0
+    for v in word:
+        if v > hi:
+            out.add(v)
+            hi = v
+    return out
+
+
+class Statistic(NamedTuple):
+    """A registered statistic: its value on one permutation and, when it
+    counts r-descents, the r that the generating tree updates in O(1)."""
+
+    value: Callable[[Sequence[int]], int]
+    r: int | None = None
+
+
+# Every named statistic; `statistic`, the distribution tables and the CLI's
+# --stat read this table, and des_r(r) extends it for every r.
+STATISTICS: dict[str, Statistic] = {
+    "des": Statistic(des, r=0),
+    "bdes": Statistic(bdes, r=1),
+    "sdes": Statistic(sdes),
+    "lddes": Statistic(lddes),
+    "pk": Statistic(pk),
+    "rbdes": Statistic(rbdes),
+    "basc": Statistic(basc),
+    "lbasc": Statistic(lbasc),
+    "hibasc": Statistic(hibasc),
+    "lobasc": Statistic(lobasc),
 }
 
 
-def _resolve_stat(name: str) -> tuple[Callable[[Sequence[int]], int], int | None]:
-    """Resolve a statistic name to the function that evaluates it, and to r
-    when it counts r-descents (which the generating tree updates in O(1)).
-
-    Accepts the plain names, ``des_r(r)``, and the shorthand ``des_k`` for a
-    literal non-negative integer k.  ``des_r(0)`` is des and ``des_r(1)`` is
-    bdes.
+def _resolve_stat(name: str) -> Statistic:
+    """The registered statistic `name`, or des_r(r) for ``des_r(r)`` and for
+    the shorthand ``des_k`` with a literal non-negative integer k.  Blanks
+    around the name are ignored; ``des_r(0)`` is des and ``des_r(1)`` bdes.
     """
     name = name.strip()
-    if name in _PLAIN_STATS:
-        return _PLAIN_STATS[name], {"des": 0, "bdes": 1}.get(name)
+    if name in STATISTICS:
+        return STATISTICS[name]
     if name.startswith("des_r(") and name.endswith(")"):
         r = int(name[len("des_r("):-1])
     elif name.startswith("des_") and name[len("des_"):].isdigit():
@@ -515,7 +527,7 @@ def _resolve_stat(name: str) -> tuple[Callable[[Sequence[int]], int], int | None
         raise ValueError(f"unknown statistic {name!r}")
     if r < 0:
         raise ValueError("r must be non-negative")
-    return functools.partial(des_r, r=r), r
+    return Statistic(functools.partial(des_r, r=r), r)
 
 
 def statistic(pi: Sequence[int], name: str) -> int:
@@ -524,75 +536,12 @@ def statistic(pi: Sequence[int], name: str) -> int:
     >>> statistic((7, 4, 2, 1, 3, 6, 5), "des_r(1)")
     2
     """
-    return _resolve_stat(name)[0](pi)
-
-
-def statistic_set(pi: Sequence[int], which: str) -> set[int]:
-    """Position or letter sets: Des_r(r), Bdes, RLmax, LRmax, weak_excedances.
-
-    RLmax and LRmax return letter values (so n is always a right-to-left
-    maximum of a nonempty permutation); the others return positions.
-    """
-    which = which.strip()
-    if which == "Bdes":
-        return {k for k in range(1, len(pi)) if pi[k - 1] > pi[k] + 1}
-    if which.startswith("Des_r(") and which.endswith(")"):
-        r = int(which[len("Des_r("):-1])
-        if r < 0:
-            raise ValueError("r must be non-negative")
-        return {k for k in range(1, len(pi)) if pi[k - 1] > pi[k] + r}
-    if which == "RLmax":
-        out, hi = set(), 0
-        for v in reversed(pi):
-            if v > hi:
-                out.add(v)
-                hi = v
-        return out
-    if which == "LRmax":
-        out, hi = set(), 0
-        for v in pi:
-            if v > hi:
-                out.add(v)
-                hi = v
-        return out
-    if which == "weak_excedances":
-        return weak_excedance_set(pi)
-    raise ValueError(f"unknown statistic set {which!r}")
+    return _resolve_stat(name).value(pi)
 
 
 # ---------------------------------------------------------------------------
-# pattern sets and distribution tables
+# distribution tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PatternSet:
-    """An avoidance class index: a set of patterns, order-normalized.
-
-    ``canonical_id`` is invariant under replacing the set by its
-    reverse-complement image, which indexes the trivial equivalences of the
-    big-descent distribution.
-    """
-
-    patterns: tuple[Perm, ...]
-
-    def __init__(self, patterns: Iterable[Sequence[int]]):
-        normalized = tuple(sorted({check_permutation(p) for p in patterns}))
-        object.__setattr__(self, "patterns", normalized)
-
-    @property
-    def canonical_id(self) -> str:
-        rc = tuple(sorted(reverse_complement(p) for p in self.patterns))
-        return format_pattern_set(min(self.patterns, rc, key=lambda ps: ps))
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-    def __len__(self):
-        return len(self.patterns)
-
-    def __str__(self):
-        return format_pattern_set(self.patterns)
-
 
 @dataclass(frozen=True)
 class DistributionTable:
@@ -618,9 +567,9 @@ def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,
                        limits: Limits = DEFAULT_LIMITS) -> DistributionTable:
     """Brute-force distribution of a statistic over S_n(patterns), tallied
     from the last level of the generating tree without building it."""
-    value, r = _resolve_stat(stat)
+    resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
-    counts = _grow(n, pats, value, r, every_depth=False)
+    counts = _grow(n, pats, resolved, every_depth=False)
     return DistributionTable(n=n, stat=stat, patterns=pats, counts=tuple(counts[n]))
 
 
@@ -629,9 +578,9 @@ def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
     """The tables of lengths 0..n from one walk of the generating tree,
     tallied at every depth: equal to ``distribution_table(m, ...)`` for each
     m, with the guard applied to n."""
-    value, r = _resolve_stat(stat)
+    resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
-    counts = _grow(n, pats, value, r, every_depth=True)
+    counts = _grow(n, pats, resolved, every_depth=True)
     return [DistributionTable(n=m, stat=stat, patterns=pats, counts=tuple(row))
             for m, row in enumerate(counts)]
 
@@ -654,10 +603,6 @@ def parse_permutation(text: str) -> Perm:
     if "," in text:
         return check_permutation([int(v) for v in text.split(",")])
     return check_permutation([int(ch) for ch in text])
-
-
-def format_pattern_set(patterns: Iterable[Sequence[int]]) -> str:
-    return ",".join(format_permutation(p) for p in sorted(tuple(p) for p in patterns))
 
 
 def parse_pattern_set(text: str) -> tuple[Perm, ...]:

@@ -4,8 +4,8 @@ import time
 import pytest
 
 from bigdescents.bijections import BIJECTIONS
-from bigdescents.cli import main
-from bigdescents.perms import enumerate_avoiders, format_permutation
+from bigdescents.cli import _build_parser, main
+from bigdescents.perms import enumerate_avoiders, format_permutation, statistic
 
 
 def run(capsys, *argv):
@@ -61,6 +61,48 @@ class TestTable:
         code, _, err = run(capsys, "table", "--patterns", "132", "--n", "3",
                            "--stat", "sideways")
         assert code == 2
+
+
+# The --stat grammar: each registered name, des_r(r) and its shorthand des_k,
+# with blanks around the name (and around r) ignored.
+ACCEPTED_STATS = ["des", "bdes", "sdes", "lddes", "pk", "rbdes", "basc",
+                  "lbasc", "hibasc", "lobasc", "des_r(2)", "des_3", "des_01",
+                  " bdes ", "des_r( 1 )"]
+REJECTED_STATS = ["zigzag", "des_", "des_r(-1)", "Des_r(1)", "sideways"]
+
+
+@pytest.mark.parametrize("stat", ACCEPTED_STATS)
+def test_stat_grammar_accepts(capsys, stat):
+    code, out, _ = run(capsys, "table", "--patterns", "", "--n", "6",
+                       "--stat", stat, "--format", "json")
+    assert code == 0
+    want = [0] * 7
+    for pi in enumerate_avoiders(6, ()):
+        want[statistic(pi, stat)] += 1
+    data = json.loads(out)
+    assert data["counts"] == want
+    assert data["stat"] == stat  # the user's string, unstripped
+
+
+@pytest.mark.parametrize("stat", REJECTED_STATS)
+def test_stat_grammar_rejects(capsys, stat):
+    code, out, err = run(capsys, "table", "--patterns", "", "--n", "3",
+                         "--stat", stat)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:")
+
+
+def test_which_choices_name_the_scans(capsys):
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if a.dest == "command"]
+    (which,) = [a for a in subparsers.choices["conjecture"]._actions
+                if a.dest == "which"]
+    assert which.choices == ["real-rooted", "log-concave", "unimodal",
+                             "schur-positive"]
+    for name in which.choices:
+        code, out, _ = run(capsys, "conjecture", "--which", name,
+                           "--max-n", "1", "--format", "json")
+        assert json.loads(out)["which"] == name.replace("-", "_")
 
 
 class TestSeries:

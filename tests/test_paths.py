@@ -19,6 +19,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             DyckPath("DU")
 
+    def test_dyck_heights(self):
+        assert DyckPath("UUDD").heights() == [1, 2, 1, 0]
+
     def test_two_motzkin(self):
         assert TwoMotzkinPath.is_valid(("h1", "u", "d"))
         assert not TwoMotzkinPath.is_valid(("d", "u"))
@@ -254,6 +257,14 @@ class TestGenerators:
     def test_dyck_counts_are_catalan(self):
         for m in range(8):
             assert sum(1 for _ in iter_dyck_paths(m)) == catalan(m)
+
+    def test_dyck_paths_are_every_dyck_word_in_order(self):
+        for m in range(7):
+            words = ("".join(w) for w in itertools.product("UD", repeat=2 * m))
+            dyck = [w for w in words
+                    if all(w[:k].count("U") >= w[:k].count("D")
+                           for k in range(2 * m)) and w.count("U") == m]
+            assert [mu.steps for mu in iter_dyck_paths(m)] == sorted(dyck)
 
     def test_two_motzkin_counts_are_catalan_shifted(self):
         for n in range(7):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from bigdescents import perms
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
-from bigdescents.perms import (DistributionTable, PatternSet, bdes, contains,
-                               count_avoiders, des, des_r, distribution_rows,
+from bigdescents.perms import (DistributionTable, bdes, complement, contains,
+                               des, des_r, distribution_rows,
                                distribution_table, enumerate_avoiders, lddes,
-                               parse_pattern_set, parse_permutation, pk, rbdes,
-                               sdes, standardize, statistic, statistic_set,
-                               symmetry)
+                               left_to_right_maxima, parse_pattern_set,
+                               parse_permutation, pk, rbdes, reverse,
+                               reverse_complement, sdes, standardize,
+                               statistic)
 from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
 
 perm_strategy = st.integers(0, 7).flatmap(
@@ -41,19 +43,19 @@ class TestStandardize:
 class TestSymmetry:
     def test_known_values(self):
         pi = (1, 4, 2, 5, 7, 3, 6)
-        assert symmetry(pi, "reverse") == (6, 3, 7, 5, 2, 4, 1)
-        assert symmetry(pi, "complement") == (7, 4, 6, 3, 1, 5, 2)
-        assert symmetry(pi, "reverse_complement") == (2, 5, 1, 3, 6, 4, 7)
+        assert reverse(pi) == (6, 3, 7, 5, 2, 4, 1)
+        assert complement(pi) == (7, 4, 6, 3, 1, 5, 2)
+        assert reverse_complement(pi) == (2, 5, 1, 3, 6, 4, 7)
 
     @given(perm_strategy)
     def test_rc_is_involution_and_commutes(self, pi):
-        rc = symmetry(pi, "reverse_complement")
-        assert symmetry(rc, "reverse_complement") == pi
-        assert rc == symmetry(symmetry(pi, "reverse"), "complement")
+        rc = reverse_complement(pi)
+        assert reverse_complement(rc) == pi
+        assert rc == complement(reverse(pi))
 
     @given(perm_strategy)
     def test_bdes_invariant_under_rc(self, pi):
-        assert bdes(pi) == bdes(symmetry(pi, "reverse_complement"))
+        assert bdes(pi) == bdes(reverse_complement(pi))
 
 
 class TestContains:
@@ -74,17 +76,22 @@ class TestContains:
             assert contains(pi, standardize(pi[:2]))
 
 
+def class_size(n, patterns):
+    """|S_n(patterns)|, tallied by the tree without building the class."""
+    return distribution_table(n, patterns, "des").total()
+
+
 class TestEnumerateAvoiders:
     def test_known_counts(self):
-        assert count_avoiders(3, ((1, 2, 3),)) == 5
-        assert count_avoiders(5, ((1, 2, 3), (3, 2, 1))) == 0
-        assert count_avoiders(4, ((2, 3, 1), (3, 1, 2))) == 8
+        assert class_size(3, ((1, 2, 3),)) == 5
+        assert class_size(5, ((1, 2, 3), (3, 2, 1))) == 0
+        assert class_size(4, ((2, 3, 1), (3, 1, 2))) == 8
 
     @pytest.mark.parametrize("sigma", list(itertools.permutations((1, 2, 3))))
     def test_catalan_counts(self, sigma):
         from bigdescents.genfun import catalan
         for n in range(8):
-            assert count_avoiders(n, (sigma,)) == catalan(n)
+            assert class_size(n, (sigma,)) == catalan(n)
 
     def test_lexicographic_order(self):
         out = list(enumerate_avoiders(4, ((1, 3, 2),)))
@@ -122,6 +129,15 @@ class TestEnumerateAvoiders:
         wider = Limits(avoider_guard_empty=12)
         assert next(enumerate_avoiders(12, (), limits=wider)) == tuple(range(1, 13))
 
+    def test_size_stated_up_to_length_100(self):
+        narrow = Limits(avoider_guard_empty=5)
+        with pytest.raises(BudgetError) as at_100:
+            list(enumerate_avoiders(100, (), limits=narrow))
+        assert f"({math.factorial(100)} permutations)" in str(at_100.value)
+        with pytest.raises(BudgetError) as at_101:
+            list(enumerate_avoiders(101, (), limits=narrow))
+        assert "permutations" not in str(at_101.value)
+
 
 class TestStatistics:
     def test_des_family(self):
@@ -137,14 +153,17 @@ class TestStatistics:
         assert lddes(pi) == 3
         assert pk(pi) == 2
 
+    def test_lbasc_counts_position_0_when_pi_1_exceeds_1(self):
+        assert statistic((1, 3, 2), "lbasc") == 1
+        assert statistic((2, 1, 3), "lbasc") == 2
+
     def test_hibasc_lobasc(self):
         pi = (2, 4, 1, 3, 7, 5, 6)
         assert statistic(pi, "hibasc") == 2
         assert statistic(pi, "lobasc") == 1
 
     def test_empty_permutation(self):
-        for name in ("des", "bdes", "sdes", "lddes", "pk", "rbdes", "basc",
-                     "lbasc", "hibasc", "lobasc", "des_r(3)"):
+        for name in [*perms.STATISTICS, "des_r(3)"]:
             assert statistic((), name) == 0
 
     def test_rbdes_small(self):
@@ -176,21 +195,15 @@ class TestStatistics:
 
 class TestStatisticSets:
     def test_rlmax(self):
-        assert statistic_set((2, 7, 4, 5, 3, 6, 1), "RLmax") == {1, 6, 7}
-
-    def test_bdes_set(self):
-        assert statistic_set((7, 4, 2, 1, 3, 6, 5), "Bdes") == {1, 2}
-        assert statistic_set(tuple(range(1, 8)), "Bdes") == set()
-
-    def test_des_r_set_matches_counts(self):
-        pi = (7, 4, 2, 1, 3, 6, 5)
-        for r in range(3):
-            assert len(statistic_set(pi, f"Des_r({r})")) == des_r(pi, r)
+        pi = (2, 7, 4, 5, 3, 6, 1)
+        assert left_to_right_maxima(reversed(pi)) == {1, 6, 7}
+        assert left_to_right_maxima(pi) == {2, 7}
 
     @given(perm_strategy)
     def test_n_is_always_a_rl_maximum(self, pi):
         if pi:
-            assert len(pi) in statistic_set(pi, "RLmax")
+            assert len(pi) in left_to_right_maxima(reversed(pi))
+            assert len(pi) in left_to_right_maxima(pi)
 
 
 class TestDistributionTable:
@@ -204,11 +217,14 @@ class TestDistributionTable:
 
     def test_total_is_class_size(self):
         table = distribution_table(6, ((2, 3, 1),), "bdes")
-        assert table.total() == count_avoiders(6, ((2, 3, 1),))
+        assert table.total() == len(list(enumerate_avoiders(6, ((2, 3, 1),))))
 
     def test_poly_trims(self):
         table = DistributionTable(2, "bdes", (), (2, 0, 0))
         assert table.poly() == [2]
+
+    def test_empty_class_keeps_one_entry(self):
+        assert distribution_table(3, ((1, 2), (2, 1)), "bdes").poly() == [0]
 
 
 class TestDistributionRows:
@@ -248,7 +264,8 @@ class TestDistributionRows:
 LENGTH_4_SETS = [((1, 2, 3, 4),), ((4, 3, 2, 1),), ((1, 3, 4, 2),),
                  ((2, 1, 4, 3),), ((1, 4, 2, 3),), ((2, 1, 3), (1, 2, 3, 4))]
 ORACLE_SETS = [*ALL_SINGLETONS, *ALL_PAIRS, *LENGTH_4_SETS, (), ((),)]
-ORACLE_STATS = {**perms._PLAIN_STATS, "des_r(2)": lambda pi: des_r(pi, 2)}
+ORACLE_STATS = {name: stat.value for name, stat in perms.STATISTICS.items()}
+ORACLE_STATS["des_r(2)"] = functools.partial(des_r, r=2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,11 +341,11 @@ class TestSerialization:
         assert parse_permutation(perms.format_permutation(big)) == big
         assert parse_permutation("") == ()
 
+    def test_commas_from_length_10(self):
+        assert perms.format_permutation(tuple(range(1, 10))) == "123456789"
+        assert perms.format_permutation(tuple(range(1, 11))) == \
+            "1,2,3,4,5,6,7,8,9,10"
+
     def test_pattern_set_round_trip(self):
         assert parse_pattern_set("213,231") == ((2, 1, 3), (2, 3, 1))
         assert parse_pattern_set("") == ()
-
-    def test_canonical_id_rc_invariant(self):
-        ps = PatternSet([(1, 2, 3), (1, 3, 2)])
-        rc = PatternSet([perms.reverse_complement(p) for p in ps])
-        assert ps.canonical_id == rc.canonical_id
