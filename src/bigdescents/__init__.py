@@ -4,15 +4,14 @@ relating them, generating functions with exact rational coefficients,
 quasisymmetric/Schur expansions, and conjecture checkers."""
 
 from .algebra import MultiPoly, TruncatedSeries
-from .bijections import (BIJECTIONS, apply, invert, reconstruct_from_maxima,
-                         verify_transfer)
+from .bijections import BIJECTIONS, apply, invert, verify_transfer
 from .config import DEFAULT_LIMITS, Limits
 from .conjectures import (branden_check, conjecture_scan, is_log_concave,
                           is_real_rooted, is_unimodal, real_root_count)
 from .genfun import (carlitz_verify, catalan, eulerian_r, expand,
                      expand_by_peak_insertion, expand_functional, formula)
 from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, occ_factor,
-                    path_statistic, return_decompose, run_count)
+                    path_statistic, run_count)
 from .perms import (DistributionTable, contains, distribution_rows,
                     distribution_table, enumerate_avoiders, standardize,
                     statistic)
@@ -23,15 +22,14 @@ __version__ = "1.0.0"
 
 __all__ = [
     "MultiPoly", "TruncatedSeries",
-    "BIJECTIONS", "apply", "invert", "reconstruct_from_maxima",
-    "verify_transfer",
+    "BIJECTIONS", "apply", "invert", "verify_transfer",
     "DEFAULT_LIMITS", "Limits",
     "branden_check", "conjecture_scan", "is_log_concave", "is_real_rooted",
     "is_unimodal", "real_root_count",
     "carlitz_verify", "catalan", "eulerian_r", "expand",
     "expand_by_peak_insertion", "expand_functional", "formula",
     "BinaryWord", "DyckPath", "TwoMotzkinPath", "occ_factor",
-    "path_statistic", "return_decompose", "run_count",
+    "path_statistic", "run_count",
     "DistributionTable", "contains", "distribution_rows",
     "distribution_table", "enumerate_avoiders", "standardize", "statistic",
     "QsymExpansion", "SymExpansion", "fundamental_to_monomial",

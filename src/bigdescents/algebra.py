@@ -273,20 +273,6 @@ class MultiPoly:
             result = result + factor
         return result
 
-    def evaluate(self, mapping: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate at a rational point; every used variable must be given."""
-        missing = self.used_vars() - set(mapping)
-        if missing:
-            raise ValueError(f"no value supplied for {sorted(missing)}")
-        total = 0
-        for exps, q in self.terms.items():
-            value = q
-            for name, e in zip(VARIABLES, exps):
-                if e:
-                    value *= _exact(mapping[name]) ** e
-            total += value
-        return _exact(total)
-
     def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")

@@ -17,7 +17,9 @@ The nine bijections:
   last-return decomposition into its first-return one, so
   omega_f = mirror o omega_l.  The inverse decodes the first-return
   decomposition over index ranges of the steps, sharing nothing with the
-  stack pass, and omega_l_inv = omega_f_inv o mirror.
+  stack pass, and omega_l_inv = omega_f_inv o mirror.  The mirror maps
+  step strings to step strings, so no map builds (and validates) a second
+  DyckPath.
 - chi: 321-avoiders to Dyck paths.  The path's k-th D step sits at height
   max(pi_1..pi_k) (north/east staircase tight against the diagonal, north
   playing U and east playing D); peaks correspond to weak excedances.
@@ -30,7 +32,9 @@ The nine bijections:
 - phi_123_132, phi_132_213, phi_231_321: avoiders of the pair to binary
   words of length n ending in 1 (indicator words of right-to-left maxima,
   ``rlmax_word``, for the first two; of left-to-right maxima, ``lrmax_word``,
-  for the third).
+  for the third).  Each inverse reads the word block by block: a 1 at
+  position k is one block, the maximum k with the values between it and the
+  previous 1's position, and the inverse lays the blocks out in order.
 """
 
 from __future__ import annotations
@@ -65,15 +69,9 @@ def _require_avoider(pi: Perm, patterns: tuple[Perm, ...]) -> None:
 # D: the last-return encoding, with no recursion (the stack word of Knuth,
 # TAOCP vol. 1, 2.2.1, ex. 5).
 
-def omega_l(pi: Perm) -> DyckPath:
-    """Last-return encoding: sigma n tau maps to w(std(tau)) U w(sigma) D.
-
-    Right to left, each letter pops (D) every smaller letter on top of the
-    stack and is then pushed (U); whatever is left is popped at the end.
-
-    >>> str(omega_l((3, 1, 2, 5, 4)))
-    'UDUUUDDUDD'
-    """
+def _stack_word(pi: Perm) -> str:
+    """Right to left, each letter pops (D) every smaller letter on top of the
+    stack and is then pushed (U); whatever is left is popped at the end."""
     word = []
     stack = []
     for v in reversed(pi):
@@ -83,28 +81,37 @@ def omega_l(pi: Perm) -> DyckPath:
         stack.append(v)
         word.append("U")
     word.append("D" * len(stack))
-    return DyckPath("".join(word))
+    return "".join(word)
 
 
 _SWAP_UD = str.maketrans("UD", "DU")
 
 
-def _mirror(path: DyckPath) -> DyckPath:
-    """The path read backwards with U and D swapped (its reflection)."""
-    return DyckPath(path.steps[::-1].translate(_SWAP_UD))
+def _mirror(steps: str) -> str:
+    """The steps read backwards with U and D swapped (the reflected path)."""
+    return steps[::-1].translate(_SWAP_UD)
+
+
+def omega_l(pi: Perm) -> DyckPath:
+    """Last-return encoding: sigma n tau maps to w(std(tau)) U w(sigma) D,
+    the word of the stack pass.
+
+    >>> str(omega_l((3, 1, 2, 5, 4)))
+    'UDUUUDDUDD'
+    """
+    return DyckPath(_stack_word(pi))
 
 
 def omega_f(pi: Perm) -> DyckPath:
     """First-return encoding: sigma n tau maps to U w(sigma) D w(std(tau)),
     the mirror of `omega_l`'s path (reflection swaps the first-return and
     last-return decompositions)."""
-    return _mirror(omega_l(pi))
+    return DyckPath(_mirror(_stack_word(pi)))
 
 
-def omega_f_inv(path: DyckPath) -> Perm:
-    """Decode U w(sigma) D w(tau) as sigma n tau over index ranges of the
-    steps, each U matched to its D once up front."""
-    steps = path.steps
+def _first_return_decode(steps: str) -> Perm:
+    """Decode the Dyck word U w(sigma) D w(tau) as sigma n tau over index
+    ranges of the steps, each U matched to its D once up front."""
     match = [0] * len(steps)
     opened = []
     for i, ch in enumerate(steps):
@@ -128,8 +135,12 @@ def omega_f_inv(path: DyckPath) -> Perm:
     return tuple(out)
 
 
+def omega_f_inv(path: DyckPath) -> Perm:
+    return _first_return_decode(path.steps)
+
+
 def omega_l_inv(path: DyckPath) -> Perm:
-    return omega_f_inv(_mirror(path))
+    return _first_return_decode(_mirror(path.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +164,7 @@ def chi(pi: Perm) -> DyckPath:
     return DyckPath("".join(word))
 
 
-def chi_inv(path: DyckPath, check: bool = True) -> Perm:
+def chi_inv(path: DyckPath) -> Perm:
     """Peaks become weak excedances; leftover rows and columns pair up
     in increasing order to fill the positions below the diagonal."""
     n = path.semilength
@@ -171,10 +182,7 @@ def chi_inv(path: DyckPath, check: bool = True) -> Perm:
             column += 1
         prev = ch
     free_rows = (r for r in range(1, n + 1) if row_free[r])
-    pi = tuple(v or next(free_rows) for v in values)
-    if check:
-        pi = check_permutation(pi)
-    return pi
+    return check_permutation(tuple(v or next(free_rows) for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -290,74 +298,41 @@ def lrmax_word(pi: Perm) -> BinaryWord:
     return BinaryWord("".join("1" if k in lr else "0" for k in range(1, len(pi) + 1)))
 
 
-def _maxima_set_from_word(w: BinaryWord) -> set[int]:
-    if not w.bits or w.bits[-1] != "1":
+def _maxima_blocks(w: BinaryWord) -> list[tuple[int, range]]:
+    """One block per 1 of the word, left to right: its position k (a maximum
+    of the preimage) and the values between the previous 1's position and k.
+    Every inverse below lays out these blocks, in one order or the other."""
+    if not w.bits.endswith("1"):
         raise ValueError(f"word {w.bits!r} does not end in 1")
-    return {k for k, ch in enumerate(w.bits, start=1) if ch == "1"}
-
-
-def reconstruct_from_maxima(maxima: set[int], variant: str,
-                            n: int | None = None) -> Perm:
-    """The unique avoider of length n with the given maxima set.
-
-    The length defaults to max(maxima); an explicit n must itself belong to
-    the set (the last letter read in the relevant direction is always a
-    maximum).
-
-    variants: ``rlmax_decreasing`` fills the gaps between consecutive
-    right-to-left maxima with decreasing runs (avoids 123 and 132),
-    ``rlmax_increasing`` with increasing runs (avoids 132 and 213), and
-    ``lrmax_increasing`` places each left-to-right maximum before an
-    increasing run (avoids 231 and 321).
-
-    >>> reconstruct_from_maxima({2, 5, 9}, "rlmax_decreasing")
-    (8, 7, 6, 9, 4, 3, 5, 1, 2)
-    """
-    if not maxima:
-        if n:
-            raise ValueError(f"length {n} requires {n} in the maxima set")
-        return ()
-    s = sorted(maxima)
-    if any(v < 1 for v in s):
-        raise ValueError("maxima must be positive integers")
-    if n is None:
-        n = s[-1]
-    if n not in maxima or s[-1] != n:
-        raise ValueError(f"the length {n} must be the set's maximum element")
-
-    def down(a: int, b: int) -> list[int]:
-        return list(range(b - 1, a, -1))
-
-    def up(a: int, b: int) -> list[int]:
-        return list(range(a + 1, b))
-
-    out: list[int] = []
-    if variant in ("rlmax_decreasing", "rlmax_increasing"):
-        run = down if variant == "rlmax_decreasing" else up
-        bounds = [0] + s
-        for i in range(len(s) - 1, -1, -1):
-            out.extend(run(bounds[i], bounds[i + 1]))
-            out.append(s[i])
-        return tuple(out)
-    if variant == "lrmax_increasing":
-        bounds = [0] + s
-        for i in range(len(s)):
-            out.append(s[i])
-            out.extend(up(bounds[i], bounds[i + 1]))
-        return tuple(out)
-    raise ValueError(f"unknown variant {variant!r}")
+    blocks, prev = [], 0
+    for k, ch in enumerate(w.bits, start=1):
+        if ch == "1":
+            blocks.append((k, range(prev + 1, k)))
+            prev = k
+    return blocks
 
 
 def phi_123_132_inv(w: BinaryWord) -> Perm:
-    return reconstruct_from_maxima(_maxima_set_from_word(w), "rlmax_decreasing")
+    """Largest maximum first, each right-to-left maximum after its block's
+    other values in decreasing order.
+
+    >>> phi_123_132_inv(BinaryWord("010010001"))
+    (8, 7, 6, 9, 4, 3, 5, 1, 2)
+    """
+    return tuple(v for k, gap in reversed(_maxima_blocks(w))
+                 for v in (*reversed(gap), k))
 
 
 def phi_132_213_inv(w: BinaryWord) -> Perm:
-    return reconstruct_from_maxima(_maxima_set_from_word(w), "rlmax_increasing")
+    """Largest maximum first, each block increasing up to its right-to-left
+    maximum."""
+    return tuple(v for k, gap in reversed(_maxima_blocks(w)) for v in (*gap, k))
 
 
 def phi_231_321_inv(w: BinaryWord) -> Perm:
-    return reconstruct_from_maxima(_maxima_set_from_word(w), "lrmax_increasing")
+    """Smallest maximum first, each left-to-right maximum before its block's
+    other values in increasing order."""
+    return tuple(v for k, gap in _maxima_blocks(w) for v in (k, *gap))
 
 
 # ---------------------------------------------------------------------------

@@ -183,11 +183,6 @@ def _cmd_series(args, limits: Limits) -> int:
     return 0
 
 
-def _parse_bijection_input(name: str, text: str, direction: str):
-    b = bijections.BIJECTIONS[name]
-    return (b.domain if direction == "apply" else b.codomain)(text.strip())
-
-
 def _cmd_bijection(args, limits: Limits) -> int:
     if args.verify_n is not None:
         report = bijections.verify_transfer(args.id, args.verify_n, limits)
@@ -200,13 +195,12 @@ def _cmd_bijection(args, limits: Limits) -> int:
             for r in report.identities:
                 print(f"  {r.label}: {r.failures} failures / {r.population}")
         return 0 if report.all_pass() else 1
+    b = bijections.BIJECTIONS[args.id]
     if args.apply is not None:
-        x = _parse_bijection_input(args.id, args.apply, "apply")
-        y = bijections.apply(args.id, x)
+        y = bijections.apply(args.id, b.domain(args.apply.strip()))
         out = str(y) if not isinstance(y, tuple) else format_permutation(y)
     else:
-        y = _parse_bijection_input(args.id, args.invert, "invert")
-        x = bijections.invert(args.id, y)
+        x = bijections.invert(args.id, b.codomain(args.invert.strip()))
         out = format_permutation(x) if isinstance(x, tuple) else str(x)
     if args.format == "json":
         print(json.dumps({"bijection": args.id, "result": out}))

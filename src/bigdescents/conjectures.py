@@ -139,13 +139,14 @@ def _log_concave_witness(counts: Sequence[int]) -> str | None:
 
 
 def _unimodal_witness(counts: Sequence[int]) -> str | None:
-    """None when the counts rise weakly and then fall weakly."""
+    """None when the counts rise weakly and then fall weakly (the empty row
+    vacuously)."""
     k = 0
     while k + 1 < len(counts) and counts[k] <= counts[k + 1]:
         k += 1
     while k + 1 < len(counts) and counts[k] >= counts[k + 1]:
         k += 1
-    return None if k == len(counts) - 1 else "interior dip"
+    return "interior dip" if k + 1 < len(counts) else None
 
 
 def is_real_rooted(p: MultiPoly | Sequence) -> bool:

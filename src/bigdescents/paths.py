@@ -189,30 +189,8 @@ def run_count(w: BinaryWord, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# decompositions and colored statistics
+# colored statistics
 # ---------------------------------------------------------------------------
-
-def return_decompose(p: DyckPath, which: str = "first") -> tuple[DyckPath, DyckPath]:
-    """Split a nonempty path as U p1 D p2 (first return) or p1 U p2 D (last).
-
-    >>> tuple(map(str, return_decompose(DyckPath("UUUDDUDDUDUUDD"), "first")))
-    ('UUDDUD', 'UDUUDD')
-    """
-    if not p.steps:
-        raise ValueError("cannot decompose the empty path")
-    heights = p.heights()
-    if which == "first":
-        i = heights.index(0)  # end of the first return
-        return DyckPath(p.steps[1:i]), DyckPath(p.steps[i + 1:])
-    if which == "last":
-        # last return: position after which the final excursion starts
-        j = 0
-        for idx in range(len(p.steps) - 1):
-            if heights[idx] == 0:
-                j = idx + 1
-        return DyckPath(p.steps[:j]), DyckPath(p.steps[j + 1:-1])
-    raise ValueError(f"unknown decomposition {which!r}")
-
 
 def path_statistics(p: DyckPath) -> Mapping[str, int]:
     """The path statistics read by the bijection identities, by name, from

@@ -96,33 +96,6 @@ def contains(pi: Sequence[int], sigma: Sequence[int]) -> bool:
     pi = tuple(pi)
     sigma = check_permutation(sigma)
     k = len(sigma)
-    if k > len(pi):
-        return False
-    if k == 0:
-        return True
-    if k == 3:
-        return _contains_len3(pi, sigma)
-    return _contains_general(pi, sigma)
-
-
-def _contains_len3(pi: Perm, sigma: Perm) -> bool:
-    n = len(pi)
-    for j in range(1, n - 1):
-        b = pi[j]
-        for i in range(j):
-            a = pi[i]
-            if (a < b) != (sigma[0] < sigma[1]):
-                continue
-            for k in range(j + 1, n):
-                c = pi[k]
-                if ((a < c) == (sigma[0] < sigma[2])
-                        and (b < c) == (sigma[1] < sigma[2])):
-                    return True
-    return False
-
-
-def _contains_general(pi: Perm, sigma: Perm) -> bool:
-    k = len(sigma)
 
     def extend(start: int, chosen: list[int]) -> bool:
         depth = len(chosen)
@@ -321,12 +294,12 @@ def _class_size(n: int, pats: tuple[Perm, ...]) -> int | None:
     return math.comb(2 * n, n) // (n + 1) if pats else math.factorial(n)
 
 
-def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic, every_depth: bool,
+def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
           leaves: list[Perm] | None = None) -> list[list[int]]:
     """Walk the generating tree of S_m(pats), m <= n, depth first.
 
     Returns ``counts[m][k]``, the number of avoiders of length m with
-    statistic value k, filled for m = n (for every m when `every_depth`).
+    statistic value k, for every m <= n.
     Each parent computes its active sites once and tallies its children's
     values without building them.  When ``stat.r`` is set the statistic is
     des_r(r), updated from the neighbours a, b of the inserted maximum m + 1
@@ -363,10 +336,9 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic, every_depth: bool,
                 node.insert(i, top)
                 values.append(value(node))
                 del node[i]
-        if every_depth or top == n:
-            row = counts[top]
-            for t in values:
-                row[t] += 1
+        row = counts[top]
+        for t in values:
+            row[t] += 1
         if top == n:
             if leaves is not None:
                 leaves.extend((*node[:i], top, *node[i:]) for i in sites)
@@ -393,7 +365,7 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
         yield from itertools.permutations(range(1, n + 1))
         return
     leaves: list[Perm] = []
-    _grow(n, pats, STATISTICS["des"], False, leaves)
+    _grow(n, pats, STATISTICS["des"], leaves)
     yield from sorted(leaves)
 
 
@@ -520,11 +492,15 @@ def _resolve_stat(name: str) -> Statistic:
     if name in STATISTICS:
         return STATISTICS[name]
     if name.startswith("des_r(") and name.endswith(")"):
-        r = int(name[len("des_r("):-1])
+        digits = name[len("des_r("):-1]
     elif name.startswith("des_") and name[len("des_"):].isdigit():
-        r = int(name[len("des_"):])
+        digits = name[len("des_"):]
     else:
-        raise ValueError(f"unknown statistic {name!r}")
+        digits = ""
+    try:
+        r = int(digits)
+    except ValueError:
+        raise ValueError(f"unknown statistic {name!r}") from None
     if r < 0:
         raise ValueError("r must be non-negative")
     return Statistic(functools.partial(des_r, r=r), r)
@@ -563,26 +539,22 @@ class DistributionTable:
         return sum(self.counts)
 
 
-def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,
-                       limits: Limits = DEFAULT_LIMITS) -> DistributionTable:
-    """Brute-force distribution of a statistic over S_n(patterns), tallied
-    from the last level of the generating tree without building it."""
-    resolved = _resolve_stat(stat)
-    pats = _checked_patterns(n, patterns, limits)
-    counts = _grow(n, pats, resolved, every_depth=False)
-    return DistributionTable(n=n, stat=stat, patterns=pats, counts=tuple(counts[n]))
-
-
 def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
                       limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
     """The tables of lengths 0..n from one walk of the generating tree,
-    tallied at every depth: equal to ``distribution_table(m, ...)`` for each
-    m, with the guard applied to n."""
+    tallied at every depth, with the guard applied to n."""
     resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
-    counts = _grow(n, pats, resolved, every_depth=True)
+    counts = _grow(n, pats, resolved)
     return [DistributionTable(n=m, stat=stat, patterns=pats, counts=tuple(row))
             for m, row in enumerate(counts)]
+
+
+def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,
+                       limits: Limits = DEFAULT_LIMITS) -> DistributionTable:
+    """Brute-force distribution of a statistic over S_n(patterns): the last
+    table of `distribution_rows`."""
+    return distribution_rows(n, patterns, stat, limits)[-1]
 
 
 # ---------------------------------------------------------------------------

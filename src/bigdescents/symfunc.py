@@ -1,17 +1,19 @@
 """Quasisymmetric functions indexed by descent-type sets, and Schur expansion.
 
-Quasisymmetric and symmetric functions are held abstractly as coefficient
-maps on a declared basis (fundamental F, monomial quasisymmetric M, monomial
-symmetric m, Schur s); no underlying variables are ever expanded.  The
+Quasisymmetric functions are held abstractly as coefficient maps on a
+declared basis (fundamental F or monomial quasisymmetric M), symmetric ones
+on the Schur basis s; no underlying variables are ever expanded.  The
 fundamental basis element F_{n,S} for S inside [n-1] is the sum of M_beta
 over all compositions beta of n refining the composition determined by S,
 i.e. M_{alpha(T)} over supersets T of S.
 
-Schur expansion of a symmetric input goes through the monomial symmetric
-basis and back-substitution against the Kostka matrix (s_lam = sum over mu of
-K_{lam,mu} m_mu), which is unitriangular with respect to dominance order;
-processing partitions in reverse-lexicographic order (a linear extension of
-dominance) makes the solve triangular, and integrality is automatic.
+Schur expansion of a symmetric input solves against the Kostka matrix
+(s_lam = sum over mu of K_{lam,mu} m_mu).  The coefficient of the monomial
+symmetric function m_lam in a symmetric input is its coefficient of M_lam,
+so the solve reads it straight off the M-expansion.  The matrix is
+unitriangular with respect to dominance order; processing partitions in
+reverse-lexicographic order (a linear extension of dominance) makes the
+solve triangular, and integrality is automatic.
 """
 
 from __future__ import annotations
@@ -125,15 +127,12 @@ class QsymExpansion:
 
 @dataclass(frozen=True)
 class SymExpansion:
-    """Integer combination of symmetric basis elements of one weight."""
+    """Integer combination of Schur functions of one weight."""
 
     n: int
-    basis: str  # "schur" or "monomial_sym"
     coeffs: dict[Partition, int]
 
     def __post_init__(self):
-        if self.basis not in ("schur", "monomial_sym"):
-            raise ValueError(f"unknown symmetric basis {self.basis!r}")
         clean = {}
         for lam, value in self.coeffs.items():
             lam = tuple(lam)
@@ -255,17 +254,6 @@ def is_symmetric(q: QsymExpansion) -> bool:
     return asymmetry_witness(q) is None
 
 
-def monomial_qsym_to_sym(q: QsymExpansion) -> SymExpansion:
-    if not is_symmetric(q):
-        raise ValueError(f"not symmetric; witness {asymmetry_witness(q)}")
-    coeffs = {}
-    for comp, value in q.coeffs.items():
-        lam = tuple(sorted(comp, reverse=True))
-        if lam == comp and value:
-            coeffs[lam] = value
-    return SymExpansion(n=q.n, basis="monomial_sym", coeffs=coeffs)
-
-
 def schur_expand(q: QsymExpansion) -> SymExpansion:
     """Schur expansion of a symmetric quasisymmetric expansion.
 
@@ -273,15 +261,17 @@ def schur_expand(q: QsymExpansion) -> SymExpansion:
     internal-consistency error if the triangular solve fails to reproduce
     the input exactly.
     """
-    monomial = monomial_qsym_to_sym(q)
+    witness = asymmetry_witness(q)
+    if witness is not None:
+        raise ValueError(f"not symmetric; witness {witness}")
     out: dict[Partition, int] = {}
     for lam in partitions_of(q.n):  # reverse-lex: dominating shapes first
-        value = monomial.coefficient(lam)
+        value = q.coefficient(lam)  # m_lam's coefficient, read off M_lam
         for nu, coeff in out.items():
             value -= coeff * kostka(nu, lam)
         if value:
             out[lam] = value
-    result = SymExpansion(n=q.n, basis="schur", coeffs=out)
+    result = SymExpansion(n=q.n, coeffs=out)
     if schur_to_monomial_qsym(result).coeffs != q.coeffs:
         raise ArithmeticError("Schur expansion failed to reproduce its input")
     return result
@@ -289,8 +279,6 @@ def schur_expand(q: QsymExpansion) -> SymExpansion:
 
 def schur_to_monomial_qsym(e: SymExpansion) -> QsymExpansion:
     """Re-expand a Schur combination into monomial quasisymmetrics."""
-    if e.basis != "schur":
-        raise ValueError("expected a Schur-basis expansion")
     coeffs: dict[Composition, int] = {}
     for lam, a in e.coeffs.items():
         for mu in partitions_of(e.n):
@@ -304,8 +292,6 @@ def schur_to_monomial_qsym(e: SymExpansion) -> QsymExpansion:
 
 
 def is_schur_positive(e: SymExpansion) -> bool:
-    if e.basis != "schur":
-        raise ValueError("expected a Schur-basis expansion")
     return all(v >= 0 for v in e.coeffs.values())
 
 

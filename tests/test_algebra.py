@@ -36,13 +36,6 @@ class TestMultiPoly:
         p = 4 + 9 * t + t ** 2
         assert p.derivative("t") == 9 + 2 * t
 
-    def test_evaluate(self):
-        p = 1 + 2 * t + t ** 2
-        assert p.evaluate({"t": 1}) == 4
-        assert p.evaluate({"t": Fraction(1, 2)}) == Fraction(9, 4)
-        with pytest.raises(ValueError):
-            (t * s).evaluate({"t": 1})
-
     def test_subs_variable_for_variable(self):
         p = t ** 2 * s
         assert p.subs({"s": t}) == t ** 3

@@ -5,8 +5,7 @@ from bigdescents.errors import DomainViolationError
 from bigdescents.genfun import catalan
 from bigdescents.paths import (BinaryWord, DyckPath, iter_dyck_paths,
                                iter_two_motzkin)
-from bigdescents.perms import (bdes, enumerate_avoiders, left_to_right_maxima,
-                               reverse, standardize)
+from bigdescents.perms import bdes, enumerate_avoiders, reverse, standardize
 
 
 class TestWorkedExamples:
@@ -62,30 +61,7 @@ class TestOmegaAgainstFirstReturn:
         assert checked == 6918
 
 
-class TestReconstructFromMaxima:
-    def test_decreasing_variant(self):
-        assert bj.reconstruct_from_maxima({2, 5, 9}, "rlmax_decreasing") == \
-            (8, 7, 6, 9, 4, 3, 5, 1, 2)
-        assert bj.reconstruct_from_maxima({3}, "rlmax_decreasing") == (2, 1, 3)
-
-    def test_increasing_variants(self):
-        pi = bj.reconstruct_from_maxima({2, 5, 9}, "rlmax_increasing")
-        assert left_to_right_maxima(reversed(pi)) == {2, 5, 9}
-        full = bj.reconstruct_from_maxima(set(range(1, 6)), "lrmax_increasing")
-        assert full == (1, 2, 3, 4, 5)
-
-    def test_requires_max_element(self):
-        with pytest.raises(ValueError):
-            bj.reconstruct_from_maxima({2, 5}, "rlmax_decreasing", n=7)
-        with pytest.raises(ValueError):
-            bj.reconstruct_from_maxima({3}, "sideways")
-
-    def test_resulting_maxima_sets(self):
-        for s in ({1, 4}, {2, 3, 4}, {4}):
-            pi = bj.reconstruct_from_maxima(s, "rlmax_decreasing")
-            assert left_to_right_maxima(reversed(pi)) == s
-            pi = bj.reconstruct_from_maxima(s, "lrmax_increasing")
-            assert left_to_right_maxima(pi) == s
+MAXIMA_WORD_BIJECTIONS = ("phi_123_132", "phi_132_213", "phi_231_321")
 
 
 class TestDomainChecking:
@@ -101,9 +77,11 @@ class TestDomainChecking:
         assert bj.apply("chi", (1, 3, 2), check=True) == \
             bj.apply("chi", (1, 3, 2), check=False)
 
-    def test_word_inverses_require_trailing_one(self):
-        with pytest.raises(ValueError):
-            bj.invert("phi_123_132", BinaryWord("0110"))
+    @pytest.mark.parametrize("bits", ["", "0", "0110"])
+    @pytest.mark.parametrize("name", MAXIMA_WORD_BIJECTIONS)
+    def test_word_inverses_require_trailing_one(self, name, bits):
+        with pytest.raises(ValueError, match="does not end in 1"):
+            bj.invert(name, BinaryWord(bits))
 
     def test_psi_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -152,7 +130,7 @@ class TestRoundTrips:
                 assert bj.psi(bj.psi_inv(alpha)) == alpha
 
     def test_word_bijections_back_then_forward(self):
-        for n in range(1, 7):
+        for n in range(1, 11):
             from bigdescents.paths import iter_binary_words
             for w in iter_binary_words(n - 1):
                 for name in ("phi_213_231", "phi_213_312"):
@@ -160,7 +138,7 @@ class TestRoundTrips:
             for w in iter_binary_words(n):
                 if not w.bits.endswith("1"):
                     continue
-                for name in ("phi_123_132", "phi_132_213", "phi_231_321"):
+                for name in MAXIMA_WORD_BIJECTIONS:
                     assert bj.apply(name, bj.invert(name, w)) == w
 
 

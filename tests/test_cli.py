@@ -68,7 +68,8 @@ class TestTable:
 ACCEPTED_STATS = ["des", "bdes", "sdes", "lddes", "pk", "rbdes", "basc",
                   "lbasc", "hibasc", "lobasc", "des_r(2)", "des_3", "des_01",
                   " bdes ", "des_r( 1 )"]
-REJECTED_STATS = ["zigzag", "des_", "des_r(-1)", "Des_r(1)", "sideways"]
+REJECTED_STATS = ["zigzag", "des_", "des_r(-1)", "Des_r(1)", "sideways",
+                  "des_r(x)", "des_\u00b2"]
 
 
 @pytest.mark.parametrize("stat", ACCEPTED_STATS)
@@ -90,6 +91,8 @@ def test_stat_grammar_rejects(capsys, stat):
                          "--stat", stat)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input:")
+    assert ("r must be non-negative" if stat == "des_r(-1)"
+            else "unknown statistic") in err
 
 
 def test_which_choices_name_the_scans(capsys):

@@ -61,6 +61,7 @@ class TestSequenceShape:
         assert not is_log_concave([1, 1, 2])
         assert is_log_concave([7])
         assert is_log_concave([])
+        assert is_unimodal([])
 
     def test_unimodal(self):
         assert is_unimodal([1, 3, 3, 2, 0])

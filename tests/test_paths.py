@@ -7,7 +7,7 @@ from bigdescents.genfun import catalan
 from bigdescents.paths import (BinaryWord, DyckPath, TwoMotzkinPath,
                                iter_binary_words, iter_dyck_paths,
                                iter_two_motzkin, occ_factor, path_statistic,
-                               path_statistics, return_decompose, run_count)
+                               path_statistics, run_count)
 
 
 class TestValidation:
@@ -74,28 +74,6 @@ class TestOccFactor:
             occ_factor(DyckPath("UD"), "")
         with pytest.raises(ValueError):
             occ_factor(BinaryWord("01"), "", level0_only=True)
-
-
-class TestReturnDecompose:
-    def test_known_values(self):
-        mu = DyckPath("UUUDDUDDUDUUDD")
-        first = return_decompose(mu, "first")
-        assert tuple(map(str, first)) == ("UUDDUD", "UDUUDD")
-        last = return_decompose(mu, "last")
-        assert tuple(map(str, last)) == ("UUUDDUDDUD", "UD")
-        assert tuple(map(str, return_decompose(DyckPath("UD"), "first"))) == ("", "")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            return_decompose(DyckPath(""), "first")
-
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_round_trips(self, m):
-        for mu in iter_dyck_paths(m):
-            a, b = return_decompose(mu, "first")
-            assert "U" + a.steps + "D" + b.steps == mu.steps
-            c, d = return_decompose(mu, "last")
-            assert c.steps + "U" + d.steps + "D" == mu.steps
 
 
 class TestPathStatistics:

@@ -128,11 +128,11 @@ class TestSchurMachinery:
         assert schur_expand(q).coeffs == {}
 
     def test_schur_positivity_detects_negatives(self):
-        e = SymExpansion(n=2, basis="schur", coeffs={(2,): 1, (1, 1): -1})
+        e = SymExpansion(n=2, coeffs={(2,): 1, (1, 1): -1})
         assert not is_schur_positive(e)
 
     def test_format(self):
-        e = SymExpansion(n=5, basis="schur",
+        e = SymExpansion(n=5,
                          coeffs={(2, 2, 1): 1, (3, 2): 4, (4, 1): 3, (5,): 5})
         assert format_schur(e) == "s(2,2,1)+4s(3,2)+3s(4,1)+5s(5)"
 
