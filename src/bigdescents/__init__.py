@@ -15,8 +15,8 @@ from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, occ_factor,
 from .perms import (DistributionTable, contains, distribution_rows,
                     distribution_table, enumerate_avoiders, standardize,
                     statistic)
-from .symfunc import (QsymExpansion, SymExpansion, fundamental_to_monomial,
-                      is_schur_positive, is_symmetric, qsym_sum, schur_expand)
+from .symfunc import (QsymExpansion, SymExpansion, is_schur_positive, qsym_sum,
+                      schur_expand)
 
 __version__ = "1.0.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "path_statistic", "run_count",
     "DistributionTable", "contains", "distribution_rows",
     "distribution_table", "enumerate_avoiders", "standardize", "statistic",
-    "QsymExpansion", "SymExpansion", "fundamental_to_monomial",
-    "is_schur_positive", "is_symmetric", "qsym_sum", "schur_expand",
+    "QsymExpansion", "SymExpansion", "is_schur_positive", "qsym_sum",
+    "schur_expand",
     "__version__",
 ]

@@ -39,8 +39,7 @@ The nine bijections:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import perms
 from .config import DEFAULT_LIMITS, Limits
@@ -339,8 +338,7 @@ def phi_231_321_inv(w: BinaryWord) -> Perm:
 # registry, apply/invert, and the transfer verifier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(NamedTuple):
     name: str
     domain_patterns: tuple[Perm, ...] | None  # None: domain is Dyck paths
     domain: Callable[[str], object]  # parses one domain object written as text
@@ -495,15 +493,13 @@ def _lookup(name: str) -> Bijection:
                          f"have {sorted(BIJECTIONS)}") from None
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     label: str
     population: int
     failures: int
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     bijection: str
     n: int
     population: int

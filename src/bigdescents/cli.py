@@ -15,7 +15,6 @@ points at.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -116,8 +115,8 @@ def _with_max_n(limits: Limits, max_n: int | None) -> Limits:
     """The guards of `table`/`qsym`: ``--max-n`` replaces whichever applies."""
     if max_n is None:
         return limits
-    return dataclasses.replace(limits, avoider_guard_empty=max_n,
-                               avoider_guard_patterns=max_n, qsym_guard=max_n)
+    return limits._replace(avoider_guard_empty=max_n,
+                           avoider_guard_patterns=max_n, qsym_guard=max_n)
 
 
 def _cmd_table(args, limits: Limits) -> int:

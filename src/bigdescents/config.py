@@ -4,22 +4,21 @@ Exhaustive enumeration over S_n grows factorially and over avoider classes
 like the Catalan numbers, so every brute-force entry point is guarded.  The
 defaults below keep any single call comfortably inside a desk-scale budget;
 reproduction scripts rely on the hard defaults.  A caller that needs more
-passes ``limits=Limits(...)`` (or ``dataclasses.replace(DEFAULT_LIMITS,
-...)``); the CLI builds that value from a JSON config file and, for `table`
-and `qsym`, from ``--max-n``.  `Limits.check` is the one place a job over a
+passes ``limits=Limits(...)`` (or ``DEFAULT_LIMITS._replace(...)``); the
+CLI builds that value from a JSON config file and, for `table` and `qsym`,
+from ``--max-n``.  `Limits.check` is the one place a job over a
 guard is refused.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import BudgetError
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     """Hard defaults for enumeration budgets and expansion orders."""
 
     # enumerate_avoiders / distribution_table over the full symmetric group
@@ -36,9 +35,9 @@ class Limits:
     bfile_offset: int = 1
 
     def validated(self) -> "Limits":
-        for f in fields(self):
-            if getattr(self, f.name) <= 0 and f.name != "bfile_offset":
-                raise ValueError(f"guard {f.name} must be positive")
+        for name, value in zip(self._fields, self):
+            if value <= 0 and name != "bfile_offset":
+                raise ValueError(f"guard {name} must be positive")
         return self
 
     def check(self, guard: str, n: int, size: int | None = None) -> None:
@@ -56,8 +55,7 @@ def load_limits(path: str) -> Limits:
     """Read guard overrides from a JSON object keyed by field name."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    known = {f.name for f in fields(Limits)}
-    unknown = set(data) - known
+    unknown = set(data) - set(Limits._fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return Limits(**data).validated()

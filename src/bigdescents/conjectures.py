@@ -22,8 +22,7 @@ property, and the classes predicted to fail it.  ``is_log_concave`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import MultiPoly
 from .config import DEFAULT_LIMITS, Limits
@@ -204,8 +203,7 @@ def stembridge_consistency(n: int) -> bool:
 # conjecture scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     patterns: PatternTuple
     n: int
     holds: bool
@@ -223,8 +221,7 @@ class ScanRecord:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     which: str
     max_n: int
     records: tuple[ScanRecord, ...]
@@ -251,8 +248,7 @@ _SCAN_TARGETS = ALL_SINGLETONS + ALL_PAIRS
 _SCHUR_TARGETS: tuple[PatternTuple, ...] = ((), ((1, 2, 3),), ((1, 2, 3, 4),))
 
 
-@dataclass(frozen=True)
-class RowProperty:
+class RowProperty(NamedTuple):
     """A property of each bdes distribution row of the size-1 and size-2
     classes.  `witness` maps a row's counts to None when the row has the
     property and to the reason when it does not; each class in

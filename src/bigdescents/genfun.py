@@ -25,9 +25,8 @@ raises DivergenceError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import MultiPoly, TruncatedSeries, series_compose
 from .config import DEFAULT_LIMITS, Limits
@@ -321,8 +320,7 @@ def _functional_W1_words(N: int) -> TruncatedSeries:
 # the id registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GFRoutes:
+class GFRoutes(NamedTuple):
     """The expansion routes of one named generating function."""
 
     closed: Callable[..., TruncatedSeries]  # closed(N), or closed(N, r)

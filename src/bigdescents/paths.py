@@ -18,21 +18,32 @@ per path and cached on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 
-@dataclass(frozen=True)
 class DyckPath:
     """A balanced U/D word whose every prefix has at least as many U as D."""
 
     steps: str
 
-    def __post_init__(self):
-        if not DyckPath.is_valid(self.steps):
-            raise ValueError(f"{self.steps!r} is not a Dyck word")
+    def __init__(self, steps: str):
+        if not DyckPath.is_valid(steps):
+            raise ValueError(f"{steps!r} is not a Dyck word")
+        self.__dict__["steps"] = steps
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DyckPath is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        return self.steps == other.steps if type(other) is DyckPath else NotImplemented
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"DyckPath(steps={self.steps!r})"
 
     @staticmethod
     def is_valid(steps: str) -> bool:
@@ -54,18 +65,9 @@ class DyckPath:
 
     @cached_property
     def statistics(self) -> Mapping[str, int]:
-        """`path_statistics` of this path, computed on first use.  The cache
-        lives outside the dataclass fields, so it changes neither equality
-        nor the hash."""
+        """`path_statistics` of this path, computed on first use.  Equality
+        and the hash read only `steps`, so the cache changes neither."""
         return path_statistics(self)
-
-    def heights(self) -> list[int]:
-        """Heights after each step (length = number of steps)."""
-        out, h = [], 0
-        for ch in self.steps:
-            h += 1 if ch == "U" else -1
-            out.append(h)
-        return out
 
     def __str__(self):
         return self.steps
@@ -74,15 +76,28 @@ class DyckPath:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
 class TwoMotzkinPath:
     """A word over u, d, h0, h1 with balanced u/d and non-negative prefixes."""
 
     steps: tuple[str, ...]
 
-    def __post_init__(self):
-        if not TwoMotzkinPath.is_valid(self.steps):
-            raise ValueError(f"{self.steps!r} is not a 2-Motzkin word")
+    def __init__(self, steps: tuple[str, ...]):
+        if not TwoMotzkinPath.is_valid(steps):
+            raise ValueError(f"{steps!r} is not a 2-Motzkin word")
+        self.__dict__["steps"] = steps
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TwoMotzkinPath is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        return (self.steps == other.steps if type(other) is TwoMotzkinPath
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"TwoMotzkinPath(steps={self.steps!r})"
 
     @staticmethod
     def is_valid(steps) -> bool:
@@ -115,15 +130,27 @@ class TwoMotzkinPath:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
 class BinaryWord:
     """A word over {0,1}, stored most-significant-first as written."""
 
     bits: str
 
-    def __post_init__(self):
-        if not BinaryWord.is_valid(self.bits):
-            raise ValueError(f"{self.bits!r} is not a binary word")
+    def __init__(self, bits: str):
+        if not BinaryWord.is_valid(bits):
+            raise ValueError(f"{bits!r} is not a binary word")
+        self.__dict__["bits"] = bits
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BinaryWord is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        return self.bits == other.bits if type(other) is BinaryWord else NotImplemented
+
+    def __hash__(self):
+        return hash(self.bits)
+
+    def __repr__(self):
+        return f"BinaryWord(bits={self.bits!r})"
 
     @staticmethod
     def is_valid(bits: str) -> bool:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -70,15 +69,6 @@ def standardize(word: Sequence[int]) -> Perm:
 
 def reverse(pi: Sequence[int]) -> Perm:
     return tuple(reversed(pi))
-
-
-def complement(pi: Sequence[int]) -> Perm:
-    n = len(pi)
-    return tuple(n + 1 - v for v in pi)
-
-
-def reverse_complement(pi: Sequence[int]) -> Perm:
-    return complement(reverse(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +509,7 @@ def statistic(pi: Sequence[int], name: str) -> int:
 # distribution tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     """Counts b_{n,k} of avoiders of given length by a statistic value."""
 
     n: int

@@ -18,8 +18,6 @@ solve triangular, and integrality is automatic.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -101,7 +99,6 @@ def _horizontal_strip_removals(lam: Partition, size: int) -> Iterator[Partition]
 # expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QsymExpansion:
     """Integer combination of quasisymmetric basis elements of one weight."""
 
@@ -109,54 +106,62 @@ class QsymExpansion:
     basis: str  # "fundamental" or "monomial_qsym"
     coeffs: dict[Composition, int]
 
-    def __post_init__(self):
-        if self.basis not in ("fundamental", "monomial_qsym"):
-            raise ValueError(f"unknown quasisymmetric basis {self.basis!r}")
+    def __init__(self, n: int, basis: str, coeffs: dict[Composition, int]):
+        if basis not in ("fundamental", "monomial_qsym"):
+            raise ValueError(f"unknown quasisymmetric basis {basis!r}")
         clean = {}
-        for comp, value in self.coeffs.items():
+        for comp, value in coeffs.items():
             comp = tuple(comp)
-            if sum(comp) != self.n or any(p < 1 for p in comp):
-                raise ValueError(f"{comp} is not a composition of {self.n}")
+            if sum(comp) != n or any(p < 1 for p in comp):
+                raise ValueError(f"{comp} is not a composition of {n}")
             if value:
                 clean[comp] = value
-        object.__setattr__(self, "coeffs", clean)
+        self.__dict__.update(n=n, basis=basis, coeffs=clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QsymExpansion is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not QsymExpansion:
+            return NotImplemented
+        return (self.n, self.basis, self.coeffs) == (other.n, other.basis, other.coeffs)
+
+    def __repr__(self):
+        return f"QsymExpansion(n={self.n}, basis={self.basis!r}, coeffs={self.coeffs})"
 
     def coefficient(self, comp: Composition) -> int:
         return self.coeffs.get(tuple(comp), 0)
 
 
-@dataclass(frozen=True)
 class SymExpansion:
     """Integer combination of Schur functions of one weight."""
 
     n: int
     coeffs: dict[Partition, int]
 
-    def __post_init__(self):
+    def __init__(self, n: int, coeffs: dict[Partition, int]):
         clean = {}
-        for lam, value in self.coeffs.items():
+        for lam, value in coeffs.items():
             lam = tuple(lam)
-            if sum(lam) != self.n or list(lam) != sorted(lam, reverse=True):
-                raise ValueError(f"{lam} is not a partition of {self.n}")
+            if sum(lam) != n or list(lam) != sorted(lam, reverse=True):
+                raise ValueError(f"{lam} is not a partition of {n}")
             if value:
                 clean[lam] = value
-        object.__setattr__(self, "coeffs", clean)
+        self.__dict__.update(n=n, coeffs=clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SymExpansion is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not SymExpansion:
+            return NotImplemented
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
+
+    def __repr__(self):
+        return f"SymExpansion(n={self.n}, coeffs={self.coeffs})"
 
     def coefficient(self, lam: Partition) -> int:
         return self.coeffs.get(tuple(lam), 0)
-
-
-def fundamental_to_monomial(n: int, subset: Iterable[int]) -> QsymExpansion:
-    """F_{n,S} in the monomial quasisymmetric basis (all coefficients 1)."""
-    s = frozenset(subset)
-    if any(not 1 <= v <= n - 1 for v in s):
-        raise ValueError(f"{sorted(s)} is not a subset of [{n - 1}]")
-    others = sorted(set(range(1, n)) - s)
-    coeffs: dict[Composition, int] = {}
-    for k in range(len(others) + 1):
-        for extra in itertools.combinations(others, k):
-            coeffs[composition_from_set(n, s | set(extra))] = 1
-    return QsymExpansion(n=n, basis="monomial_qsym", coeffs=coeffs)
 
 
 def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
@@ -248,10 +253,6 @@ def asymmetry_witness(q: QsymExpansion) -> tuple[Composition, Composition] | Non
                 a, b = sorted((rep, comp))
                 return (a, b)
     return None
-
-
-def is_symmetric(q: QsymExpansion) -> bool:
-    return asymmetry_witness(q) is None
 
 
 def schur_expand(q: QsymExpansion) -> SymExpansion:

@@ -8,7 +8,7 @@ formulas, generating functions, and bijections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import genfun, wilf
 from .bijections import BIJECTIONS, verify_transfer
@@ -17,8 +17,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .perms import bdes, distribution_rows, enumerate_avoiders
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     n: int
     population: int

@@ -14,7 +14,7 @@ callables of ``catalogue.TABLE_CLASS_ROUTES``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_LIMITS, Limits
 from .perms import Perm, distribution_rows, parse_pattern_set as _ps
@@ -55,8 +55,7 @@ def class_of(patterns: PatternTuple) -> tuple[PatternTuple, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ClassComparison:
+class ClassComparison(NamedTuple):
     left: PatternTuple
     right: PatternTuple
     same_class: bool
@@ -67,8 +66,7 @@ class ClassComparison:
         return (self.witness_n is None) == self.same_class
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     max_n: int
     comparisons: tuple[ClassComparison, ...]
 

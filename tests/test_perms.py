@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from bigdescents import perms
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
-from bigdescents.perms import (DistributionTable, bdes, complement, contains,
-                               des, des_r, distribution_rows,
-                               distribution_table, enumerate_avoiders, lddes,
+from bigdescents.perms import (DistributionTable, bdes, contains, des, des_r,
+                               distribution_rows, distribution_table,
+                               enumerate_avoiders, lddes,
                                left_to_right_maxima, parse_pattern_set,
-                               parse_permutation, pk, rbdes, reverse,
-                               reverse_complement, sdes, standardize,
-                               statistic)
+                               parse_permutation, pk, rbdes, reverse, sdes,
+                               standardize, statistic)
 from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
 
 perm_strategy = st.integers(0, 7).flatmap(
@@ -38,6 +37,15 @@ class TestStandardize:
         for i in range(len(word)):
             for j in range(len(word)):
                 assert (word[i] < word[j]) == (out[i] < out[j])
+
+
+def complement(pi):
+    n = len(pi)
+    return tuple(n + 1 - v for v in pi)
+
+
+def reverse_complement(pi):
+    return complement(reverse(pi))
 
 
 class TestSymmetry:

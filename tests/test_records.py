@@ -1,0 +1,155 @@
+"""The package's immutable value types: records and validated paths, words
+and expansions."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bigdescents import conjectures, genfun
+from bigdescents.bijections import (BIJECTIONS, Bijection, IdentityResult,
+                                    TransferReport, verify_transfer)
+from bigdescents.cli import _with_max_n, main
+from bigdescents.config import DEFAULT_LIMITS, Limits, load_limits
+from bigdescents.conjectures import (RowProperty, ScanRecord, ScanReport,
+                                     conjecture_scan)
+from bigdescents.genfun import GFRoutes
+from bigdescents.paths import BinaryWord, DyckPath, TwoMotzkinPath
+from bigdescents.perms import DistributionTable, distribution_table
+from bigdescents.symfunc import QsymExpansion, SymExpansion
+from bigdescents.verify import CheckResult
+from bigdescents.wilf import ClassComparison, PartitionReport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# (type, a function building one value afresh on each call, one field)
+VALUES = [
+    (Limits, lambda: Limits(qsym_guard=9), "qsym_guard"),
+    (DistributionTable, lambda: distribution_table(4, [(1, 3, 2)], "bdes"),
+     "counts"),
+    (CheckResult, lambda: CheckResult(name="c", n=3, population=5, ok=True),
+     "ok"),
+    (ClassComparison, lambda: ClassComparison(((1, 3, 2),), ((2, 3, 1),),
+                                              True, None), "witness_n"),
+    (PartitionReport, lambda: PartitionReport(3, (ClassComparison(
+        ((1, 3, 2),), ((2, 1, 3),), False, 3),)), "comparisons"),
+    (IdentityResult, lambda: IdentityResult("pk", 14, 0), "failures"),
+    (TransferReport, lambda: verify_transfer("psi", 4), "population"),
+    (Bijection, lambda: BIJECTIONS["chi"]._replace(), "forward"),
+    (ScanRecord, lambda: ScanRecord(((1, 2, 3),), 4, True, True, None),
+     "holds"),
+    (ScanReport, lambda: conjecture_scan("log_concave", 4), "records"),
+    (RowProperty, lambda: RowProperty(conjectures._unimodal_witness),
+     "witness"),
+    (GFRoutes, lambda: GFRoutes(genfun.catalan), "closed"),
+    (DyckPath, lambda: DyckPath("UUDUDD"), "steps"),
+    (TwoMotzkinPath, lambda: TwoMotzkinPath(("h1", "u", "h0", "d")), "steps"),
+    (BinaryWord, lambda: BinaryWord("0110"), "bits"),
+    (QsymExpansion, lambda: QsymExpansion(3, "fundamental", {(1, 2): 2}),
+     "coeffs"),
+    (SymExpansion, lambda: SymExpansion(n=3, coeffs={(2, 1): 1}), "coeffs"),
+]
+UNHASHABLE = (QsymExpansion, SymExpansion)  # they hold a coefficient dict
+IDS = [kind.__name__ for kind, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("kind, make, field", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned(kind, make, field):
+    value = make()
+    assert type(value) is kind
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize("kind, make, field", VALUES, ids=IDS)
+def test_equal_values_are_equal_and_hash_equal(kind, make, field):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    if kind in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("make, other", [
+    (lambda: DyckPath("UD"), lambda: DyckPath("UUDD")),
+    (lambda: TwoMotzkinPath(("h0",)), lambda: TwoMotzkinPath(("h1",))),
+    (lambda: BinaryWord("01"), lambda: BinaryWord("10")),
+    (lambda: QsymExpansion(2, "fundamental", {(2,): 1}),
+     lambda: QsymExpansion(2, "monomial_qsym", {(2,): 1})),
+    (lambda: SymExpansion(2, {(2,): 1}), lambda: SymExpansion(2, {(2,): 2})),
+], ids=["DyckPath", "TwoMotzkinPath", "BinaryWord", "QsymExpansion",
+        "SymExpansion"])
+def test_validated_types_compare_by_value_and_type(make, other):
+    assert make() != other()
+    assert make() != str(make())
+
+
+def test_paths_and_words_are_not_tuples():
+    # the CLI prints a bijection's result as a permutation iff it is a tuple
+    values = (DyckPath("UD"), TwoMotzkinPath(("h0",)), BinaryWord("1"))
+    assert not any(isinstance(value, tuple) for value in values)
+    assert [len(value) for value in values] == [2, 1, 1]
+
+
+def test_dyck_statistics_cache_is_outside_equality():
+    a, b = DyckPath("UUDDUD"), DyckPath("UUDDUD")
+    assert a.statistics["pk"] == 2
+    assert a == b and hash(a) == hash(b)
+    assert str(a) == "UUDDUD"
+
+
+def test_invalid_input_is_refused_under_python_O():
+    # the refusals are raises, not asserts, so -O keeps them
+    script = (
+        "from bigdescents.paths import BinaryWord, DyckPath, TwoMotzkinPath\n"
+        "from bigdescents.symfunc import QsymExpansion, SymExpansion\n"
+        "bad = [lambda: DyckPath('DU'), lambda: TwoMotzkinPath(('d', 'u')),\n"
+        "       lambda: BinaryWord('012'),\n"
+        "       lambda: QsymExpansion(2, 'schur', {}),\n"
+        "       lambda: QsymExpansion(3, 'fundamental', {(1, 1): 1}),\n"
+        "       lambda: SymExpansion(3, {(1, 2): 1})]\n"
+        "refused = 0\n"
+        "for make in bad:\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
+        "        refused += 1\n"
+        "print(refused)\n")
+    out = subprocess.run([sys.executable, "-B", "-O", "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC)}).stdout
+    assert out.strip() == "6"
+
+
+def test_load_limits_refuses_unknown_keys_and_non_positive_guards(tmp_path):
+    cfg = tmp_path / "limits.json"
+    cfg.write_text(json.dumps({"qsym_guard": 9, "bfile_offset": 0}))
+    assert load_limits(str(cfg)) == DEFAULT_LIMITS._replace(qsym_guard=9,
+                                                            bfile_offset=0)
+    cfg.write_text(json.dumps({"qsym_gaurd": 9}))
+    with pytest.raises(ValueError, match=r"unknown config keys: \['qsym_gaurd'\]"):
+        load_limits(str(cfg))
+    for field in set(Limits._fields) - {"bfile_offset"}:
+        cfg.write_text(json.dumps({field: 0}))
+        with pytest.raises(ValueError, match=f"guard {field} must be positive"):
+            load_limits(str(cfg))
+
+
+def test_max_n_overrides_the_three_enumeration_guards(tmp_path, capsys):
+    lifted = _with_max_n(Limits(series_order=5), 3)
+    assert lifted == Limits(avoider_guard_empty=3, avoider_guard_patterns=3,
+                            qsym_guard=3, series_order=5)
+    assert _with_max_n(DEFAULT_LIMITS, None) is DEFAULT_LIMITS
+    cfg = tmp_path / "limits.json"
+    cfg.write_text(json.dumps({"avoider_guard_empty": 2,
+                               "avoider_guard_patterns": 2}))
+    for patterns in ("", "123"):
+        assert main(["--config", str(cfg), "table", "--patterns", patterns,
+                     "--n", "4"]) == 3
+        assert main(["--config", str(cfg), "table", "--patterns", patterns,
+                     "--n", "4", "--max-n", "4"]) == 0
+    assert capsys.readouterr().out.split() == "8 14 2 0 0 4 8 2 0 0".split()

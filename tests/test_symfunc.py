@@ -6,12 +6,27 @@ from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.symfunc import (QsymExpansion, SymExpansion, _rearrangements,
                                  asymmetry_witness, composition_from_set,
-                                 format_schur,
-                                 fundamental_to_monomial, is_schur_positive,
-                                 is_symmetric, kostka, partitions_of,
-                                 qsym_fundamental, qsym_sum,
+                                 format_schur, is_schur_positive, kostka,
+                                 partitions_of, qsym_fundamental, qsym_sum,
                                  schur_expand, schur_to_monomial_qsym)
 from table_data import SCHUR_TABLES
+
+
+def fundamental_to_monomial(n, subset):
+    """F_{n,S} in the monomial quasisymmetric basis (all coefficients 1)."""
+    s = frozenset(subset)
+    if any(not 1 <= v <= n - 1 for v in s):
+        raise ValueError(f"{sorted(s)} is not a subset of [{n - 1}]")
+    others = sorted(set(range(1, n)) - s)
+    coeffs = {}
+    for k in range(len(others) + 1):
+        for extra in itertools.combinations(others, k):
+            coeffs[composition_from_set(n, s | set(extra))] = 1
+    return QsymExpansion(n=n, basis="monomial_qsym", coeffs=coeffs)
+
+
+def is_symmetric(q):
+    return asymmetry_witness(q) is None
 
 
 class TestCompositionsAndPartitions:
