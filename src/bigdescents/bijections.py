@@ -5,8 +5,8 @@ parser, or Dyck paths), codomain parser, forward and inverse maps, and the
 statistic identities it transports.  The forward maps are plain maps on their
 domain and check nothing: ``apply`` checks the input once against the record
 (a permutation, avoiding the domain patterns, at least ``min_length`` long).
-The avoidance check is on by default; pass ``check=False`` to ``apply`` in
-bulk pipelines that have already validated their inputs.
+``verify_transfer`` enumerates its domain, so it calls the maps directly, and
+``tally`` counts every identity's failures over the enumeration in one loop.
 
 The nine bijections:
 
@@ -461,10 +461,10 @@ _register(Bijection(
 ))
 
 
-def apply(name: str, x, check: bool = True):
+def apply(name: str, x):
     """Apply a bijection by name to a domain object, checked against the
-    record: a permutation (avoiding the domain patterns unless ``check`` is
-    false) or a Dyck path, at least ``min_length`` long."""
+    record: a permutation avoiding the domain patterns or a Dyck path, at
+    least ``min_length`` long."""
     b = _lookup(name)
     if b.domain_patterns is None:
         if not isinstance(x, DyckPath):
@@ -472,8 +472,7 @@ def apply(name: str, x, check: bool = True):
         size = x.semilength
     else:
         x = check_permutation(x)
-        if check:
-            _require_avoider(x, b.domain_patterns)
+        _require_avoider(x, b.domain_patterns)
         size = len(x)
     if size < b.min_length:
         raise ValueError(f"{name} is defined from length {b.min_length} on")
@@ -497,6 +496,21 @@ class IdentityResult(NamedTuple):
     label: str
     population: int
     failures: int
+
+
+def tally(objects, image, identities) -> tuple[IdentityResult, ...]:
+    """One result per identity (label, f, g): the objects x counted, and those
+    with f(x) != g(image(x)) counted as failures."""
+    population = 0
+    failures = [0] * len(identities)
+    for x in objects:
+        population += 1
+        y = image(x)
+        for i, (_, f, g) in enumerate(identities):
+            if f(x) != g(y):
+                failures[i] += 1
+    return tuple(IdentityResult(label, population, bad)
+                 for (label, _, _), bad in zip(identities, failures))
 
 
 class TransferReport(NamedTuple):
@@ -542,35 +556,15 @@ def verify_transfer(name: str, n: int,
     b = _lookup(name)
     if n < b.min_length:
         raise ValueError(f"{name} is defined from length {b.min_length} on")
-    population = 0
-    bad_round_trip = 0
-    failures = [0] * len(b.identities)
-    extra = b.reversed_identities
-    extra_failures = [0] * len(extra)
-    extra_population = 0
-    for x in _domain_objects(b, n, limits):
-        population += 1
-        y = apply(name, x, check=False)
-        if invert(name, y) != x:
-            bad_round_trip += 1
-        for i, (_, dom_stat, img_stat) in enumerate(b.identities):
-            if dom_stat(x) != img_stat(y):
-                failures[i] += 1
-    if extra:
+    round_trip, *identities = tally(
+        _domain_objects(b, n, limits), b.forward,
+        (("round trip", lambda x: x, b.backward), *b.identities))
+    if b.reversed_identities:
         reversed_patterns = tuple(perms.reverse(p) for p in b.domain_patterns)
-        for pi in enumerate_avoiders(n, reversed_patterns, limits=limits):
-            extra_population += 1
-            image = b.forward(perms.reverse(pi))
-            for i, (_, dom_stat, img_stat) in enumerate(extra):
-                if dom_stat(pi) != img_stat(image):
-                    extra_failures[i] += 1
-    identities = tuple(
-        IdentityResult(label=lab, population=population, failures=f)
-        for (lab, _, _), f in zip(b.identities, failures)
-    ) + tuple(
-        IdentityResult(label=lab, population=extra_population, failures=f)
-        for (lab, _, _), f in zip(extra, extra_failures)
-    )
-    return TransferReport(bijection=name, n=n, population=population,
-                          round_trip_failures=bad_round_trip,
-                          identities=identities)
+        identities += tally(
+            enumerate_avoiders(n, reversed_patterns, limits=limits),
+            lambda pi: b.forward(perms.reverse(pi)), b.reversed_identities)
+    return TransferReport(bijection=name, n=n,
+                          population=round_trip.population,
+                          round_trip_failures=round_trip.failures,
+                          identities=tuple(identities))

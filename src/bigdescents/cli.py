@@ -116,7 +116,8 @@ def _with_max_n(limits: Limits, max_n: int | None) -> Limits:
     if max_n is None:
         return limits
     return limits._replace(avoider_guard_empty=max_n,
-                           avoider_guard_patterns=max_n, qsym_guard=max_n)
+                           avoider_guard_patterns=max_n,
+                           qsym_guard=max_n).validated()
 
 
 def _cmd_table(args, limits: Limits) -> int:
@@ -160,8 +161,11 @@ def _cmd_verify(args, limits: Limits) -> int:
 
 
 def _cmd_series(args, limits: Limits) -> int:
+    info = genfun.GF_IDS[args.id]
+    if args.r is not None and not info.needs_r:
+        raise ValueError(f"{args.id} takes no r parameter")
     order = args.order if args.order is not None else limits.series_order
-    route = args.route or genfun.GF_IDS[args.id].default
+    route = args.route or info.default
     closed = functional = None
     if route in ("closed", "both"):
         closed = genfun.expand(args.id, order, r=args.r, limits=limits)
@@ -212,8 +216,8 @@ def _cmd_qsym(args, limits: Limits) -> int:
     limits = _with_max_n(limits, args.max_n)
     patterns = parse_pattern_set(args.patterns)
     if args.basis == "fundamental":
-        q = qsym_fundamental(args.n, patterns, r=args.r, limits=limits)
-        items = sorted(q.coeffs.items())
+        items = sorted(qsym_fundamental(args.n, patterns, r=args.r,
+                                        limits=limits).items())
         if args.format == "json":
             print(json.dumps({"basis": "fundamental", "n": args.n,
                               "coeffs": [[list(c), v] for c, v in items]},

@@ -35,7 +35,12 @@ class Limits(NamedTuple):
     bfile_offset: int = 1
 
     def validated(self) -> "Limits":
+        """Refuse a field that is not an int (bools included) and a guard
+        that is not positive; only ``bfile_offset`` may be zero or less."""
         for name, value in zip(self._fields, self):
+            if type(value) is not int:
+                raise ValueError(f"guard {name} must be an integer, "
+                                 f"not {value!r}")
             if value <= 0 and name != "bfile_offset":
                 raise ValueError(f"guard {name} must be positive")
         return self

@@ -113,45 +113,22 @@ def contains(pi: Sequence[int], sigma: Sequence[int]) -> bool:
 
 def _prefix_pair_sites(parent: list[int], rising: bool) -> range:
     """Sites for xy3 (123, 213): the letters before the site must hold no pair
-    ordered like xy, so the active sites are an initial interval."""
-    if rising:
-        lo = len(parent) + 1
-        for j, v in enumerate(parent):
-            if v > lo:
-                return range(j + 1)
-            if v < lo:
-                lo = v
-    else:
-        hi = 0
-        for j, v in enumerate(parent):
-            if v < hi:
-                return range(j + 1)
-            if v > hi:
-                hi = v
+    ordered like xy.  Letters are distinct, so such a prefix is monotone and
+    the active sites end at the first adjacent pair ordered like xy."""
+    for j in range(1, len(parent)):
+        if (parent[j - 1] < parent[j]) == rising:
+            return range(j + 1)
     return range(len(parent) + 1)
 
 
 def _suffix_pair_sites(parent: list[int], rising: bool) -> range:
     """Sites for 3xy (312, 321): the letters from the site on must hold no pair
-    ordered like xy, so the active sites are a final interval."""
-    m = len(parent)
-    if rising:
-        hi = 0
-        for j in range(m - 1, -1, -1):
-            v = parent[j]
-            if v < hi:
-                return range(j + 1, m + 1)
-            if v > hi:
-                hi = v
-    else:
-        lo = m + 1
-        for j in range(m - 1, -1, -1):
-            v = parent[j]
-            if v > lo:
-                return range(j + 1, m + 1)
-            if v < lo:
-                lo = v
-    return range(m + 1)
+    ordered like xy, so they are monotone and the active sites start after
+    the last adjacent pair ordered like xy."""
+    for j in range(len(parent) - 2, -1, -1):
+        if (parent[j] < parent[j + 1]) == rising:
+            return range(j + 1, len(parent) + 1)
+    return range(len(parent) + 1)
 
 
 def _split_sites(parent: list[int], rising: bool) -> list[int]:

@@ -1,11 +1,11 @@
 """Quasisymmetric functions indexed by descent-type sets, and Schur expansion.
 
-Quasisymmetric functions are held abstractly as coefficient maps on a
-declared basis (fundamental F or monomial quasisymmetric M), symmetric ones
-on the Schur basis s; no underlying variables are ever expanded.  The
-fundamental basis element F_{n,S} for S inside [n-1] is the sum of M_beta
-over all compositions beta of n refining the composition determined by S,
-i.e. M_{alpha(T)} over supersets T of S.
+Quasisymmetric functions are held abstractly as coefficient maps on the
+monomial quasisymmetric basis M, symmetric ones on the Schur basis s; no
+underlying variables are ever expanded.  The fundamental basis element
+F_{n,S} for S inside [n-1] is the sum of M_beta over all compositions beta
+of n refining the composition determined by S, i.e. M_{alpha(T)} over
+supersets T of S.
 
 Schur expansion of a symmetric input solves against the Kostka matrix
 (s_lam = sum over mu of K_{lam,mu} m_mu).  The coefficient of the monomial
@@ -100,15 +100,13 @@ def _horizontal_strip_removals(lam: Partition, size: int) -> Iterator[Partition]
 # ---------------------------------------------------------------------------
 
 class QsymExpansion:
-    """Integer combination of quasisymmetric basis elements of one weight."""
+    """Integer combination of monomial quasisymmetric functions M_alpha of
+    one weight."""
 
     n: int
-    basis: str  # "fundamental" or "monomial_qsym"
     coeffs: dict[Composition, int]
 
-    def __init__(self, n: int, basis: str, coeffs: dict[Composition, int]):
-        if basis not in ("fundamental", "monomial_qsym"):
-            raise ValueError(f"unknown quasisymmetric basis {basis!r}")
+    def __init__(self, n: int, coeffs: dict[Composition, int]):
         clean = {}
         for comp, value in coeffs.items():
             comp = tuple(comp)
@@ -116,7 +114,7 @@ class QsymExpansion:
                 raise ValueError(f"{comp} is not a composition of {n}")
             if value:
                 clean[comp] = value
-        self.__dict__.update(n=n, basis=basis, coeffs=clean)
+        self.__dict__.update(n=n, coeffs=clean)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QsymExpansion is immutable; cannot set {name!r}")
@@ -124,10 +122,10 @@ class QsymExpansion:
     def __eq__(self, other):
         if type(other) is not QsymExpansion:
             return NotImplemented
-        return (self.n, self.basis, self.coeffs) == (other.n, other.basis, other.coeffs)
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
 
     def __repr__(self):
-        return f"QsymExpansion(n={self.n}, basis={self.basis!r}, coeffs={self.coeffs})"
+        return f"QsymExpansion(n={self.n}, coeffs={self.coeffs})"
 
     def coefficient(self, comp: Composition) -> int:
         return self.coeffs.get(tuple(comp), 0)
@@ -187,12 +185,11 @@ def _mask_to_comp(n: int, mask: int) -> Composition:
 
 
 def qsym_fundamental(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
-                     limits: Limits = DEFAULT_LIMITS) -> QsymExpansion:
-    """Sum of F_{n, Des_r(pi)} over the avoiders, in the fundamental basis
-    (coefficients keyed by the composition determined by the descent set)."""
+                     limits: Limits = DEFAULT_LIMITS) -> dict[Composition, int]:
+    """Sum of F_{n, Des_r(pi)} over the avoiders, in the fundamental basis:
+    the number of avoiders keyed by the composition of their descent set."""
     by_mask = _descent_set_counts(n, patterns, r, limits)
-    coeffs = {_mask_to_comp(n, mask): c for mask, c in enumerate(by_mask) if c}
-    return QsymExpansion(n=n, basis="fundamental", coeffs=coeffs)
+    return {_mask_to_comp(n, mask): c for mask, c in enumerate(by_mask) if c}
 
 
 def qsym_sum(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
@@ -212,7 +209,7 @@ def qsym_sum(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
     for mask in range(1 << m):
         if sums[mask]:
             coeffs[_mask_to_comp(n, mask)] = sums[mask]
-    return QsymExpansion(n=n, basis="monomial_qsym", coeffs=coeffs)
+    return QsymExpansion(n=n, coeffs=coeffs)
 
 
 def _rearrangements(parts: Sequence[int]) -> Iterator[Composition]:
@@ -239,8 +236,6 @@ def _rearrangements(parts: Sequence[int]) -> Iterator[Composition]:
 def asymmetry_witness(q: QsymExpansion) -> tuple[Composition, Composition] | None:
     """A pair of compositions with the same parts but different coefficients,
     or None when the expansion is symmetric."""
-    if q.basis != "monomial_qsym":
-        raise ValueError("symmetry is checked in the monomial_qsym basis")
     seen: dict[Partition, Composition] = {}
     for comp in sorted(q.coeffs):
         lam = tuple(sorted(comp, reverse=True))
@@ -288,8 +283,7 @@ def schur_to_monomial_qsym(e: SymExpansion) -> QsymExpansion:
                 continue
             for comp in _rearrangements(mu):
                 coeffs[comp] = coeffs.get(comp, 0) + a * k
-    return QsymExpansion(n=e.n, basis="monomial_qsym",
-                         coeffs={c: v for c, v in coeffs.items() if v})
+    return QsymExpansion(n=e.n, coeffs={c: v for c, v in coeffs.items() if v})
 
 
 def is_schur_positive(e: SymExpansion) -> bool:

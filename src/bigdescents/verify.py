@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import genfun, wilf
-from .bijections import BIJECTIONS, verify_transfer
+from .bijections import BIJECTIONS, tally, verify_transfer
 from .catalogue import TABLE_CLASS_ROUTES
 from .config import DEFAULT_LIMITS, Limits
 from .perms import bdes, distribution_rows, enumerate_avoiders
@@ -117,15 +117,13 @@ def check_bijections(max_n: int,
     )
     for label, first, second in composites:
         for n in range(1, max_n + 1):
-            population = failures = 0
-            for pi in enumerate_avoiders(n, first.domain_patterns,
-                                         limits=limits):
-                population += 1
-                image = second.backward(first.forward(pi))
-                if bdes(image) != bdes(pi):
-                    failures += 1
-            out.append(_result(f"composite:{label}", n, population,
-                               failures == 0, f"{failures} failures"))
+            (result,) = tally(
+                enumerate_avoiders(n, first.domain_patterns, limits=limits),
+                lambda pi: second.backward(first.forward(pi)),
+                (("bdes", bdes, bdes),))
+            out.append(_result(f"composite:{label}", n, result.population,
+                               result.failures == 0,
+                               f"{result.failures} failures"))
     return out
 
 

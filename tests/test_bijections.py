@@ -1,6 +1,7 @@
 import pytest
 
 from bigdescents import bijections as bj
+from bigdescents.cli import main
 from bigdescents.errors import DomainViolationError
 from bigdescents.genfun import catalan
 from bigdescents.paths import (BinaryWord, DyckPath, iter_dyck_paths,
@@ -73,10 +74,6 @@ class TestDomainChecking:
         with pytest.raises(DomainViolationError, match="231"):
             bj.apply("omega_f", (2, 3, 1))
 
-    def test_check_can_be_disabled(self):
-        assert bj.apply("chi", (1, 3, 2), check=True) == \
-            bj.apply("chi", (1, 3, 2), check=False)
-
     @pytest.mark.parametrize("bits", ["", "0", "0110"])
     @pytest.mark.parametrize("name", MAXIMA_WORD_BIJECTIONS)
     def test_word_inverses_require_trailing_one(self, name, bits):
@@ -122,7 +119,7 @@ class TestRoundTrips:
         for n in range(max(b.min_length, ROUND_TRIP_SIZES.start),
                        ROUND_TRIP_SIZES.stop):
             for x in bj._domain_objects(b, n):
-                assert bj.invert(name, bj.apply(name, x, check=False)) == x
+                assert bj.invert(name, bj.apply(name, x)) == x
 
     def test_psi_back_then_forward(self):
         for m in range(6):
@@ -146,9 +143,9 @@ class TestImages:
     def test_omegas_are_onto_dyck_paths(self):
         for n in range(7):
             paths = {str(p) for p in iter_dyck_paths(n)}
-            f_images = {str(bj.apply("omega_f", pi, check=False))
+            f_images = {str(bj.apply("omega_f", pi))
                         for pi in enumerate_avoiders(n, ((2, 3, 1),))}
-            l_images = {str(bj.apply("omega_l", pi, check=False))
+            l_images = {str(bj.apply("omega_l", pi))
                         for pi in enumerate_avoiders(n, ((2, 3, 1),))}
             assert f_images == paths
             assert l_images == paths
@@ -162,9 +159,9 @@ class TestImages:
     def test_rlmax_images_end_in_one(self):
         for n in range(1, 7):
             for pi in enumerate_avoiders(n, ((1, 2, 3), (1, 3, 2))):
-                assert bj.apply("phi_123_132", pi, check=False).bits.endswith("1")
+                assert bj.apply("phi_123_132", pi).bits.endswith("1")
             for pi in enumerate_avoiders(n, ((1, 3, 2), (2, 1, 3))):
-                assert bj.apply("phi_132_213", pi, check=False).bits.endswith("1")
+                assert bj.apply("phi_132_213", pi).bits.endswith("1")
 
 
 class TestStatisticTransfer:
@@ -191,14 +188,51 @@ class TestStatisticTransfer:
         assert all(r["failures"] == 0 for r in data["identities"])
 
 
+class TestFailureCounts:
+    """Broken records, wrong on known inputs, must be counted exactly."""
+
+    def test_transfer_counts_each_failure(self, monkeypatch):
+        def backward(path):  # wrong on the avoiders starting with 1
+            pi = bj.chi_inv(path)
+            return pi[::-1] if pi[0] == 1 else pi
+
+        monkeypatch.setitem(bj.BIJECTIONS, "chi", bj.BIJECTIONS["chi"]._replace(
+            backward=backward,
+            identities=(("starts with 1", lambda pi: pi[0] == 1,
+                         lambda p: True),),
+            reversed_identities=(("is not 321", lambda pi: pi != (3, 2, 1),
+                                  lambda p: True),)))
+        report = bj.verify_transfer("chi", 3)
+        # the 321-avoiders of length 3 are 123, 132, 213, 231, 312
+        assert report.population == 5
+        assert report.round_trip_failures == 2  # 123, 132
+        assert [tuple(r) for r in report.identities] == [
+            ("starts with 1", 5, 3),  # 213, 231, 312
+            ("is not 321", 5, 1),  # among the 123-avoiders, 321 itself
+        ]
+        assert not report.all_pass()
+
+    def test_broken_composite_prints_a_fail_line(self, monkeypatch, capsys):
+        # the identity permutation has no big descent, so the composite fails
+        # on the {213, 231}-avoiders that have one: 312 alone up to length 3
+        monkeypatch.setitem(
+            bj.BIJECTIONS, "phi_213_312", bj.BIJECTIONS["phi_213_312"]._replace(
+                backward=lambda w: tuple(range(1, len(w.bits) + 2))))
+        assert main(["verify", "--scope", "bijections", "--max-n", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        label = "composite:phi_213_312^-1 . phi_213_231"
+        assert f"ok   {label} (n=2, population=2)" in lines
+        assert f"FAIL {label} (n=3, population=4) -- 1 failures" in lines
+
+
 class TestComposites:
     def test_bdes_preserving_between_pair_classes(self):
         for n in range(1, 7):
             for pi in enumerate_avoiders(n, ((2, 1, 3), (2, 3, 1))):
-                image = bj.phi_213_312_inv(bj.apply("phi_213_231", pi, check=False))
+                image = bj.phi_213_312_inv(bj.apply("phi_213_231", pi))
                 assert bdes(image) == bdes(pi)
             for pi in enumerate_avoiders(n, ((1, 2, 3), (1, 3, 2))):
-                image = bj.phi_132_213_inv(bj.apply("phi_123_132", pi, check=False))
+                image = bj.phi_132_213_inv(bj.apply("phi_123_132", pi))
                 assert bdes(image) == bdes(pi)
 
     def test_reversal_carries_123_to_321(self):

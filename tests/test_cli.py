@@ -151,6 +151,15 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--id", "R_run", "--order", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("route", [(), ("--route", "functional"),
+                                       ("--route", "closed")])
+    @pytest.mark.parametrize("gf_id", ["F", "V"])
+    def test_r_is_refused_without_needs_r(self, capsys, gf_id, route):
+        code, out, err = run(capsys, "series", "--id", gf_id, "--order", "3",
+                             "--r", "5", *route)
+        assert code == 2 and out == ""
+        assert f"{gf_id} takes no r parameter" in err
+
 
 class TestBijection:
     def test_apply(self, capsys):

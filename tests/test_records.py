@@ -47,8 +47,7 @@ VALUES = [
     (DyckPath, lambda: DyckPath("UUDUDD"), "steps"),
     (TwoMotzkinPath, lambda: TwoMotzkinPath(("h1", "u", "h0", "d")), "steps"),
     (BinaryWord, lambda: BinaryWord("0110"), "bits"),
-    (QsymExpansion, lambda: QsymExpansion(3, "fundamental", {(1, 2): 2}),
-     "coeffs"),
+    (QsymExpansion, lambda: QsymExpansion(3, {(1, 2): 2}), "coeffs"),
     (SymExpansion, lambda: SymExpansion(n=3, coeffs={(2, 1): 1}), "coeffs"),
 ]
 UNHASHABLE = (QsymExpansion, SymExpansion)  # they hold a coefficient dict
@@ -78,8 +77,7 @@ def test_equal_values_are_equal_and_hash_equal(kind, make, field):
     (lambda: DyckPath("UD"), lambda: DyckPath("UUDD")),
     (lambda: TwoMotzkinPath(("h0",)), lambda: TwoMotzkinPath(("h1",))),
     (lambda: BinaryWord("01"), lambda: BinaryWord("10")),
-    (lambda: QsymExpansion(2, "fundamental", {(2,): 1}),
-     lambda: QsymExpansion(2, "monomial_qsym", {(2,): 1})),
+    (lambda: QsymExpansion(2, {(2,): 1}), lambda: QsymExpansion(2, {(2,): 2})),
     (lambda: SymExpansion(2, {(2,): 1}), lambda: SymExpansion(2, {(2,): 2})),
 ], ids=["DyckPath", "TwoMotzkinPath", "BinaryWord", "QsymExpansion",
         "SymExpansion"])
@@ -109,8 +107,7 @@ def test_invalid_input_is_refused_under_python_O():
         "from bigdescents.symfunc import QsymExpansion, SymExpansion\n"
         "bad = [lambda: DyckPath('DU'), lambda: TwoMotzkinPath(('d', 'u')),\n"
         "       lambda: BinaryWord('012'),\n"
-        "       lambda: QsymExpansion(2, 'schur', {}),\n"
-        "       lambda: QsymExpansion(3, 'fundamental', {(1, 1): 1}),\n"
+        "       lambda: QsymExpansion(3, {(1, 1): 1}),\n"
         "       lambda: SymExpansion(3, {(1, 2): 1})]\n"
         "refused = 0\n"
         "for make in bad:\n"
@@ -122,7 +119,7 @@ def test_invalid_input_is_refused_under_python_O():
     out = subprocess.run([sys.executable, "-B", "-O", "-c", script], check=True,
                          capture_output=True, text=True,
                          env={"PYTHONPATH": str(SRC)}).stdout
-    assert out.strip() == "6"
+    assert out.strip() == "5"
 
 
 def test_load_limits_refuses_unknown_keys_and_non_positive_guards(tmp_path):
@@ -139,6 +136,15 @@ def test_load_limits_refuses_unknown_keys_and_non_positive_guards(tmp_path):
             load_limits(str(cfg))
 
 
+@pytest.mark.parametrize("value", [True, False, 9.5, 9.0, "9", None, [9]])
+@pytest.mark.parametrize("field", ["qsym_guard", "bfile_offset"])
+def test_load_limits_refuses_non_integers(tmp_path, field, value):
+    cfg = tmp_path / "limits.json"
+    cfg.write_text(json.dumps({field: value}))
+    with pytest.raises(ValueError, match=f"guard {field} must be an integer"):
+        load_limits(str(cfg))
+
+
 def test_max_n_overrides_the_three_enumeration_guards(tmp_path, capsys):
     lifted = _with_max_n(Limits(series_order=5), 3)
     assert lifted == Limits(avoider_guard_empty=3, avoider_guard_patterns=3,
@@ -153,3 +159,11 @@ def test_max_n_overrides_the_three_enumeration_guards(tmp_path, capsys):
         assert main(["--config", str(cfg), "table", "--patterns", patterns,
                      "--n", "4", "--max-n", "4"]) == 0
     assert capsys.readouterr().out.split() == "8 14 2 0 0 4 8 2 0 0".split()
+    # --max-n is validated like a config value: exit 2, not the guard's 3
+    for command in ("table", "qsym"):
+        for max_n in ("0", "-1"):
+            assert main([command, "--patterns", "231", "--n", "0",
+                         "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("guard avoider_guard_empty must be positive") == 4

@@ -22,7 +22,7 @@ def fundamental_to_monomial(n, subset):
     for k in range(len(others) + 1):
         for extra in itertools.combinations(others, k):
             coeffs[composition_from_set(n, s | set(extra))] = 1
-    return QsymExpansion(n=n, basis="monomial_qsym", coeffs=coeffs)
+    return QsymExpansion(n=n, coeffs=coeffs)
 
 
 def is_symmetric(q):
@@ -86,7 +86,7 @@ class TestQsymSums:
             for n in range(6):
                 q = qsym_fundamental(n, patterns)
                 # each permutation contributes one F term
-                assert sum(q.coeffs.values()) == \
+                assert sum(q.values()) == \
                     len(list(enumerate_avoiders(n, patterns)))
 
     def test_weight_two(self):
@@ -128,7 +128,7 @@ class TestSchurMachinery:
         # F_{3,{1}} + F_{3,{2}} = s_(2,1)
         a = fundamental_to_monomial(3, {1})
         b = fundamental_to_monomial(3, {2})
-        combined = QsymExpansion(n=3, basis="monomial_qsym", coeffs={
+        combined = QsymExpansion(n=3, coeffs={
             c: a.coefficient(c) + b.coefficient(c)
             for c in set(a.coeffs) | set(b.coeffs)})
         assert schur_expand(combined).coeffs == {(2, 1): 1}
@@ -138,7 +138,7 @@ class TestSchurMachinery:
             schur_expand(fundamental_to_monomial(3, {1}))
 
     def test_zero_expansion_is_symmetric(self):
-        q = QsymExpansion(n=4, basis="monomial_qsym", coeffs={})
+        q = QsymExpansion(n=4, coeffs={})
         assert is_symmetric(q)
         assert schur_expand(q).coeffs == {}
 
