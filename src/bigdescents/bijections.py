@@ -53,7 +53,7 @@ def _require_avoider(pi: Perm, patterns: tuple[Perm, ...]) -> None:
     for sigma in patterns:
         if perms.contains(pi, sigma):
             raise DomainViolationError(
-                f"{pi} contains the pattern {''.join(map(str, sigma))}"
+                f"{pi} contains the pattern {perms.format_permutation(sigma)}"
             )
 
 
@@ -525,17 +525,8 @@ class TransferReport(NamedTuple):
             r.failures == 0 for r in self.identities)
 
     def to_json(self) -> dict:
-        return {
-            "bijection": self.bijection,
-            "n": self.n,
-            "population": self.population,
-            "round_trip_failures": self.round_trip_failures,
-            "identities": [
-                {"label": r.label, "population": r.population,
-                 "failures": r.failures}
-                for r in self.identities
-            ],
-        }
+        return {**self._asdict(),
+                "identities": [r._asdict() for r in self.identities]}
 
 
 def _domain_objects(b: Bijection, n: int, limits: Limits = DEFAULT_LIMITS):

@@ -200,11 +200,10 @@ def _cmd_bijection(args, limits: Limits) -> int:
         return 0 if report.all_pass() else 1
     b = bijections.BIJECTIONS[args.id]
     if args.apply is not None:
-        y = bijections.apply(args.id, b.domain(args.apply.strip()))
-        out = str(y) if not isinstance(y, tuple) else format_permutation(y)
+        result = bijections.apply(args.id, b.domain(args.apply.strip()))
     else:
-        x = bijections.invert(args.id, b.codomain(args.invert.strip()))
-        out = format_permutation(x) if isinstance(x, tuple) else str(x)
+        result = bijections.invert(args.id, b.codomain(args.invert.strip()))
+    out = format_permutation(result) if isinstance(result, tuple) else str(result)
     if args.format == "json":
         print(json.dumps({"bijection": args.id, "result": out}))
     else:
@@ -264,7 +263,7 @@ def _cmd_conjecture(args, limits: Limits) -> int:
     else:
         for r in report.records:
             mark = "ok  " if r.holds else "FAIL"
-            label = ",".join("".join(map(str, p)) for p in r.patterns) or "(none)"
+            label = ",".join(map(format_permutation, r.patterns)) or "(none)"
             line = f"{mark} {report.which} patterns={label} n={r.n}"
             if r.witness:
                 line += f" -- {r.witness}"

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import MultiPoly
 from .config import DEFAULT_LIMITS, Limits
-from .perms import distribution_rows, distribution_table
+from .perms import distribution_rows, distribution_table, format_permutation
 from .wilf import (ALL_PAIRS, ALL_SINGLETONS, NON_REAL_ROOTED_CLASS, PatternTuple)
 
 _T = MultiPoly.var("t")
@@ -215,7 +215,7 @@ class ScanRecord(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "patterns": ["".join(map(str, p)) for p in self.patterns],
+            "patterns": [format_permutation(p) for p in self.patterns],
             "n": self.n, "holds": self.holds, "expected": self.expected,
             "witness": self.witness,
         }
@@ -227,16 +227,12 @@ class ScanReport(NamedTuple):
     records: tuple[ScanRecord, ...]
 
     def all_as_predicted(self) -> bool:
-        ok = all(r.as_predicted() for r in self.records if r.expected)
-        # For classes where failure is predicted, at least one failure must
-        # actually be observed within the scanned range.
-        predicted_failures = [r for r in self.records if not r.expected]
-        if predicted_failures:
-            by_class: dict[PatternTuple, bool] = {}
-            for r in predicted_failures:
-                by_class[r.patterns] = by_class.get(r.patterns, False) or not r.holds
-            ok = ok and all(by_class.values())
-        return ok
+        """Every record predicted to hold holds, and every class predicted
+        to fail fails at some scanned length."""
+        predicted = {r.patterns for r in self.records if not r.expected}
+        failed = {r.patterns for r in self.records if not r.holds}
+        return predicted <= failed and all(
+            r.holds for r in self.records if r.expected)
 
     def to_json(self) -> dict:
         return {"which": self.which, "max_n": self.max_n,
@@ -311,5 +307,7 @@ def conjecture_scan(which: str, max_n: int,
     """
     if which not in SCANS:
         raise ValueError(f"unknown scan {which!r}")
+    if max_n < 0:
+        raise ValueError("length must be non-negative")
     return ScanReport(which=which, max_n=max_n,
                       records=tuple(SCANS[which](max_n, limits)))

@@ -22,10 +22,29 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+from .values import Value
 
-class DyckPath:
+
+def _balanced(word, up, down, level=()) -> bool:
+    """Whether `word` is a walk of `up` (+1), `down` (-1) and `level` (0)
+    steps that never goes below height 0 and ends there."""
+    height = 0
+    for step in word:
+        if step == up:
+            height += 1
+        elif step == down:
+            height -= 1
+            if height < 0:
+                return False
+        elif step not in level:
+            return False
+    return height == 0
+
+
+class DyckPath(Value):
     """A balanced U/D word whose every prefix has at least as many U as D."""
 
+    _fields = ("steps",)
     steps: str
 
     def __init__(self, steps: str):
@@ -33,31 +52,9 @@ class DyckPath:
             raise ValueError(f"{steps!r} is not a Dyck word")
         self.__dict__["steps"] = steps
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DyckPath is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        return self.steps == other.steps if type(other) is DyckPath else NotImplemented
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __repr__(self):
-        return f"DyckPath(steps={self.steps!r})"
-
     @staticmethod
     def is_valid(steps: str) -> bool:
-        height = 0
-        for ch in steps:
-            if ch == "U":
-                height += 1
-            elif ch == "D":
-                height -= 1
-            else:
-                return False
-            if height < 0:
-                return False
-        return height == 0
+        return _balanced(steps, "U", "D")
 
     @property
     def semilength(self) -> int:
@@ -76,9 +73,10 @@ class DyckPath:
         return len(self.steps)
 
 
-class TwoMotzkinPath:
+class TwoMotzkinPath(Value):
     """A word over u, d, h0, h1 with balanced u/d and non-negative prefixes."""
 
+    _fields = ("steps",)
     steps: tuple[str, ...]
 
     def __init__(self, steps: tuple[str, ...]):
@@ -86,32 +84,9 @@ class TwoMotzkinPath:
             raise ValueError(f"{steps!r} is not a 2-Motzkin word")
         self.__dict__["steps"] = steps
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TwoMotzkinPath is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        return (self.steps == other.steps if type(other) is TwoMotzkinPath
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __repr__(self):
-        return f"TwoMotzkinPath(steps={self.steps!r})"
-
     @staticmethod
     def is_valid(steps) -> bool:
-        height = 0
-        for tok in steps:
-            if tok == "u":
-                height += 1
-            elif tok == "d":
-                height -= 1
-            elif tok not in ("h0", "h1"):
-                return False
-            if height < 0:
-                return False
-        return height == 0
+        return _balanced(steps, "u", "d", ("h0", "h1"))
 
     @classmethod
     def parse(cls, text: str) -> "TwoMotzkinPath":
@@ -130,27 +105,16 @@ class TwoMotzkinPath:
         return len(self.steps)
 
 
-class BinaryWord:
+class BinaryWord(Value):
     """A word over {0,1}, stored most-significant-first as written."""
 
+    _fields = ("bits",)
     bits: str
 
     def __init__(self, bits: str):
         if not BinaryWord.is_valid(bits):
             raise ValueError(f"{bits!r} is not a binary word")
         self.__dict__["bits"] = bits
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BinaryWord is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        return self.bits == other.bits if type(other) is BinaryWord else NotImplemented
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __repr__(self):
-        return f"BinaryWord(bits={self.bits!r})"
 
     @staticmethod
     def is_valid(bits: str) -> bool:

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .perms import check_permutation, enumerate_avoiders
+from .values import Value
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -99,67 +100,50 @@ def _horizontal_strip_removals(lam: Partition, size: int) -> Iterator[Partition]
 # expansions
 # ---------------------------------------------------------------------------
 
-class QsymExpansion:
+class _Expansion(Value):
+    """Integer combination, of one weight n, of the basis elements named by
+    the keys of `coeffs`; zero coefficients are dropped.  It holds a dict,
+    so it has no hash."""
+
+    _fields = ("n", "coeffs")
+    _noun: str
+    __hash__ = None
+    n: int
+    coeffs: dict[tuple[int, ...], int]
+
+    def __init__(self, n: int, coeffs: dict[tuple[int, ...], int]):
+        clean = {}
+        for key, value in coeffs.items():
+            key = tuple(key)
+            if sum(key) != n or not self._is_key(key):
+                raise ValueError(f"{key} is not a {self._noun} of {n}")
+            if value:
+                clean[key] = value
+        self.__dict__.update(n=n, coeffs=clean)
+
+    def coefficient(self, key: tuple[int, ...]) -> int:
+        return self.coeffs.get(tuple(key), 0)
+
+
+class QsymExpansion(_Expansion):
     """Integer combination of monomial quasisymmetric functions M_alpha of
     one weight."""
 
-    n: int
-    coeffs: dict[Composition, int]
+    _noun = "composition"
 
-    def __init__(self, n: int, coeffs: dict[Composition, int]):
-        clean = {}
-        for comp, value in coeffs.items():
-            comp = tuple(comp)
-            if sum(comp) != n or any(p < 1 for p in comp):
-                raise ValueError(f"{comp} is not a composition of {n}")
-            if value:
-                clean[comp] = value
-        self.__dict__.update(n=n, coeffs=clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QsymExpansion is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not QsymExpansion:
-            return NotImplemented
-        return (self.n, self.coeffs) == (other.n, other.coeffs)
-
-    def __repr__(self):
-        return f"QsymExpansion(n={self.n}, coeffs={self.coeffs})"
-
-    def coefficient(self, comp: Composition) -> int:
-        return self.coeffs.get(tuple(comp), 0)
+    @staticmethod
+    def _is_key(comp: Composition) -> bool:
+        return all(p >= 1 for p in comp)
 
 
-class SymExpansion:
+class SymExpansion(_Expansion):
     """Integer combination of Schur functions of one weight."""
 
-    n: int
-    coeffs: dict[Partition, int]
+    _noun = "partition"
 
-    def __init__(self, n: int, coeffs: dict[Partition, int]):
-        clean = {}
-        for lam, value in coeffs.items():
-            lam = tuple(lam)
-            if sum(lam) != n or list(lam) != sorted(lam, reverse=True):
-                raise ValueError(f"{lam} is not a partition of {n}")
-            if value:
-                clean[lam] = value
-        self.__dict__.update(n=n, coeffs=clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SymExpansion is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not SymExpansion:
-            return NotImplemented
-        return (self.n, self.coeffs) == (other.n, other.coeffs)
-
-    def __repr__(self):
-        return f"SymExpansion(n={self.n}, coeffs={self.coeffs})"
-
-    def coefficient(self, lam: Partition) -> int:
-        return self.coeffs.get(tuple(lam), 0)
+    @staticmethod
+    def _is_key(lam: Partition) -> bool:
+        return list(lam) == sorted(lam, reverse=True)
 
 
 def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:

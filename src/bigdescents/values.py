@@ -1,0 +1,34 @@
+"""The immutable value base of the validated path, word and expansion types.
+
+A subclass names its fields in `_fields` and stores each one in the
+instance `__dict__` from its `__init__`.  The base refuses every later
+assignment and compares, hashes and shows a value by those fields alone, so
+other `__dict__` entries (a `functools.cached_property`, say) change none of
+the three.  Equality holds only between values of the same type.
+"""
+
+from __future__ import annotations
+
+
+class Value:
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"

@@ -14,7 +14,8 @@ from . import genfun, wilf
 from .bijections import BIJECTIONS, tally, verify_transfer
 from .catalogue import TABLE_CLASS_ROUTES
 from .config import DEFAULT_LIMITS, Limits
-from .perms import bdes, distribution_rows, enumerate_avoiders
+from .perms import (bdes, distribution_rows, enumerate_avoiders,
+                    format_permutation)
 
 
 class CheckResult(NamedTuple):
@@ -44,8 +45,8 @@ def check_class_equalities(max_n: int,
     for cmp in report.comparisons:
         label = ("equal" if cmp.same_class else "distinct")
         name = (f"class-{label}:"
-                f"{'|'.join(''.join(map(str, p)) for p in cmp.left)}"
-                f" vs {'|'.join(''.join(map(str, p)) for p in cmp.right)}")
+                f"{'|'.join(map(format_permutation, cmp.left))}"
+                f" vs {'|'.join(map(format_permutation, cmp.right))}")
         witness = (f"witness n={cmp.witness_n}" if cmp.witness_n is not None
                    else "no distinguishing length found")
         out.append(_result(name, max_n, max_n + 1, cmp.consistent(), witness))
@@ -163,6 +164,8 @@ def run_scope(scope: str, max_n: int,
     if scope != "all" and scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; "
                          f"have {sorted(SCOPES) + ['all']}")
+    if max_n < 0:
+        raise ValueError("length must be non-negative")
     results = []
     for name, fn in SCOPES.items():
         if scope in ("all", name):

@@ -5,7 +5,9 @@ import pytest
 
 from bigdescents.bijections import BIJECTIONS
 from bigdescents.cli import _build_parser, main
+from bigdescents.conjectures import SCANS
 from bigdescents.perms import enumerate_avoiders, format_permutation, statistic
+from bigdescents.verify import SCOPES
 
 
 def run(capsys, *argv):
@@ -274,6 +276,21 @@ class TestVerifyAndConjecture:
         code, out, _ = run(capsys, "conjecture", "--which", "real-rooted",
                            "--max-n", "5")
         assert code == 1
+
+    def test_conjecture_one_length_short_of_the_predicted_failure(self, capsys):
+        code, out, _ = run(capsys, "conjecture", "--which", "real-rooted",
+                           "--max-n", "6")
+        assert code == 1
+        assert out.endswith("scan outcome DIFFERS from predictions\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--scope", scope) for scope in (*SCOPES, "all")] + [
+        ("conjecture", "--which", which.replace("_", "-")) for which in SCANS],
+        ids=lambda argv: argv[-1])
+    def test_negative_max_n_is_invalid(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--max-n", "-1")
+        assert code == 2 and out == ""
+        assert "length must be non-negative" in err
 
 
 class TestFormula:

@@ -114,6 +114,11 @@ class TestScans:
         assert (((1, 2, 3), (1, 3, 2)), 7) in failing
         assert all(not r.expected for r in report.records if not r.holds)
 
+    def test_predicted_failure_must_be_seen(self):
+        # {123,132} first fails real-rootedness at length 7
+        assert not conjecture_scan("real_rooted", 6).all_as_predicted()
+        assert conjecture_scan("real_rooted", 7).all_as_predicted()
+
     def test_log_concave_scan(self):
         assert conjecture_scan("log_concave", 8).all_as_predicted()
 

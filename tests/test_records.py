@@ -86,6 +86,27 @@ def test_validated_types_compare_by_value_and_type(make, other):
     assert make() != str(make())
 
 
+# the exact repr of each validated type's value in VALUES
+REPRS = {
+    DyckPath: "DyckPath(steps='UUDUDD')",
+    TwoMotzkinPath: "TwoMotzkinPath(steps=('h1', 'u', 'h0', 'd'))",
+    BinaryWord: "BinaryWord(bits='0110')",
+    QsymExpansion: "QsymExpansion(n=3, coeffs={(1, 2): 2})",
+    SymExpansion: "SymExpansion(n=3, coeffs={(2, 1): 1})",
+}
+
+
+@pytest.mark.parametrize("kind, make, field", [
+    pytest.param(*row, id=row[0].__name__) for row in VALUES if row[0] in REPRS])
+def test_validated_types_repr_and_refuse_assignment(kind, make, field):
+    value = make()
+    assert repr(value) == REPRS[kind]
+    with pytest.raises(AttributeError) as refused:
+        setattr(value, field, None)
+    assert str(refused.value) == (
+        f"{kind.__name__} is immutable; cannot set '{field}'")
+
+
 def test_paths_and_words_are_not_tuples():
     # the CLI prints a bijection's result as a permutation iff it is a tuple
     values = (DyckPath("UD"), TwoMotzkinPath(("h0",)), BinaryWord("1"))
