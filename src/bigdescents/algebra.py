@@ -23,6 +23,10 @@ Underneath, ``MultiPoly.divmod`` divides by the divisor's graded-lex leading
 term and returns the remainder; ``MultiPoly.exact_div`` is ``divmod`` that
 refuses a nonzero remainder.  The univariate root counting in
 ``conjectures`` runs on ``divmod`` with polynomials in t.
+
+One loop, ``_evaluate``, substitutes for variables: polynomials in
+``MultiPoly.subs`` and ``TruncatedSeries.map_coeffs``, series in
+``series_compose``.
 """
 
 from __future__ import annotations
@@ -79,6 +83,30 @@ def _power(base, n: int, one):
         if bit == "1":
             out = out * base
     return out
+
+
+def _evaluate(poly: MultiPoly, values: Mapping, powers: dict, zero):
+    """``zero`` plus ``poly`` with ``values[name]`` (polynomials, or series of
+    one order) put for each variable it names; the others stay symbolic.
+
+    ``powers[name]`` lists ``values[name] ** 1, ** 2, ...`` as far as a term
+    has needed; callers evaluating many polynomials share one dict.
+    """
+    total = zero
+    for exps, q in poly.terms.items():
+        kept = list(exps)
+        term = None
+        for i, name in enumerate(VARIABLES):
+            e = exps[i]
+            if e and name in values:
+                kept[i] = 0
+                chain = powers.setdefault(name, [values[name]])
+                while len(chain) < e:
+                    chain.append(chain[-1] * values[name])
+                term = chain[e - 1] if term is None else term * chain[e - 1]
+        mono = MultiPoly({tuple(kept): q})
+        total = total + (mono if term is None else term * mono)
+    return total
 
 
 class MultiPoly:
@@ -259,19 +287,8 @@ class MultiPoly:
 
     def subs(self, mapping: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Substitute polynomials or rationals for variables."""
-        subs = {name: MultiPoly.coerce(val) for name, val in mapping.items()}
-        result = MultiPoly.zero()
-        for exps, q in self.terms.items():
-            factor = MultiPoly.const(q)
-            for name, e in zip(VARIABLES, exps):
-                if not e:
-                    continue
-                if name in subs:
-                    factor = factor * subs[name] ** e
-                else:
-                    factor = factor * MultiPoly.var(name, e)
-            result = result + factor
-        return result
+        values = {name: MultiPoly.coerce(val) for name, val in mapping.items()}
+        return _evaluate(self, values, {}, MultiPoly.zero())
 
     def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         if not self.terms:
@@ -560,7 +577,10 @@ class TruncatedSeries:
 
     def map_coeffs(self, mapping: Mapping[str, MultiPoly | Scalar]) -> "TruncatedSeries":
         """Apply a variable substitution to every coefficient."""
-        return TruncatedSeries([c.subs(mapping) for c in self.coeffs], self.var)
+        values = {name: MultiPoly.coerce(val) for name, val in mapping.items()}
+        powers: dict = {}
+        return TruncatedSeries([_evaluate(c, values, powers, MultiPoly.zero())
+                                for c in self.coeffs], self.var)
 
     # -- display -----------------------------------------------------------
 
@@ -592,38 +612,17 @@ def series_compose(outer: TruncatedSeries,
             f"substitute for {outer.var!r} has nonzero constant term "
             f"{inner.coeffs[0]}; composition does not converge order by order"
         )
-    var_subs = {name: s for name, s in subs.items() if name != outer.var}
-    order = min([inner.order] + [s.order for s in var_subs.values()])
-    target_var = inner.var
-
-    # Cached powers of each substituted coefficient series.
-    pow_cache: dict[str, list[TruncatedSeries]] = {
-        name: [TruncatedSeries.one(order, target_var)] for name in var_subs
-    }
-
-    def var_power(name: str, e: int) -> TruncatedSeries:
-        powers = pow_cache[name]
-        while len(powers) <= e:
-            powers.append(powers[-1] * var_subs[name].truncate(order))
-        return powers[e]
-
-    result = TruncatedSeries.zero(order, target_var)
-    z_pow = TruncatedSeries.one(order, target_var)
+    order = min(s.order for s in subs.values())
+    values = {name: s.truncate(order) for name, s in subs.items()}
+    inner = values.pop(outer.var)
+    powers: dict = {}
+    zero = TruncatedSeries.zero(order, inner.var)
+    result = zero
+    z_pow = TruncatedSeries.one(order, inner.var)
     for m in range(min(outer.order, order) + 1):
         cm = outer.coeffs[m]
         if not cm.is_zero():
-            evaluated = TruncatedSeries.zero(order, target_var)
-            for exps, q in cm.terms.items():
-                term = TruncatedSeries.constant(q, order, target_var)
-                for name, e in zip(VARIABLES, exps):
-                    if not e:
-                        continue
-                    if name in var_subs:
-                        term = term * var_power(name, e)
-                    else:
-                        term = term * MultiPoly.var(name, e)
-                evaluated = evaluated + term
-            result = result + evaluated * z_pow
+            result = result + _evaluate(cm, values, powers, zero) * z_pow
         if m < order:
-            z_pow = z_pow * inner.truncate(order)
+            z_pow = z_pow * inner
     return result

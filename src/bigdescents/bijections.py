@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple
 from . import perms
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainViolationError
-from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, occ_factor,
-                    path_statistic)
+from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, iter_dyck_paths,
+                    occ_factor, path_statistic)
 from .perms import Perm, check_permutation, enumerate_avoiders, parse_permutation
 
 
@@ -534,7 +534,6 @@ def _domain_objects(b: Bijection, n: int, limits: Limits = DEFAULT_LIMITS):
         # Dyck paths of semilength n are as many as the avoiders of one
         # length-3 pattern, so they share the avoider-class guard
         limits.check("avoider_guard_patterns", n)
-        from .paths import iter_dyck_paths
         yield from iter_dyck_paths(n)
     else:
         yield from enumerate_avoiders(n, b.domain_patterns, limits=limits)

@@ -27,6 +27,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .algebra import MultiPoly
 from .config import DEFAULT_LIMITS, Limits
 from .perms import distribution_rows, distribution_table, format_permutation
+from .symfunc import asymmetry_witness, is_schur_positive, qsym_sum, schur_expand
 from .wilf import (ALL_PAIRS, ALL_SINGLETONS, NON_REAL_ROOTED_CLASS, PatternTuple)
 
 _T = MultiPoly.var("t")
@@ -268,7 +269,6 @@ def _schur_positive_records(max_n: int,
                             limits: Limits) -> Iterator[ScanRecord]:
     """Schur positivity of the big-descent quasisymmetric sums over S_n and
     its 123- and 1234-avoiders, each predicted to hold."""
-    from .symfunc import asymmetry_witness, is_schur_positive, qsym_sum, schur_expand
     limits.check("qsym_guard", max_n)
     for patterns in _SCHUR_TARGETS:
         for n in range(max_n + 1):

@@ -20,6 +20,10 @@ Every functional route is a right-hand side handed to the one solver,
 `_solve`, whose docstring states the sweep order and the certificate: the
 fixed point is checked on every unknown, and a system that does not settle
 raises DivergenceError.
+
+The counting formulas and the r-Eulerian polynomials are closed forms or
+recurrences; nothing here enumerates permutations, so the brute-force
+tables of ``perms`` stay an independent oracle for all of them (``verify``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from typing import Callable, NamedTuple
 from .algebra import MultiPoly, TruncatedSeries, series_compose
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DivergenceError, InexactDivisionError
-from .perms import distribution_table
 
 _T = MultiPoly.var("t")
 _S = MultiPoly.var("s")
@@ -487,22 +490,18 @@ def b231_312(n: int, k: int) -> int:
 # r-Eulerian polynomials and the generalized Carlitz identity
 # ---------------------------------------------------------------------------
 
-# eulerian_r's brute-force base case, S_min(n, r), is refused above length 9
-_EULERIAN_BASE = Limits(avoider_guard_empty=9)
-
-
 def eulerian_r(n: int, r: int) -> list[int]:
-    """Distribution of r-descents over the full symmetric group S_n.
+    """Distribution of r-descents (pi(i) > pi(i+1) + r) over S_n.
 
-    Base cases with n <= r are enumerated by brute force, refused above
-    n = 9 (the recurrence is only valid from n = r+1 on); above that, apply
-    A_n = (r+1 + (n-r-1) t) A_{n-1} + t (1-t) A'_{n-1}.
+    No permutation of length m <= r + 1 has an r-descent, since no two of
+    its letters differ by more than r, so the walk starts from A_m = [m!] at
+    m = min(n, r) and applies, from m = r + 1 on,
+    A_m = (r+1 + (m-r-1) t) A_{m-1} + t (1-t) A'_{m-1}.
     """
     if n < 0 or r < 0:
         raise ValueError("n and r must be non-negative")
     base = min(n, r)
-    table = distribution_table(base, (), f"des_r({r})", limits=_EULERIAN_BASE)
-    a = MultiPoly.univariate(table.poly())
+    a = MultiPoly.const(math.factorial(base))
     for m in range(base + 1, n + 1):
         a = (r + 1 + (m - r - 1) * _T) * a + _T * (1 - _T) * a.derivative("t")
     return a.to_univariate("t")
@@ -545,7 +544,7 @@ FORMULA_IDS = {
 
 
 def formula(name: str, **args):
-    """Evaluate a named counting formula; see FORMULA_IDS for the catalogue."""
+    """Evaluate a named counting formula; FORMULA_IDS lists the names."""
     try:
         fn = FORMULA_IDS[name]
     except KeyError:

@@ -54,7 +54,7 @@ class DyckPath(Value):
 
     @staticmethod
     def is_valid(steps: str) -> bool:
-        return _balanced(steps, "U", "D")
+        return isinstance(steps, str) and _balanced(steps, "U", "D")
 
     @property
     def semilength(self) -> int:
@@ -85,8 +85,9 @@ class TwoMotzkinPath(Value):
         self.__dict__["steps"] = steps
 
     @staticmethod
-    def is_valid(steps) -> bool:
-        return _balanced(steps, "u", "d", ("h0", "h1"))
+    def is_valid(steps: tuple[str, ...]) -> bool:
+        return isinstance(steps, tuple) and _balanced(steps, "u", "d",
+                                                      ("h0", "h1"))
 
     @classmethod
     def parse(cls, text: str) -> "TwoMotzkinPath":
@@ -118,7 +119,7 @@ class BinaryWord(Value):
 
     @staticmethod
     def is_valid(bits: str) -> bool:
-        return all(ch in "01" for ch in bits)
+        return isinstance(bits, str) and all(ch in "01" for ch in bits)
 
     def __str__(self):
         return self.bits

@@ -548,5 +548,8 @@ def parse_pattern_set(text: str) -> tuple[Perm, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(sorted({check_permutation([int(ch) for ch in part.strip()])
-                         for part in text.split(",")}))
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"empty pattern in {text!r}")
+    return tuple(sorted({check_permutation([int(ch) for ch in part])
+                         for part in parts}))

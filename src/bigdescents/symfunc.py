@@ -112,6 +112,8 @@ class _Expansion(Value):
     coeffs: dict[tuple[int, ...], int]
 
     def __init__(self, n: int, coeffs: dict[tuple[int, ...], int]):
+        if n < 0:
+            raise ValueError("weight must be non-negative")
         clean = {}
         for key, value in coeffs.items():
             key = tuple(key)
@@ -143,7 +145,8 @@ class SymExpansion(_Expansion):
 
     @staticmethod
     def _is_key(lam: Partition) -> bool:
-        return list(lam) == sorted(lam, reverse=True)
+        return (QsymExpansion._is_key(lam)
+                and list(lam) == sorted(lam, reverse=True))
 
 
 def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:

@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 from . import genfun, wilf
 from .bijections import BIJECTIONS, tally, verify_transfer
-from .catalogue import TABLE_CLASS_ROUTES
 from .config import DEFAULT_LIMITS, Limits
 from .perms import (bdes, distribution_rows, enumerate_avoiders,
                     format_permutation)
@@ -57,7 +56,7 @@ def check_formulas(max_n: int,
                    limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Every enumeration route against the brute-force distribution."""
     out = []
-    for label, patterns, rows in TABLE_CLASS_ROUTES:
+    for label, patterns, rows in wilf.TABLE_CLASS_ROUTES:
         tables = distribution_rows(max_n, patterns, "bdes", limits=limits)
         for n, (table, got) in enumerate(zip(tables, rows(max_n), strict=True)):
             expected = list(table.counts)

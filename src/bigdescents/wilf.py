@@ -7,15 +7,23 @@ ones).  The partitions below are the complete classifications for all pattern
 sets of size 1 and size 2 inside S_3; ``class_partition_report`` re-derives
 them by exhaustive pairwise comparison, which is how the package certifies
 the classification.  Each set's rows for lengths 0..max_n come from one
-walk of its generating tree (``perms.distribution_rows``); the per-class
-formula and series routes that reproduce the same rows are the ``rows``
-callables of ``catalogue.TABLE_CLASS_ROUTES``.
+walk of its generating tree (``perms.distribution_rows``).
+
+``TABLE_CLASS_ROUTES`` gives every class at least one enumeration route: a
+pattern set of the class with a ``rows(N)`` callable that returns its
+big-descent rows b(n, 0..) for n = 0..N, read off a generating function
+expanded through order N or evaluated from a closed counting formula
+b(n, k).  Brute-force enumeration is the oracle for both.  ``verify`` prints
+the class comparisons in class order and the route checks in route order,
+so the two tables keep their own orders.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
+from . import genfun
 from .config import DEFAULT_LIMITS, Limits
 from .perms import Perm, distribution_rows, parse_pattern_set as _ps
 
@@ -46,6 +54,41 @@ ALL_PAIRS: tuple[PatternTuple, ...] = tuple(
 # The one class whose distribution polynomials are not always real-rooted.
 NON_REAL_ROOTED_CLASS: tuple[PatternTuple, ...] = (
     _ps("123,132"), _ps("123,213"), _ps("132,213"))
+
+
+def _series_rows(gf_id: str, N: int) -> list[list[int]]:
+    series = genfun.expand(gf_id, N)
+    return [genfun.series_row(series, n) for n in range(N + 1)]
+
+
+def _formula_rows(b, N: int) -> list[list[int]]:
+    return [[b(n, k) for k in range(n + 1)] for n in range(N + 1)]
+
+
+def _series(gf_id: str, patterns: str):
+    return (f"series:{gf_id}", _ps(patterns), partial(_series_rows, gf_id))
+
+
+def _formula(b, patterns: str):
+    return (f"formula:{b.__name__}", _ps(patterns), partial(_formula_rows, b))
+
+
+# (label, pattern set, rows)
+TABLE_CLASS_ROUTES: tuple[tuple[str, PatternTuple, object], ...] = (
+    _series("B132", "132"),
+    _formula(genfun.b231, "231"),
+    _series("B321", "321"),
+    _formula(genfun.b123, "123"),
+    _formula(genfun.b213_231, "213,231"),
+    _formula(genfun.b213_312, "213,312"),
+    _series("B123_132", "123,132"),
+    _series("B132_213", "132,213"),
+    _series("B231_321", "231,321"),
+    _formula(genfun.b123_231, "123,231"),
+    _formula(genfun.b132_321, "132,321"),
+    _formula(genfun.b231_312, "231,312"),
+    _series("B123_321", "123,321"),
+)
 
 
 def class_of(patterns: PatternTuple) -> tuple[PatternTuple, ...] | None:

@@ -47,7 +47,7 @@ def test_criterion_01_table_reproduction():
 
 def test_criterion_02_formula_vs_oracle():
     with criterion(2, "formulas and series vs brute force", 300):
-        from bigdescents.catalogue import TABLE_CLASS_ROUTES
+        from bigdescents.wilf import TABLE_CLASS_ROUTES
         for label, patterns, rows in TABLE_CLASS_ROUTES:
             tables = distribution_rows(9, patterns, "bdes")
             for n, (table, got) in enumerate(zip(tables, rows(9), strict=True)):

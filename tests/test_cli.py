@@ -304,6 +304,12 @@ class TestFormula:
                            "--n", "4", "--r", "0")
         assert code == 0 and out.strip() == "1 11 11 1"
 
+    def test_eulerian_poly_from_the_closed_base_case(self, capsys):
+        # one 10-descent in each of the 11! permutations with 12 just before 1
+        code, out, err = run(capsys, "formula", "--id", "eulerian_r",
+                             "--n", "12", "--r", "10")
+        assert (code, out, err) == (0, "439084800 39916800\n", "")
+
     def test_joint(self, capsys):
         code, out, _ = run(capsys, "formula", "--id", "b231_joint",
                            "--n", "7", "--j", "3", "--k", "2")
@@ -376,9 +382,6 @@ OVER_GUARD_JOBS = [
     pytest.param({"series_guard": 40},
                  ("series", "--id", "F", "--order", "17", "--route", "closed"),
                  "series_guard=16", id="config-series-f-composition"),
-    pytest.param(None, ("formula", "--id", "eulerian_r", "--n", "10",
-                        "--r", "10"),
-                 "avoider_guard_empty=9", id="formula-eulerian-r"),
 ]
 
 

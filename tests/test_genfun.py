@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,11 @@ class TestEulerian:
                     brute.pop()
                 assert eulerian_r(n, r) == brute
 
+    def test_no_r_descent_up_to_length_r_plus_1(self):
+        for r in range(20):
+            for n in range(r + 2):
+                assert eulerian_r(n, r) == [math.factorial(n)], (n, r)
+
     def test_r1_matches_bdes_distribution(self):
         for n in range(8):
             table = distribution_table(n, (), "bdes")
@@ -254,8 +260,19 @@ class TestEulerian:
 class TestCentralOracle:
     """Every enumeration route against the brute-force distribution."""
 
+    def test_routes_cover_every_class(self):
+        from bigdescents.wilf import (PAIR_CLASSES, SINGLETON_CLASSES,
+                                      TABLE_CLASS_ROUTES)
+        classes = SINGLETON_CLASSES + PAIR_CLASSES
+        homes = [[i for i, cls in enumerate(classes) if patterns in cls]
+                 for _, patterns, _ in TABLE_CLASS_ROUTES]
+        assert all(len(home) == 1 for home in homes), homes
+        assert sorted({home[0] for home in homes}) == list(range(len(classes)))
+        # two classes carry a second route: {213,312} and {132,213}
+        assert len(TABLE_CLASS_ROUTES) == len(classes) + 2
+
     def test_all_table_classes(self):
-        from bigdescents.catalogue import TABLE_CLASS_ROUTES
+        from bigdescents.wilf import TABLE_CLASS_ROUTES
         for label, patterns, rows in TABLE_CLASS_ROUTES:
             tables = distribution_rows(8, patterns, "bdes")
             for n, (table, got) in enumerate(zip(tables, rows(8), strict=True)):

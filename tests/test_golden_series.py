@@ -8,6 +8,9 @@ reproduce the old series byte for byte.
 
 Re-record (only after an intended change of output) with
 ``PYTHONPATH=src python tests/test_golden_series.py``.
+
+``F_SERIES_STDOUT`` pins the stdout of ``series --id F`` at two orders above
+12, where F's default (functional) route meets its largest coefficients.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from bigdescents.cli import main
 from bigdescents.genfun import GF_IDS, expand, expand_functional
 
 ORDER = 12
@@ -51,6 +55,19 @@ def test_golden_file_covers_every_expansion():
 @pytest.mark.parametrize("key", sorted(JOBS))
 def test_series_matches_golden_digest(key):
     assert digest(key) == json.loads(GOLDEN_PATH.read_text())[key]
+
+
+F_SERIES_STDOUT = {
+    20: "54412cf39c2294a14dbf34421e604c7724aa5cd1c68ac35e02611639c47b1a49",
+    24: "b4f6d4f27f84c373b47d092dadc635ad724062758f15ee8a5cf14d7dea13086d",
+}
+
+
+@pytest.mark.parametrize("order", sorted(F_SERIES_STDOUT))
+def test_f_series_stdout_matches_golden_digest(capsys, order):
+    assert main(["series", "--id", "F", "--order", str(order)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == F_SERIES_STDOUT[order]
 
 
 if __name__ == "__main__":

@@ -40,6 +40,19 @@ class TestValidation:
         assert BinaryWord.is_valid("0101")
         assert not BinaryWord.is_valid("012")
 
+    # a word in the wrong container would print wrongly or compare unequal
+    def test_dyck_steps_must_be_a_str(self):
+        with pytest.raises(ValueError, match="not a Dyck word"):
+            DyckPath(("U", "D"))
+
+    def test_binary_bits_must_be_a_str(self):
+        with pytest.raises(ValueError, match="not a binary word"):
+            BinaryWord(("0", "1"))
+
+    def test_two_motzkin_steps_must_be_a_tuple(self):
+        with pytest.raises(ValueError, match="not a 2-Motzkin word"):
+            TwoMotzkinPath("ud")
+
 
 class TestOccFactor:
     def test_dyck_factors(self):

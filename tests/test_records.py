@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigdescents import conjectures, genfun
 from bigdescents.bijections import (BIJECTIONS, Bijection, IdentityResult,
@@ -17,8 +19,11 @@ from bigdescents.conjectures import (RowProperty, ScanRecord, ScanReport,
                                      conjecture_scan)
 from bigdescents.genfun import GFRoutes
 from bigdescents.paths import BinaryWord, DyckPath, TwoMotzkinPath
-from bigdescents.perms import DistributionTable, distribution_table
+from bigdescents.perms import (DistributionTable, distribution_table,
+                               format_permutation, parse_pattern_set,
+                               parse_permutation)
 from bigdescents.symfunc import QsymExpansion, SymExpansion
+from bigdescents.values import Value
 from bigdescents.verify import CheckResult
 from bigdescents.wilf import ClassComparison, PartitionReport
 
@@ -119,6 +124,108 @@ def test_dyck_statistics_cache_is_outside_equality():
     assert a.statistics["pk"] == 2
     assert a == b and hash(a) == hash(b)
     assert str(a) == "UUDDUD"
+
+
+# -- every input is refused or round-trips ---------------------------------
+#
+# Each case is (inputs, build, well_formed, show).  `well_formed` is a
+# specification written apart from the package: `build` must accept exactly
+# the inputs it holds for and refuse the rest with ValueError or TypeError.
+# An accepted value must equal the value rebuilt from its fields, and `show`
+# (when given) must print it as text that `build` reads back to it.
+
+def _walk(word, up, down, letters) -> bool:
+    return (set(word) <= letters and word.count(up) == word.count(down)
+            and all(word[:i].count(up) >= word[:i].count(down)
+                    for i in range(len(word))))
+
+
+def _permutation_text(text: str) -> bool:
+    text = text.strip()
+    parts = text.split(",") if "," in text else list(text)
+    if not all(part.strip().isdigit() for part in parts):
+        return False
+    return sorted(map(int, parts)) == list(range(1, len(parts) + 1))
+
+
+def _pattern_set_text(text: str) -> bool:
+    parts = [part.strip() for part in text.split(",")] if text.strip() else []
+    return all(part.isdigit() and _permutation_text(part) for part in parts)
+
+
+def _expansion(n, coeffs, partitions: bool) -> bool:
+    return n >= 0 and all(
+        sum(key) == n and all(part >= 1 for part in key)
+        and (not partitions or list(key) == sorted(key, reverse=True))
+        for key in coeffs)
+
+
+def _words(letters, **kw):
+    return st.lists(st.sampled_from(list(letters)), max_size=8, **kw)
+
+
+_TOKENS = ("u", "d", "h0", "h1", "h2")
+_PERMUTATIONS = st.integers(0, 11).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(format_permutation)
+_TEXT = st.text("0123456789, ", max_size=12)
+_EXPANSIONS = st.tuples(
+    st.integers(-2, 6),
+    st.dictionaries(st.lists(st.integers(-1, 4), max_size=4).map(tuple),
+                    st.integers(-2, 2), max_size=3))
+
+INPUT_CASES = {
+    "DyckPath": (
+        st.one_of(_words("UDx").map("".join), _words("UD").map(tuple)),
+        DyckPath, lambda w: type(w) is str and _walk(w, "U", "D", set("UD")),
+        str),
+    "TwoMotzkinPath": (
+        st.one_of(_words(_TOKENS).map(tuple), _words(_TOKENS),
+                  _words("udh").map("".join)),
+        TwoMotzkinPath,
+        lambda w: type(w) is tuple and _walk(w, "u", "d", set(_TOKENS[:4])),
+        None),
+    "BinaryWord": (
+        st.one_of(_words("012").map("".join), _words(("0", "1", "01")).map(tuple)),
+        BinaryWord, lambda w: type(w) is str and set(w) <= set("01"), str),
+    "QsymExpansion": (
+        _EXPANSIONS, lambda a: QsymExpansion(*a),
+        lambda a: _expansion(*a, partitions=False), None),
+    "SymExpansion": (
+        _EXPANSIONS, lambda a: SymExpansion(*a),
+        lambda a: _expansion(*a, partitions=True), None),
+    "parse_permutation": (
+        st.one_of(_TEXT, _PERMUTATIONS), parse_permutation, _permutation_text,
+        format_permutation),
+    "parse_pattern_set": (
+        st.one_of(_TEXT, st.lists(_PERMUTATIONS.filter(lambda p: len(p) <= 4),
+                                  max_size=3).map(",".join)),
+        parse_pattern_set, _pattern_set_text,
+        lambda ps: ",".join(map(format_permutation, ps))),
+    "TwoMotzkinPath.parse": (
+        st.one_of(_words(_TOKENS).map(" ".join), st.text("udh01 ", max_size=10)),
+        TwoMotzkinPath.parse,
+        lambda text: _walk(tuple(text.split()), "u", "d", set(_TOKENS[:4])),
+        str),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CASES))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_input_is_refused_or_round_trips(case, data):
+    inputs, build, well_formed, show = INPUT_CASES[case]
+    x = data.draw(inputs)
+    if not well_formed(x):
+        with pytest.raises((ValueError, TypeError)):
+            build(x)
+        return
+    value = build(x)
+    if isinstance(value, Value):
+        fields = {name: getattr(value, name) for name in value._fields}
+        assert type(value)(**fields) == value
+        assert isinstance(str(value), str)
+    if show is not None:
+        assert build(show(value)) == value
 
 
 def test_invalid_input_is_refused_under_python_O():

@@ -146,6 +146,10 @@ class TestSchurMachinery:
         e = SymExpansion(n=2, coeffs={(2,): 1, (1, 1): -1})
         assert not is_schur_positive(e)
 
+    def test_partition_parts_are_positive(self):
+        with pytest.raises(ValueError, match="not a partition of 3"):
+            SymExpansion(3, {(2, 1, 0): 1})
+
     def test_format(self):
         e = SymExpansion(n=5,
                          coeffs={(2, 2, 1): 1, (3, 2): 4, (4, 1): 3, (5,): 5})
