@@ -279,7 +279,7 @@ def _cmd_formula(args, limits: Limits) -> int:
         value = getattr(args, key)
         if value is not None:
             kwargs[key] = value
-    result = genfun.formula(args.id, **kwargs)
+    result = genfun.formula(args.id, limits=limits, **kwargs)
     if isinstance(result, list):
         print(" ".join(map(str, result)))
     else:

@@ -31,6 +31,9 @@ class Limits(NamedTuple):
     series_order: int = 12
     # ... and the largest order an expansion admits
     series_guard: int = 30
+    # the longest r-Eulerian recurrence (eulerian_r's n, carlitz_lhs_coeff's
+    # n + r); its cost grows about as n^3
+    eulerian_guard: int = 500
     # starting line index for b-file output
     bfile_offset: int = 1
 

@@ -490,16 +490,18 @@ def b231_312(n: int, k: int) -> int:
 # r-Eulerian polynomials and the generalized Carlitz identity
 # ---------------------------------------------------------------------------
 
-def eulerian_r(n: int, r: int) -> list[int]:
+def eulerian_r(n: int, r: int, limits: Limits = DEFAULT_LIMITS) -> list[int]:
     """Distribution of r-descents (pi(i) > pi(i+1) + r) over S_n.
 
     No permutation of length m <= r + 1 has an r-descent, since no two of
     its letters differ by more than r, so the walk starts from A_m = [m!] at
     m = min(n, r) and applies, from m = r + 1 on,
     A_m = (r+1 + (m-r-1) t) A_{m-1} + t (1-t) A'_{m-1}.
+    n is refused above ``limits.eulerian_guard``.
     """
     if n < 0 or r < 0:
         raise ValueError("n and r must be non-negative")
+    limits.check("eulerian_guard", n)
     base = min(n, r)
     a = MultiPoly.const(math.factorial(base))
     for m in range(base + 1, n + 1):
@@ -516,11 +518,12 @@ def _carlitz_coeff(eulerian: list[int], n: int, r: int, k: int) -> Fraction:
     return Fraction(total, math.factorial(r + 1))
 
 
-def carlitz_lhs_coeff(n: int, r: int, k: int) -> Fraction:
+def carlitz_lhs_coeff(n: int, r: int, k: int,
+                      limits: Limits = DEFAULT_LIMITS) -> Fraction:
     """Coefficient of t^k in A_{n+r}(t) / ((r+1)! (1-t)^(n+1+r))."""
     if n < 1 or r < 0 or k < 0:
         raise ValueError("need n >= 1, r >= 0, k >= 0")
-    return _carlitz_coeff(eulerian_r(n + r, r), n, r, k)
+    return _carlitz_coeff(eulerian_r(n + r, r, limits), n, r, k)
 
 
 def carlitz_verify(n: int, r: int, K: int) -> bool:
@@ -543,11 +546,14 @@ FORMULA_IDS = {
 }
 
 
-def formula(name: str, **args):
-    """Evaluate a named counting formula; FORMULA_IDS lists the names."""
+def formula(name: str, limits: Limits = DEFAULT_LIMITS, **args):
+    """Evaluate a named counting formula; FORMULA_IDS lists the names.  The
+    two that run the r-Eulerian recurrence are guarded by `limits`."""
     try:
         fn = FORMULA_IDS[name]
     except KeyError:
         raise ValueError(f"unknown formula {name!r}; have {sorted(FORMULA_IDS)}"
                          ) from None
+    if fn in (eulerian_r, carlitz_lhs_coeff):
+        args["limits"] = limits
     return fn(**args)

@@ -15,15 +15,23 @@ statistic is one entry of ``STATISTICS``: its value function and, for des and
 bdes, the r of the generating tree's O(1) update.  ``des_r(r)`` and its
 shorthand ``des_k`` name des_r for any r.
 
-Avoider classes are enumerated by one depth-first generating tree: each
-avoider of length m has as children its insertions of m + 1 at the active
-sites, computed once per parent (an interval or a prefix split for a
-length-3 pattern, an occurrence scan pinned to the new maximum for any
-other length).  ``distribution_table`` and ``distribution_rows`` tally the
-children's statistic values without building the last level, updating
-des_r(r) in O(1) from the neighbours of the inserted letter;
-``enumerate_avoiders`` collects and sorts the leaves.  Memory is O(n) apart
-from the leaves that ``enumerate_avoiders`` returns.
+Avoider classes live on their generating tree: each avoider of length m
+has as children its insertions of m + 1 at the active sites, computed once
+per parent (an interval or a prefix split for a length-3 pattern, an
+occurrence scan pinned to the new maximum for any other length).  Two walks
+tally the children's statistic values without building the last level,
+updating des_r(r) in O(1) from the neighbours of the inserted letter:
+- the merged walk (``_merged_rows``) serves ``distribution_rows`` and
+  ``distribution_table`` for des_r(r) over S_n and over every class of
+  length-3 patterns.  Level by level it keeps one node per signature, a
+  finite label of the node's future (West 1995; Vatter, J. Symbolic
+  Comput. 41, 2006), so it tallies a few hundred states where the tree has
+  tens of thousands of avoiders;
+- the depth-first walk (``_grow``) visits every avoider in O(n) memory.  It
+  serves the tables of a class with a longer pattern and of a statistic
+  without an O(1) update, ``tree_rows`` (the exhaustive oracle of
+  ``verify``) and ``enumerate_avoiders``, which collects and sorts the
+  leaves.
 """
 
 from __future__ import annotations
@@ -263,7 +271,10 @@ def _class_size(n: int, pats: tuple[Perm, ...]) -> int | None:
 
 def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
           leaves: list[Perm] | None = None) -> list[list[int]]:
-    """Walk the generating tree of S_m(pats), m <= n, depth first.
+    """Walk the generating tree of S_m(pats), m <= n, depth first, visiting
+    every avoider: for `enumerate_avoiders`, for `tree_rows`, and for
+    `distribution_rows` when the merged walk does not apply (a pattern of
+    length 4 or more, or a statistic other than des_r(r)).
 
     Returns ``counts[m][k]``, the number of avoiders of length m with
     statistic value k, for every m <= n.
@@ -316,6 +327,72 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
             del node[i]
 
     descend(0)
+    return counts
+
+
+def _signature(node: list[int], rules, r: int) -> tuple:
+    """The state of `node` in the merged walk of `_merged_rows`.
+
+    For each site in the union of the rules' sites, in order: the rules it
+    is active for, whether its pair (a, b) is an r-descent, and
+    min(r + 1, top - b), which is 0 only at the end sentinel b = top.  With
+    no rules every site is active and the sites are interchangeable, so the
+    sites' states are sorted.
+    """
+    top = len(node) + 1
+    ext = [0, *node, top]
+    if not rules:
+        return tuple(sorted((ext[i] > ext[i + 1] + r, min(r + 1, top - ext[i + 1]))
+                            for i in range(top)))
+    allowed = [set(rule(node)) for rule in rules]
+    return tuple((tuple(i in sites for sites in allowed),
+                  ext[i] > ext[i + 1] + r, min(r + 1, top - ext[i + 1]))
+                 for i in sorted(set().union(*allowed)))
+
+
+def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
+    """`_grow`'s ``counts`` for des_r(r) over a class whose patterns all have
+    length 3 (or that has none), walked level by level with one node per
+    `_signature`: a representative and the counts of the values of every
+    avoider it stands for.
+
+    Sound because two avoiders of one length with one signature have the
+    same subtree up to a shift of the statistic.  Inserting top = m + 1 at
+    site i, between a and b, adds [top - b > r] - [a > b + r], which the
+    site's signature entry holds.  The child's pairs are the parent's, with
+    (a, top) no r-descent and of rank 1, (top, b) an r-descent exactly when
+    the site's rank is r + 1, and every rank other than 0 and r + 1 up by
+    one.  For each length-3 rule the child's sites follow from the parent's
+    and from i's place among them: an initial interval (123, 213) ends at i
+    or at i + 1, except that 123's grows by one when i = 0; a final
+    interval (312, 321) starts at i or at i + 1, except that 321's grows by
+    one when i is the end; a split (132, 231) keeps site 0 and the parent's
+    sites from i on, or the parent's sites up to i and the end.  Site 0 and
+    the end are in the union whenever a rule needs them, and a site outside
+    every rule's set never returns.  So the child's signature is a function
+    of the parent's and of i, and merging loses nothing.  With no patterns
+    the sites do not depend on their order.
+    """
+    counts = [[0] * (m + 1) for m in range(n + 1)]
+    counts[0][0] = 1
+    rules = [_site_rule(p) for p in pats if len(p) <= n]
+    level = {(): ([], {0: 1})}
+    for top in range(1, n + 1):
+        row, following, thr = counts[top], {}, top - r
+        for node, values in level.values():
+            ext = [0, *node, top]
+            for i in _active_sites(node, rules):
+                step = (ext[i + 1] < thr) - (ext[i] > ext[i + 1] + r)
+                for s, c in values.items():
+                    row[s + step] += c
+                if top == n:
+                    continue
+                child = [*node[:i], top, *node[i:]]
+                _, tally = following.setdefault(_signature(child, rules, r),
+                                                (child, {}))
+                for s, c in values.items():
+                    tally[s + step] = tally.get(s + step, 0) + c
+        level = following
     return counts
 
 
@@ -428,7 +505,8 @@ def left_to_right_maxima(word: Iterable[int]) -> set[int]:
 
 class Statistic(NamedTuple):
     """A registered statistic: its value on one permutation and, when it
-    counts r-descents, the r that the generating tree updates in O(1)."""
+    counts r-descents, the r that the generating tree updates in O(1) and
+    by which the merged walk tallies the classes of length-3 patterns."""
 
     value: Callable[[Sequence[int]], int]
     r: int | None = None
@@ -505,15 +583,32 @@ class DistributionTable(NamedTuple):
         return sum(self.counts)
 
 
-def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
-                      limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
-    """The tables of lengths 0..n from one walk of the generating tree,
-    tallied at every depth, with the guard applied to n."""
-    resolved = _resolve_stat(stat)
-    pats = _checked_patterns(n, patterns, limits)
-    counts = _grow(n, pats, resolved)
+def _tables(stat: str, pats: tuple[Perm, ...],
+            counts: list[list[int]]) -> list[DistributionTable]:
     return [DistributionTable(n=m, stat=stat, patterns=pats, counts=tuple(row))
             for m, row in enumerate(counts)]
+
+
+def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
+                      limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
+    """The tables of lengths 0..n from one walk, tallied at every depth,
+    with the guard applied to n.  des_r(r) over a class whose patterns all
+    have length 3 (or over S_n) is tallied on the merged walk; any other
+    class or statistic on the depth-first tree, as in `tree_rows`."""
+    resolved = _resolve_stat(stat)
+    pats = _checked_patterns(n, patterns, limits)
+    if resolved.r is None or any(len(p) != 3 for p in pats):
+        return _tables(stat, pats, _grow(n, pats, resolved))
+    return _tables(stat, pats, _merged_rows(n, pats, resolved.r))
+
+
+def tree_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
+              limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
+    """`distribution_rows` from the depth-first tree for every class and
+    statistic: it visits each avoider, so it is the exhaustive oracle that
+    `verify` holds the merged walk to."""
+    pats = _checked_patterns(n, patterns, limits)
+    return _tables(stat, pats, _grow(n, pats, _resolve_stat(stat)))
 
 
 def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,

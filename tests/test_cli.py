@@ -382,6 +382,15 @@ OVER_GUARD_JOBS = [
     pytest.param({"series_guard": 40},
                  ("series", "--id", "F", "--order", "17", "--route", "closed"),
                  "series_guard=16", id="config-series-f-composition"),
+    pytest.param(None, ("formula", "--id", "eulerian_r", "--n", "1700",
+                        "--r", "0"),
+                 "eulerian_guard=500", id="formula-eulerian-r"),
+    pytest.param(None, ("formula", "--id", "carlitz_lhs_coeff", "--n", "400",
+                        "--r", "101", "--k", "3"),
+                 "eulerian_guard=500", id="formula-carlitz"),
+    pytest.param({"eulerian_guard": 10},
+                 ("formula", "--id", "eulerian_r", "--n", "11", "--r", "2"),
+                 "eulerian_guard=10", id="config-formula-eulerian-r"),
 ]
 
 

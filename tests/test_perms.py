@@ -14,7 +14,7 @@ from bigdescents.perms import (DistributionTable, bdes, contains, des, des_r,
                                enumerate_avoiders, lddes,
                                left_to_right_maxima, parse_pattern_set,
                                parse_permutation, pk, rbdes, reverse, sdes,
-                               standardize, statistic)
+                               standardize, statistic, tree_rows)
 from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
 
 perm_strategy = st.integers(0, 7).flatmap(
@@ -298,6 +298,7 @@ class TestTreeAgainstNaiveFilter:
         classes = [naive_class(patterns, n) for n in range(8)]
         for stat, value in ORACLE_STATS.items():
             rows = distribution_rows(7, patterns, stat)
+            assert tree_rows(7, patterns, stat) == rows
             assert len(rows) == len(classes)
             for n, (row, naive) in enumerate(zip(rows, classes)):
                 found = [0] * (n + 1)
@@ -310,6 +311,61 @@ class TestTreeAgainstNaiveFilter:
         for n in range(8):
             assert list(enumerate_avoiders(n, patterns)) == \
                 naive_class(patterns, n)
+
+
+SUBSETS_OF_S3 = [ps for size in range(1, 7)
+                 for ps in itertools.combinations(
+                     itertools.permutations((1, 2, 3)), size)]
+
+
+def merged_mismatches(n, pattern_sets):
+    """The (patterns, r) whose rows of lengths 0..n differ between the
+    merged walk and the tree."""
+    return [(ps, r) for ps in pattern_sets for r in range(3)
+            if distribution_rows(n, ps, f"des_r({r})")
+            != tree_rows(n, ps, f"des_r({r})")]
+
+
+class TestMergedWalk:
+    """des_r(r) over the classes of length-3 patterns, tallied with one node
+    per signature, against the tree that visits every avoider."""
+
+    def test_equals_the_tree_on_every_subset_of_s3(self):
+        assert merged_mismatches(10, SUBSETS_OF_S3) == []
+        assert merged_mismatches(9, [()]) == []
+
+    def test_equals_the_tree_below_the_pattern_length(self):
+        for n in range(3):
+            assert merged_mismatches(n, SUBSETS_OF_S3) == []
+
+    @pytest.mark.parametrize("coarsen", [
+        lambda sig: tuple(entry[:-1] for entry in sig),
+        lambda sig: tuple(entry[-2:] for entry in sig),
+        lambda sig: tuple(entry[:-2] + entry[-1:] for entry in sig),
+    ], ids=["without-rank", "without-rule-flags", "without-descent-flag"])
+    def test_a_coarser_signature_is_caught(self, monkeypatch, coarsen):
+        signature = perms._signature
+        monkeypatch.setattr(perms, "_signature",
+                            lambda *args: coarsen(signature(*args)))
+        assert len(merged_mismatches(7, SUBSETS_OF_S3)) >= 10
+
+    @pytest.mark.parametrize("patterns, stat, merged", [
+        (((2, 3, 1),), "bdes", True),
+        ((), "des_r(3)", True),
+        (((1, 2, 3, 4),), "bdes", False),
+        (((2, 1, 3), (1, 2, 3, 4)), "des", False),
+        (((2, 3, 1),), "pk", False),
+        ((), "sdes", False),
+    ])
+    def test_merges_length_3_classes_by_des_r_only(self, monkeypatch,
+                                                   patterns, stat, merged):
+        calls = []
+        walk = perms._merged_rows
+        monkeypatch.setattr(perms, "_merged_rows",
+                            lambda *args: calls.append(args) or walk(*args))
+        assert distribution_rows(6, patterns, stat) == \
+            tree_rows(6, patterns, stat)
+        assert bool(calls) == merged
 
 
 class TestWilfEquivalenceData:
