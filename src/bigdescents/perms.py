@@ -330,23 +330,26 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
     return counts
 
 
-def _signature(node: list[int], rules, r: int) -> tuple:
-    """The state of `node` in the merged walk of `_merged_rows`.
+def _signature(node: list[int], rules, r: int) -> tuple[int, ...]:
+    """The state of `node` in the merged walk of `_merged_rows`: one code
+    per site in the union of the rules' sites, in order.
 
-    For each site in the union of the rules' sites, in order: the rules it
-    is active for, whether its pair (a, b) is an r-descent, and
-    min(r + 1, top - b), which is 0 only at the end sentinel b = top.  With
-    no rules every site is active and the sites are interchangeable, so the
-    sites' states are sorted.
+    A site between a and b gets rank + (r + 2) * (descent + 2 * rules),
+    where rank = min(r + 1, top - b) (0 only at the end sentinel b = top),
+    descent is 1 when (a, b) is an r-descent, and bit k of rules is set when
+    the site is active for rule k.  With no rules every site is active and
+    the sites are interchangeable, so the codes are sorted.  Ints rather
+    than nested tuples keep the walk's many short-lived keys small.
     """
     top = len(node) + 1
     ext = [0, *node, top]
+    codes = [min(r + 1, top - b) + (r + 2) * (a > b + r)
+             for a, b in zip(ext, ext[1:])]
     if not rules:
-        return tuple(sorted((ext[i] > ext[i + 1] + r, min(r + 1, top - ext[i + 1]))
-                            for i in range(top)))
+        return tuple(sorted(codes))
     allowed = [set(rule(node)) for rule in rules]
-    return tuple((tuple(i in sites for sites in allowed),
-                  ext[i] > ext[i + 1] + r, min(r + 1, top - ext[i + 1]))
+    return tuple(codes[i] + 2 * (r + 2) * sum(
+                     1 << k for k, sites in enumerate(allowed) if i in sites)
                  for i in sorted(set().union(*allowed)))
 
 
@@ -359,10 +362,10 @@ def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     Sound because two avoiders of one length with one signature have the
     same subtree up to a shift of the statistic.  Inserting top = m + 1 at
     site i, between a and b, adds [top - b > r] - [a > b + r], which the
-    site's signature entry holds.  The child's pairs are the parent's, with
-    (a, top) no r-descent and of rank 1, (top, b) an r-descent exactly when
-    the site's rank is r + 1, and every rank other than 0 and r + 1 up by
-    one.  For each length-3 rule the child's sites follow from the parent's
+    site's code holds.  The child's pairs are the parent's, with (a, top)
+    no r-descent and of rank 1, (top, b) an r-descent exactly when the
+    site's rank is r + 1, and every rank other than 0 and r + 1 up by one.
+    For each length-3 rule the child's sites follow from the parent's
     and from i's place among them: an initial interval (123, 213) ends at i
     or at i + 1, except that 123's grows by one when i = 0; a final
     interval (312, 321) starts at i or at i + 1, except that 321's grows by
@@ -379,7 +382,8 @@ def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     level = {(): ([], {0: 1})}
     for top in range(1, n + 1):
         row, following, thr = counts[top], {}, top - r
-        for node, values in level.values():
+        while level:  # drop each state once walked: one level at a time
+            node, values = level.popitem()[1]
             ext = [0, *node, top]
             for i in _active_sites(node, rules):
                 step = (ext[i + 1] < thr) - (ext[i] > ext[i + 1] + r)

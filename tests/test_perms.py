@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bigdescents import perms
+from bigdescents import perms, verify
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.perms import (DistributionTable, bdes, contains, des, des_r,
@@ -326,6 +326,22 @@ def merged_mismatches(n, pattern_sets):
             != tree_rows(n, ps, f"des_r({r})")]
 
 
+# Each forgets one field of a site's code in `perms._signature`, which packs
+# rank + unit * (descent + 2 * rule flags) with unit = r + 2.
+COARSENINGS = {
+    "without-rank": lambda code, unit: code // unit,
+    "without-rule-flags": lambda code, unit: code % (2 * unit),
+    "without-descent-flag": lambda code, unit: code - unit * (code // unit % 2),
+}
+
+
+def coarsen(monkeypatch, forget):
+    """Make the merged walk key its states on a coarser signature."""
+    signature = perms._signature
+    monkeypatch.setattr(perms, "_signature", lambda node, rules, r: tuple(
+        forget(code, r + 2) for code in signature(node, rules, r)))
+
+
 class TestMergedWalk:
     """des_r(r) over the classes of length-3 patterns, tallied with one node
     per signature, against the tree that visits every avoider."""
@@ -338,16 +354,18 @@ class TestMergedWalk:
         for n in range(3):
             assert merged_mismatches(n, SUBSETS_OF_S3) == []
 
-    @pytest.mark.parametrize("coarsen", [
-        lambda sig: tuple(entry[:-1] for entry in sig),
-        lambda sig: tuple(entry[-2:] for entry in sig),
-        lambda sig: tuple(entry[:-2] + entry[-1:] for entry in sig),
-    ], ids=["without-rank", "without-rule-flags", "without-descent-flag"])
-    def test_a_coarser_signature_is_caught(self, monkeypatch, coarsen):
-        signature = perms._signature
-        monkeypatch.setattr(perms, "_signature",
-                            lambda *args: coarsen(signature(*args)))
+    @pytest.mark.parametrize("forget", COARSENINGS.values(),
+                             ids=COARSENINGS.keys())
+    def test_a_coarser_signature_is_caught(self, monkeypatch, forget):
+        coarsen(monkeypatch, forget)
         assert len(merged_mismatches(7, SUBSETS_OF_S3)) >= 10
+
+    def test_verify_holds_it_to_the_tree(self, monkeypatch):
+        coarsen(monkeypatch, COARSENINGS["without-descent-flag"])
+        failed = [r for r in verify.check_formulas(7) if not r.ok]
+        assert all("; merged walk [" in r.witness for r in failed)
+        assert {"eulerian-recurrence:r=1", "eulerian-r1-vs-bdes",
+                "distribution:formula:b123"} <= {r.name for r in failed}
 
     @pytest.mark.parametrize("patterns, stat, merged", [
         (((2, 3, 1),), "bdes", True),
