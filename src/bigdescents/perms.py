@@ -330,27 +330,37 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
     return counts
 
 
-def _signature(node: list[int], rules, r: int) -> tuple[int, ...]:
+def _signature(node: list[int], rules, r: int) -> int:
     """The state of `node` in the merged walk of `_merged_rows`: one code
-    per site in the union of the rules' sites, in order.
+    per site in the union of the rules' sites, in order, packed into an int.
 
     A site between a and b gets rank + (r + 2) * (descent + 2 * rules),
     where rank = min(r + 1, top - b) (0 only at the end sentinel b = top),
     descent is 1 when (a, b) is an r-descent, and bit k of rules is set when
     the site is active for rule k.  With no rules every site is active and
-    the sites are interchangeable, so the codes are sorted.  Ints rather
-    than nested tuples keep the walk's many short-lived keys small.
+    the sites are interchangeable, so the codes are sorted.  The codes are
+    the digits of the int after a leading 1, in base 2 * (r + 2) << the
+    number of rules.  An int key, unlike a tuple, leaves nothing on the
+    interpreter's tuple free lists once the walk's many short-lived keys
+    are gone.
     """
     top = len(node) + 1
     ext = [0, *node, top]
     codes = [min(r + 1, top - b) + (r + 2) * (a > b + r)
              for a, b in zip(ext, ext[1:])]
-    if not rules:
-        return tuple(sorted(codes))
-    allowed = [set(rule(node)) for rule in rules]
-    return tuple(codes[i] + 2 * (r + 2) * sum(
-                     1 << k for k, sites in enumerate(allowed) if i in sites)
-                 for i in sorted(set().union(*allowed)))
+    if rules:
+        active = [0] * top
+        for k, rule in enumerate(rules):
+            for i in rule(node):
+                active[i] |= 1 << k
+        codes = [code + 2 * (r + 2) * bits
+                 for code, bits in zip(codes, active) if bits]
+    else:
+        codes.sort()
+    key, base = 1, 2 * (r + 2) << len(rules)
+    for code in codes:
+        key = key * base + code
+    return key
 
 
 def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
@@ -379,7 +389,7 @@ def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     counts = [[0] * (m + 1) for m in range(n + 1)]
     counts[0][0] = 1
     rules = [_site_rule(p) for p in pats if len(p) <= n]
-    level = {(): ([], {0: 1})}
+    level = {None: ([], {0: 1})}
     for top in range(1, n + 1):
         row, following, thr = counts[top], {}, top - r
         while level:  # drop each state once walked: one level at a time

@@ -326,7 +326,7 @@ def merged_mismatches(n, pattern_sets):
             != tree_rows(n, ps, f"des_r({r})")]
 
 
-# Each forgets one field of a site's code in `perms._signature`, which packs
+# Each forgets one field of a site's code in `perms._signature`, which is
 # rank + unit * (descent + 2 * rule flags) with unit = r + 2.
 COARSENINGS = {
     "without-rank": lambda code, unit: code // unit,
@@ -336,10 +336,19 @@ COARSENINGS = {
 
 
 def coarsen(monkeypatch, forget):
-    """Make the merged walk key its states on a coarser signature."""
+    """Make the merged walk key its states on a coarser signature: unpack
+    the sites' codes (the base-``2 * unit << len(rules)`` digits of the key
+    after its leading 1) and forget one field of each."""
     signature = perms._signature
-    monkeypatch.setattr(perms, "_signature", lambda node, rules, r: tuple(
-        forget(code, r + 2) for code in signature(node, rules, r)))
+
+    def coarser(node, rules, r):
+        key, codes = signature(node, rules, r), []
+        while key > 1:
+            key, code = divmod(key, 2 * (r + 2) << len(rules))
+            codes.append(forget(code, r + 2))
+        return tuple(codes)
+
+    monkeypatch.setattr(perms, "_signature", coarser)
 
 
 class TestMergedWalk:
