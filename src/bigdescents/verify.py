@@ -54,8 +54,9 @@ def check_class_equalities(max_n: int,
 
 def _brute_force_rows(max_n: int, patterns, stat: str,
                       limits: Limits) -> list[tuple[DistributionTable, str]]:
-    """The exhaustive tree's tables of lengths 0..max_n, each with the
-    merged walk's counts when `distribution_rows` disagrees ("" otherwise)."""
+    """The exhaustive tree's tables of lengths 0..max_n, each with a
+    mismatch note: the merged walk's counts when `distribution_rows`
+    disagrees, "" when it agrees."""
     tree = tree_rows(max_n, patterns, stat, limits=limits)
     merged = distribution_rows(max_n, patterns, stat, limits=limits)
     return [(t, "" if t == m else f"; merged walk {list(m.counts)}")
@@ -69,32 +70,33 @@ def check_formulas(max_n: int,
     out = []
     for label, patterns, rows in wilf.TABLE_CLASS_ROUTES:
         tables = _brute_force_rows(max_n, patterns, "bdes", limits)
-        for n, ((table, merged), got) in enumerate(
+        for n, ((table, mismatch), got) in enumerate(
                 zip(tables, rows(max_n), strict=True)):
             expected = list(table.counts)
             got = got + [0] * (n + 1 - len(got))
             out.append(_result(
                 f"distribution:{label}", n, table.total(),
-                got == expected and not merged,
-                f"formula {got} vs brute force {expected}{merged}"))
+                got == expected and not mismatch,
+                f"formula {got} vs brute force {expected}{mismatch}"))
     # r-Eulerian recurrence against brute force, and the Carlitz identity
     for r in range(3):
-        for table, merged in _brute_force_rows(min(max_n, 7), (),
-                                               f"des_r({r})", limits):
+        for table, mismatch in _brute_force_rows(min(max_n, 7), (),
+                                                 f"des_r({r})", limits):
             rec = genfun.eulerian_r(table.n, r)
             brute = table.poly()
             out.append(_result(f"eulerian-recurrence:r={r}", table.n,
-                               table.total(), rec == brute and not merged,
-                               f"{rec} vs {brute}{merged}"))
+                               table.total(), rec == brute and not mismatch,
+                               f"{rec} vs {brute}{mismatch}"))
         for n in range(1, min(max_n, 7) + 1):
             out.append(_result(f"carlitz:r={r}", n, 6,
                                genfun.carlitz_verify(n, r, 6)))
     # bdes over the unrestricted group matches the r=1 Eulerian polynomials
-    for table, merged in _brute_force_rows(min(max_n, 8), (), "bdes", limits):
+    for table, mismatch in _brute_force_rows(min(max_n, 8), (), "bdes",
+                                             limits):
         rec = genfun.eulerian_r(table.n, 1)
         out.append(_result("eulerian-r1-vs-bdes", table.n, table.total(),
-                           rec == table.poly() and not merged,
-                           f"{rec} vs {table.poly()}{merged}"))
+                           rec == table.poly() and not mismatch,
+                           f"{rec} vs {table.poly()}{mismatch}"))
     return out
 
 
