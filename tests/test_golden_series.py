@@ -9,8 +9,9 @@ reproduce the old series byte for byte.
 Re-record (only after an intended change of output) with
 ``PYTHONPATH=src python tests/test_golden_series.py``.
 
-``F_SERIES_STDOUT`` pins the stdout of ``series --id F`` at two orders above
-12, where F's default (functional) route meets its largest coefficients.
+``F_SERIES_STDOUT`` pins the stdout of ``series --id F`` at three orders
+above 12, up to the series guard (30), where F's default (functional) route
+meets its largest coefficients.
 """
 
 import hashlib
@@ -60,6 +61,7 @@ def test_series_matches_golden_digest(key):
 F_SERIES_STDOUT = {
     20: "54412cf39c2294a14dbf34421e604c7724aa5cd1c68ac35e02611639c47b1a49",
     24: "b4f6d4f27f84c373b47d092dadc635ad724062758f15ee8a5cf14d7dea13086d",
+    30: "006320ae8a029f8b009ea51e4b77dbcef37fcc0104d8caba2dd0cd44f91477e0",
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -273,3 +274,21 @@ class TestGenerators:
     def test_binary_words(self):
         assert sum(1 for _ in iter_binary_words(6)) == 64
         assert [str(w) for w in iter_binary_words(0)] == [""]
+
+
+# sha256 of the lines "<size> <word>" over sizes 0..9 (Dyck, by semilength)
+# and 0..10 (2-Motzkin, by length), each size in the generator's own order;
+# recorded from the generators before they shared one walk.
+GENERATOR_DIGESTS = {
+    "dyck": (iter_dyck_paths, range(10),
+             "f988377202aab3c5f513e963a7447aa3b7ac2cb14c9f29290e6ca5addb79ecaf"),
+    "two_motzkin": (iter_two_motzkin, range(11),
+                    "541758915fc5be24905b721600b5496b2f41b1599966c8ffac80dab0d970310f"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATOR_DIGESTS))
+def test_generator_sequence_matches_golden_digest(kind):
+    generate, sizes, want = GENERATOR_DIGESTS[kind]
+    text = "".join(f"{n} {path}\n" for n in sizes for path in generate(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
