@@ -3,10 +3,10 @@
 Polynomials here are univariate in t with exact rational coefficients, held
 as ``algebra.MultiPoly`` values; the public entry points also take
 coefficient lists (index = degree) and convert them once with ``poly``.
-Root counting is fully exact: Sturm's theorem on each factor of Yun's
-squarefree decomposition, which also gives the multiplicities, all on
-``MultiPoly.divmod``.  There is no floating-point root finding
-anywhere.
+Root counting is fully exact: Sturm's theorem, which counts the distinct
+real roots of any nonzero polynomial, and for multiplicities the same count
+on each member of the chain p, gcd(p, p'), ..., all on ``MultiPoly.divmod``.
+There is no floating-point root finding anywhere.
 
 Conventions: the zero polynomial is rejected by the root counters; constants
 and degree-1 polynomials count as (vacuously) real-rooted.  Scans over
@@ -61,38 +61,20 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return a.exact_div(a.leading_term()[1])
 
 
-def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
-    """Yun's algorithm: p = c * prod q_i^i with the q_i squarefree, coprime."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no squarefree decomposition")
-    if degree(p) == 0:
-        return []
-    dp = p.derivative("t")
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    d = dp.exact_div(a) - b.derivative("t")
-    out: list[tuple[MultiPoly, int]] = []
-    i = 1
-    while degree(b) > 0:
-        a = poly_gcd(b, d)
-        if degree(a) > 0:
-            out.append((a, i))
-        b = b.exact_div(a)
-        d = d.exact_div(a) - b.derivative("t")
-        i += 1
-    return out
-
-
 def _sign_changes(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _sturm_count(r: MultiPoly) -> int:
-    """Real roots of a nonzero squarefree polynomial from its Sturm chain.
+    """Distinct real roots of a nonzero polynomial from its Sturm chain.
 
-    Each member's sign at +inf is its leading coefficient's; at -inf it
-    flips with odd degree.
+    The chain ends at gcd(r, r'), up to sign and scale, and dividing every
+    member by it changes no sign count, so r need not be squarefree.  Each
+    member's sign at +inf is its leading coefficient's; at -inf it flips
+    with odd degree.
     """
+    if r.is_zero():
+        raise ValueError("the zero polynomial has infinitely many roots")
     if degree(r) == 0:
         return 0
     chain = [r, r.derivative("t")]
@@ -106,19 +88,20 @@ def _sturm_count(r: MultiPoly) -> int:
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
-# Yun's factors are squarefree, so each takes its Sturm chain directly, and
-# coprime, so their distinct roots add up; squarefree_decomposition rejects
-# the zero polynomial
-
 def real_root_count(p: MultiPoly | Sequence) -> int:
     """Number of real roots counted without multiplicity."""
-    return sum(_sturm_count(factor)
-               for factor, _ in squarefree_decomposition(poly(p)))
+    return _sturm_count(poly(p))
 
 
 def real_root_count_with_multiplicity(p: MultiPoly | Sequence) -> int:
-    return sum(mult * _sturm_count(factor)
-               for factor, mult in squarefree_decomposition(poly(p)))
+    """A root of multiplicity m is a distinct root of each of g_0 = p,
+    g_1 = gcd(g_0, g_0'), ..., g_(m-1), so the distinct counts of the g_j
+    that are not constants add up to the count with multiplicity."""
+    g = poly(p)
+    total = _sturm_count(g)
+    while degree(g := poly_gcd(g, g.derivative("t"))) > 0:
+        total += _sturm_count(g)
+    return total
 
 
 def _real_rooted_witness(p: MultiPoly | Sequence) -> str | None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import bigdescents
-from bigdescents import conjectures, genfun
+from bigdescents import genfun
 from bigdescents.errors import InexactDivisionError
 
 PACKAGE = Path(bigdescents.__file__).parent
@@ -59,8 +59,3 @@ def test_counting_formulas_reject_a_remainder(monkeypatch):
     with pytest.raises(InexactDivisionError):
         genfun.narayana(3, 1)   # 1/2
 
-
-def test_squarefree_decomposition_rejects_a_remainder(monkeypatch):
-    monkeypatch.setattr(conjectures, "poly_gcd", lambda a, b: conjectures.poly([1, 1]))
-    with pytest.raises(InexactDivisionError):
-        conjectures.squarefree_decomposition(conjectures.poly([1, 0, 1]))

@@ -8,7 +8,6 @@ from bigdescents.conjectures import (branden_check, conjecture_scan, degree,
                                      is_unimodal, poly, poly_gcd,
                                      real_root_count,
                                      real_root_count_with_multiplicity,
-                                     squarefree_decomposition,
                                      stembridge_consistency)
 from bigdescents.perms import distribution_table
 
@@ -35,12 +34,16 @@ class TestRootCounting:
         assert real_root_count(mixed) == 1
         assert not is_real_rooted(mixed)
 
-    def test_squarefree_decomposition(self):
-        p = poly([1, 1]) * poly([1, 1]) * poly([-1, 1])
-        parts = squarefree_decomposition(p)
-        assert sorted(mult for _, mult in parts) == [1, 2]
-        total = sum(mult * degree(q) for q, mult in parts)
-        assert total == degree(p)
+    def test_repeated_factors_along_the_gcd_chain(self):
+        # (1+t)^3 (1+t^2)^2 (t-2): roots -1 (triple) and 2, two complex pairs
+        p = poly([1, 1]) ** 3 * poly([1, 0, 1]) ** 2 * poly([-2, 1])
+        assert (real_root_count(p), real_root_count_with_multiplicity(p)) \
+            == (2, 4)
+        assert not is_real_rooted(p)
+        # t^2 (1+t^2): a double root at 0 and one complex pair
+        p = poly([0, 0, 1, 0, 1])
+        assert (real_root_count(p), real_root_count_with_multiplicity(p)) \
+            == (1, 2)
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
            st.lists(st.integers(-3, 3), min_size=1, max_size=4))
@@ -142,15 +145,16 @@ class TestScans:
 
     def test_failing_row_counts_its_roots_once(self, monkeypatch):
         # one failing row: the {123, 132} class at n = 7, degree 4, 2 real roots
+        # (squarefree, so one Sturm chain and no chain for gcd(p, p') = 1)
         calls = 0
-        real = cj.squarefree_decomposition
+        real = cj._sturm_count
 
         def counted(p):
             nonlocal calls
             calls += 1
             return real(p)
 
-        monkeypatch.setattr(cj, "squarefree_decomposition", counted)
+        monkeypatch.setattr(cj, "_sturm_count", counted)
         rows = cj.distribution_rows
         monkeypatch.setattr(cj, "_SCAN_TARGETS", (((1, 2, 3), (1, 3, 2)),))
         monkeypatch.setattr(cj, "distribution_rows",
