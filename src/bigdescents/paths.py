@@ -41,6 +41,27 @@ def _balanced(word, up, down, level=()) -> bool:
     return height == 0
 
 
+def _walks(n: int, up, down, level=()) -> Iterator[tuple]:
+    """Every word of n steps that `_balanced` accepts, as a tuple, in
+    lexicographic order with down < the `level` steps (in their order) < up.
+
+    A step is taken only when the walk can still come back to height 0 in
+    the steps left, so no prefix is a dead end unless n is odd and there
+    are no level steps.  The stack pops the smallest step first.
+    """
+    moves = ((up, 1), *((step, 0) for step in reversed(level)), (down, -1))
+    stack = [((), 0)]
+    while stack:
+        prefix, height = stack.pop()
+        left = n - len(prefix)
+        if height == left:  # only down steps remain
+            yield prefix + (down,) * left
+            continue
+        for step, rise in moves:
+            if 0 <= height + rise < left:
+                stack.append((prefix + (step,), height + rise))
+
+
 class DyckPath(Value):
     """A balanced U/D word whose every prefix has at least as many U as D."""
 
@@ -257,41 +278,17 @@ def iter_dyck_paths(m: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength m, in lexicographic order (D < U)."""
     if m < 0:
         raise ValueError("semilength must be non-negative")
-    steps = ["U", "D"] * m
-    while True:
-        yield DyckPath("".join(steps))
-        # the next path turns the last D with a U after it into U, then
-        # takes the smallest completion: D down to height 0, then UD pairs
-        i, ups_after = 2 * m - 1, 0
-        while i >= 0 and (steps[i] == "U" or not ups_after):
-            ups_after += steps[i] == "U"
-            i -= 1
-        if i < 0:
-            return
-        height = 2 * (m - ups_after) - i + 1
-        steps[i:] = ["U"] + ["D"] * height + ["U", "D"] * (ups_after - 1)
+    for word in _walks(2 * m, "U", "D"):
+        yield DyckPath("".join(word))
 
 
 def iter_two_motzkin(n: int) -> Iterator[TwoMotzkinPath]:
-    """All 2-Motzkin paths of length n."""
+    """All 2-Motzkin paths of length n, in lexicographic order
+    (d < h0 < h1 < u)."""
     if n < 0:
         raise ValueError("length must be non-negative")
-
-    def walk(prefix: list[str], height: int):
-        if len(prefix) == n:
-            if height == 0:
-                yield TwoMotzkinPath(tuple(prefix))
-            return
-        for tok in ("d", "h0", "h1", "u"):
-            if tok == "d" and height == 0:
-                continue
-            if tok == "u" and height + 1 > n - len(prefix) - 1:
-                continue  # cannot come back down in time
-            prefix.append(tok)
-            yield from walk(prefix, height + (tok == "u") - (tok == "d"))
-            prefix.pop()
-
-    yield from walk([], 0)
+    for word in _walks(n, "u", "d", ("h0", "h1")):
+        yield TwoMotzkinPath(word)
 
 
 def iter_binary_words(n: int) -> Iterator[BinaryWord]:
