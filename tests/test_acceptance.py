@@ -5,12 +5,12 @@ per criterion (the lines are also captured under plain ``pytest``).
 """
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 from bigdescents import bijections as bj
 from bigdescents import conjectures as cj
 from bigdescents import genfun
-from bigdescents.algebra import MultiPoly
 from bigdescents.paths import iter_dyck_paths, path_statistic
 from bigdescents.perms import (bdes, des, distribution_rows,
                                distribution_table, enumerate_avoiders, rbdes)
@@ -122,19 +122,18 @@ def test_criterion_07_path_series_identities():
     with criterion(7, "joint path statistics match G and F", 120):
         g_series = genfun.expand("G", 8)
         f_series = genfun.expand("F", 8)
-        s, t = MultiPoly.var("s"), MultiPoly.var("t")
-        u, v, w = (MultiPoly.var(name) for name in "uvw")
         for m in range(9):
-            g_total = MultiPoly.zero()
-            f_total = MultiPoly.zero()
+            # exponents of t, s, u, v, w: G is sum s^pk t^con and F is
+            # sum u^hibasc v^lobasc w^ini_UU over the Dyck paths
+            g_totals, f_totals = Counter(), Counter()
             for mu in iter_dyck_paths(m):
-                g_total = g_total + (s ** path_statistic(mu, "pk")
-                                     * t ** path_statistic(mu, "con"))
-                f_total = f_total + (u ** path_statistic(mu, "hibasc")
-                                     * v ** path_statistic(mu, "lobasc")
-                                     * w ** path_statistic(mu, "ini_UU"))
-            assert g_total == g_series.coefficient(m), m
-            assert f_total == f_series.coefficient(m), m
+                st = mu.statistics
+                g_totals[st["con"], st["pk"], 0, 0, 0] += 1
+                f_totals[0, 0, st["hibasc"], st["lobasc"], st["ini_UU"]] += 1
+            for totals, series in ((g_totals, g_series), (f_totals, f_series)):
+                exported = {tuple(exps): (num, den) for exps, num, den
+                            in series.coefficient(m).to_json()}
+                assert exported == {e: (c, 1) for e, c in totals.items()}, m
 
 
 def test_criterion_08_symmetric_function_tables():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from bigdescents.genfun import (GF_IDS, b123, b231, b231_joint, binom,
                                 carlitz_verify, catalan, eulerian_r, expand,
                                 expand_by_peak_insertion, expand_functional,
                                 formula, narayana, series_row)
+from bigdescents.paths import iter_dyck_paths
 from bigdescents.perms import (distribution_rows, distribution_table,
                               enumerate_avoiders)
 from table_data import BDES_TABLES
@@ -133,28 +135,26 @@ class TestPeakInsertionPipeline:
                 want.pop()
             assert series_row(series, n) == want
 
+    @staticmethod
+    def assert_path_totals(series, exponents):
+        """Each coefficient m of the series, as exported by ``to_json``,
+        against a plain {exponents: count} tally over the Dyck paths of
+        semilength m; `exponents` maps a path's statistics to one exponent
+        per variable, in the order t, s, u, v, w."""
+        for m in range(series.order + 1):
+            totals = Counter(exponents(mu.statistics)
+                             for mu in iter_dyck_paths(m))
+            exported = {tuple(exps): (num, den) for exps, num, den
+                        in series.coefficient(m).to_json()}
+            assert exported == {e: (c, 1) for e, c in totals.items()}, m
+
     def test_f_coefficients_match_path_statistics(self):
-        from bigdescents.paths import iter_dyck_paths, path_statistic
-        series = expand("F", 6)
-        for n in range(7):
-            total = MultiPoly.zero()
-            for mu in iter_dyck_paths(n):
-                term = (MultiPoly.var("u") ** path_statistic(mu, "hibasc")
-                        * MultiPoly.var("v") ** path_statistic(mu, "lobasc")
-                        * MultiPoly.var("w") ** path_statistic(mu, "ini_UU"))
-                total = total + term
-            assert total == series.coefficient(n)
+        self.assert_path_totals(expand("F", 6), lambda st: (
+            0, 0, st["hibasc"], st["lobasc"], st["ini_UU"]))
 
     def test_g_coefficients_match_path_statistics(self):
-        from bigdescents.paths import iter_dyck_paths, path_statistic
-        series = expand("G", 7)
-        for m in range(8):
-            total = MultiPoly.zero()
-            for mu in iter_dyck_paths(m):
-                term = (MultiPoly.var("s") ** path_statistic(mu, "pk")
-                        * MultiPoly.var("t") ** path_statistic(mu, "con"))
-                total = total + term
-            assert total == series.coefficient(m)
+        self.assert_path_totals(expand("G", 7),
+                                lambda st: (st["con"], st["pk"], 0, 0, 0))
 
 
 class TestFormulas:

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from bigdescents import conjectures as cj
+from bigdescents import symfunc
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.symfunc import (QsymExpansion, SymExpansion, _rearrangements,
@@ -161,3 +163,70 @@ class TestSchurMachinery:
         assert q0.coeffs != q1.coeffs
         # r = 0 gives the descent-set sum, which is also symmetric
         assert is_symmetric(q0)
+
+
+# ---------------------------------------------------------------------------
+# an oracle for schur_expand that never calls kostka
+# ---------------------------------------------------------------------------
+
+def signed_orderings(items):
+    """Each ordering of `items` with the sign of the permutation that makes
+    it: taking items[i] first passes i of them."""
+    if not items:
+        yield (), 1
+    for i, first in enumerate(items):
+        for rest, sign in signed_orderings(items[:i] + items[i + 1:]):
+            yield (first,) + rest, -sign if i % 2 else sign
+
+
+def bialternant_schur(n, fundamental):
+    """The Schur coefficients of a symmetric f of weight n, given as
+    {alpha: c_alpha} with f = sum of c_alpha F_alpha, by the bialternant formula in l = len(lam)
+    variables (Macdonald, Symmetric Functions and Hall Polynomials, I.3):
+    [s_lam] f = sum over w of sgn(w) [x^(lam + delta - w(delta))] f, with
+    delta = (l - 1, ..., 0).  The coefficient of x^a in F_alpha is 1 when
+    the nonzero parts of a refine alpha, else 0."""
+    descents = {alpha: set(itertools.accumulate(alpha[:-1]))
+                for alpha in fundamental}
+    by_parts = {}
+
+    def monomial(a):
+        beta = tuple(e for e in a if e)
+        if beta not in by_parts:
+            cuts = set(itertools.accumulate(beta))
+            by_parts[beta] = sum(c for alpha, c in fundamental.items()
+                                 if descents[alpha] <= cuts)
+        return by_parts[beta]
+
+    out = {}
+    for lam in partitions_of(n):
+        delta = tuple(range(len(lam) - 1, -1, -1))
+        top = [p + d for p, d in zip(lam, delta)]
+        value = sum(sign * monomial([t - e for t, e in zip(top, w)])
+                    for w, sign in signed_orderings(delta)
+                    if all(t >= e for t, e in zip(top, w)))
+        if value:
+            out[lam] = value
+    return out
+
+
+class TestBialternantOracle:
+    """schur_expand against an oracle that shares no Kostka numbers with
+    it, on the Schur scan's classes (r = 1) through weight 8."""
+
+    @pytest.mark.parametrize("patterns", cj._SCHUR_TARGETS)
+    def test_schur_expand_matches_the_bialternant(self, patterns):
+        for n in range(9):
+            want = bialternant_schur(n, qsym_fundamental(n, patterns))
+            assert schur_expand(qsym_sum(n, patterns)).coeffs == want, n
+
+    def test_oracle_sees_a_wrong_kostka_number(self, monkeypatch):
+        # K((5,3),(2,2,2,1,1)) = 9 planted as 10: the solve and the
+        # round-trip certificate both use it, so only the oracle sees it
+        real = symfunc.kostka
+        monkeypatch.setattr(
+            symfunc, "kostka", lambda lam, mu: real(lam, mu) + (
+                (lam, mu) == ((5, 3), (2, 2, 2, 1, 1))))
+        patterns = ((1, 2, 3),)
+        got = schur_expand(qsym_sum(8, patterns)).coeffs
+        assert got != bialternant_schur(8, qsym_fundamental(8, patterns))
