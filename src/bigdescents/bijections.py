@@ -2,9 +2,11 @@
 
 Every bijection is registered with its domain (an avoidance class and a
 parser, or Dyck paths), codomain parser, forward and inverse maps, and the
-statistic identities it transports.  The forward maps are plain maps on their
-domain and check nothing: ``apply`` checks the input once against the record
-(a permutation, avoiding the domain patterns, at least ``min_length`` long).
+statistic identities it transports.  The forward maps trust their domain,
+except that ``phi_213_231`` raises ``DomainViolationError`` on a letter that is
+neither the least nor the greatest of those left: ``apply`` checks the input
+once against the record (a permutation, avoiding the domain patterns, at least
+``min_length`` long).
 ``verify_transfer`` enumerates its domain, so it calls the maps directly, and
 ``tally`` counts every identity's failures over the enumeration in one loop.
 

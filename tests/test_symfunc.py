@@ -181,11 +181,12 @@ def signed_orderings(items):
 
 def bialternant_schur(n, fundamental):
     """The Schur coefficients of a symmetric f of weight n, given as
-    {alpha: c_alpha} with f = sum of c_alpha F_alpha, by the bialternant formula in l = len(lam)
-    variables (Macdonald, Symmetric Functions and Hall Polynomials, I.3):
-    [s_lam] f = sum over w of sgn(w) [x^(lam + delta - w(delta))] f, with
-    delta = (l - 1, ..., 0).  The coefficient of x^a in F_alpha is 1 when
-    the nonzero parts of a refine alpha, else 0."""
+    {alpha: c_alpha} with f = sum of c_alpha F_alpha, by the bialternant
+    formula in l = len(lam) variables (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.3): [s_lam] f = sum over w of
+    sgn(w) [x^(lam + delta - w(delta))] f, with delta = (l - 1, ..., 0).
+    The coefficient of x^a in F_alpha is 1 when the nonzero parts of a
+    refine alpha, else 0."""
     descents = {alpha: set(itertools.accumulate(alpha[:-1]))
                 for alpha in fundamental}
     by_parts = {}
