@@ -61,8 +61,11 @@ DEFAULT_LIMITS = Limits()
 
 def load_limits(path: str) -> Limits:
     """Read guard overrides from a JSON object keyed by field name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc.strerror}") from None
     unknown = set(data) - set(Limits._fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -6,7 +6,9 @@ coefficient lists (index = degree) and convert them once with ``poly``.
 Root counting is fully exact: Sturm's theorem, which counts the distinct
 real roots of any nonzero polynomial, and for multiplicities the same count
 on each member of the chain p, gcd(p, p'), ..., all on ``MultiPoly.divmod``.
-There is no floating-point root finding anywhere.
+Each Sturm chain ends at the gcd of its polynomial and the derivative, so it
+also hands over the next member of that chain.  There is no floating-point
+root finding anywhere.
 
 Conventions: the zero polynomial is rejected by the root counters; constants
 and degree-1 polynomials count as (vacuously) real-rooted.  Scans over
@@ -52,21 +54,13 @@ def degree(p: MultiPoly) -> int:
     return p.degree("t")
 
 
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic gcd by Euclid's algorithm (zero when both are zero)."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a.exact_div(a.leading_term()[1])
-
-
 def _sign_changes(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sturm_count(r: MultiPoly) -> int:
-    """Distinct real roots of a nonzero polynomial from its Sturm chain.
+def _sturm_count(r: MultiPoly) -> tuple[int, MultiPoly]:
+    """Distinct real roots of a nonzero polynomial from its Sturm chain, and
+    gcd(r, r') made monic.
 
     The chain ends at gcd(r, r'), up to sign and scale, and dividing every
     member by it changes no sign count, so r need not be squarefree.  Each
@@ -75,32 +69,30 @@ def _sturm_count(r: MultiPoly) -> int:
     """
     if r.is_zero():
         raise ValueError("the zero polynomial has infinitely many roots")
-    if degree(r) == 0:
-        return 0
-    chain = [r, r.derivative("t")]
-    while True:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
+    chain, rem = [r], r.derivative("t")
+    while not rem.is_zero():
+        chain.append(rem)
+        rem = -chain[-2].divmod(rem)[1]
     at_plus = [q.leading_term()[1] > 0 for q in chain]
     at_minus = [s != (degree(q) % 2 == 1) for s, q in zip(at_plus, chain)]
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
+    gcd = chain[-1].exact_div(chain[-1].leading_term()[1])
+    return _sign_changes(at_minus) - _sign_changes(at_plus), gcd
 
 
 def real_root_count(p: MultiPoly | Sequence) -> int:
     """Number of real roots counted without multiplicity."""
-    return _sturm_count(poly(p))
+    return _sturm_count(poly(p))[0]
 
 
 def real_root_count_with_multiplicity(p: MultiPoly | Sequence) -> int:
     """A root of multiplicity m is a distinct root of each of g_0 = p,
     g_1 = gcd(g_0, g_0'), ..., g_(m-1), so the distinct counts of the g_j
-    that are not constants add up to the count with multiplicity."""
-    g = poly(p)
-    total = _sturm_count(g)
-    while degree(g := poly_gcd(g, g.derivative("t"))) > 0:
-        total += _sturm_count(g)
+    that are not constants add up to the count with multiplicity.  Each
+    g_(j+1) is the gcd that g_j's own Sturm chain ends at."""
+    total, g = _sturm_count(poly(p))
+    while degree(g) > 0:
+        count, g = _sturm_count(g)
+        total += count
     return total
 
 
@@ -193,9 +185,6 @@ class ScanRecord(NamedTuple):
     holds: bool
     expected: bool
     witness: str | None
-
-    def as_predicted(self) -> bool:
-        return self.holds == self.expected
 
     def to_json(self) -> dict:
         return {

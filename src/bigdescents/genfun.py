@@ -547,13 +547,15 @@ FORMULA_IDS = {
 
 
 def formula(name: str, limits: Limits = DEFAULT_LIMITS, **args):
-    """Evaluate a named counting formula; FORMULA_IDS lists the names.  The
+    """Evaluate a named formula of FORMULA_IDS at non-negative arguments.  The
     two that run the r-Eulerian recurrence are guarded by `limits`."""
     try:
         fn = FORMULA_IDS[name]
     except KeyError:
         raise ValueError(f"unknown formula {name!r}; have {sorted(FORMULA_IDS)}"
                          ) from None
+    if any(value < 0 for value in args.values()):
+        raise ValueError(f"{name} needs non-negative arguments, not {args}")
     if fn in (eulerian_r, carlitz_lhs_coeff):
         args["limits"] = limits
     return fn(**args)

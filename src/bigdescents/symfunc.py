@@ -55,7 +55,7 @@ def partitions_of(n: int) -> list[Partition]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return sorted(gen(n, n), reverse=True)
+    return list(gen(n, n))
 
 
 @lru_cache(maxsize=None)

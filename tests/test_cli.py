@@ -321,6 +321,18 @@ class TestFormula:
         code, _, err = run(capsys, "formula", "--id", "b231", "--n", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("b231", "--n", "-1", "--k", "0"),
+        ("b231_312", "--n", "-1", "--k", "0"),
+        ("b123_231", "--n", "-2", "--k", "0"),
+        ("b123", "--n", "-1", "--k", "0"),
+        ("narayana", "--n", "3", "--k", "-1"),
+    ])
+    def test_negative_argument_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "formula", "--id", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input:") and "non-negative" in err
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_output(self, capsys):

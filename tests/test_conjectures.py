@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +7,19 @@ from hypothesis import strategies as st
 from bigdescents import conjectures as cj
 from bigdescents.conjectures import (branden_check, conjecture_scan, degree,
                                      is_log_concave, is_real_rooted,
-                                     is_unimodal, poly, poly_gcd,
-                                     real_root_count,
+                                     is_unimodal, poly, real_root_count,
                                      real_root_count_with_multiplicity,
                                      stembridge_consistency)
 from bigdescents.perms import distribution_table
+
+_NONZERO_COEFFS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any)
+
+
+def _gcd_degree(a, b):
+    """Degree of gcd(a, b), by Euclid's algorithm on ``MultiPoly.divmod``."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return degree(a)
 
 
 class TestRootCounting:
@@ -44,6 +54,13 @@ class TestRootCounting:
         p = poly([0, 0, 1, 0, 1])
         assert (real_root_count(p), real_root_count_with_multiplicity(p)) \
             == (1, 2)
+        # 3 (2t-1)^3 (t+2)^2: the chain ends at a gcd with Fraction
+        # coefficients, (t - 1/2)^2 (t+2) once made monic
+        p = 3 * poly([-1, 2]) ** 3 * poly([2, 1]) ** 2
+        assert (real_root_count(p), real_root_count_with_multiplicity(p)) \
+            == (2, 5)
+        assert cj._sturm_count(p) == (
+            2, poly([Fraction(1, 4), -1, 1]) * poly([2, 1]))
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
            st.lists(st.integers(-3, 3), min_size=1, max_size=4))
@@ -52,10 +69,20 @@ class TestRootCounting:
         pa, pb = poly(a), poly(b)
         if pa.is_zero() or pb.is_zero():
             return
-        if degree(poly_gcd(pa, pb)) > 0:
+        if _gcd_degree(pa, pb) > 0:
             return
         assert real_root_count(pa * pb) == \
             real_root_count(pa) + real_root_count(pb)
+
+    @given(_NONZERO_COEFFS, _NONZERO_COEFFS)
+    @settings(max_examples=60, deadline=None)
+    def test_root_count_with_multiplicity_additive(self, a, b):
+        # no coprimality filter: pa^2 pb has repeated roots whenever pa has a
+        # real root, so the gcd chain takes several steps
+        pa, pb = poly(a), poly(b)
+        count = real_root_count_with_multiplicity
+        assert count(pa * pb) == count(pa) + count(pb)
+        assert count(pa * pa * pb) == 2 * count(pa) + count(pb)
 
 
 class TestSequenceShape:

@@ -264,6 +264,19 @@ def test_load_limits_refuses_unknown_keys_and_non_positive_guards(tmp_path):
             load_limits(str(cfg))
 
 
+@pytest.mark.parametrize("name", [pytest.param("missing.json", id="missing-file"),
+                                  pytest.param("", id="directory")])
+def test_unreadable_config_exits_2(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    with pytest.raises(ValueError, match="cannot read config"):
+        load_limits(path)
+    assert main(["--config", path, "formula", "--id", "b231", "--n", "3",
+                 "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid input: cannot read config {path!r}")
+
+
 @pytest.mark.parametrize("value", [True, False, 9.5, 9.0, "9", None, [9]])
 @pytest.mark.parametrize("field", ["qsym_guard", "bfile_offset"])
 def test_load_limits_refuses_non_integers(tmp_path, field, value):
