@@ -226,7 +226,9 @@ class MultiPoly:
             return NotImplemented
         return self + (-MultiPoly.coerce(other))
 
-    def __rsub__(self, other) -> "MultiPoly":
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return MultiPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
@@ -444,15 +446,21 @@ class TruncatedSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "TruncatedSeries":
+    def _coerce(self, other):
+        """``other`` as a series of this variable, or NotImplemented for an
+        operand type that series arithmetic does not know."""
         if isinstance(other, TruncatedSeries):
             if other.var != self.var:
                 raise ValueError(f"mixed series variables {self.var!r} and {other.var!r}")
             return other
-        return TruncatedSeries.constant(MultiPoly.coerce(other), self.order, self.var)
+        if isinstance(other, (MultiPoly, int, Fraction)):
+            return TruncatedSeries.constant(other, self.order, self.var)
+        return NotImplemented
 
     def __add__(self, other) -> "TruncatedSeries":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         n = min(self.order, other.order)
         return TruncatedSeries(
             [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.var
@@ -464,16 +472,20 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.var)
 
     def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction, MultiPoly)):
             p = MultiPoly.coerce(other)
             return TruncatedSeries([c * p for c in self.coeffs], self.var)
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         n = min(self.order, other.order)
         out = []
         for k in range(n + 1):
@@ -506,6 +518,8 @@ class TruncatedSeries:
                 )
             return self * _reciprocal(other.const_value())
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         c0 = other.coeffs[0]
         if not c0.is_const() or c0.is_zero():
             raise NonInvertibleError(
@@ -524,7 +538,8 @@ class TruncatedSeries:
         return TruncatedSeries(out, self.var)
 
     def __rtruediv__(self, other) -> "TruncatedSeries":
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other / self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

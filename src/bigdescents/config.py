@@ -34,6 +34,9 @@ class Limits(NamedTuple):
     # the longest r-Eulerian recurrence (eulerian_r's n, carlitz_lhs_coeff's
     # n + r); its cost grows about as n^3
     eulerian_guard: int = 500
+    # the largest n of a closed counting formula; its values stay below 4^n,
+    # 3,011 digits at n = 5000, inside Python's 4300-digit printing limit
+    formula_guard: int = 5000
     # starting line index for b-file output
     bfile_offset: int = 1
 
@@ -66,6 +69,9 @@ def load_limits(path: str) -> Limits:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config {path!r}: {exc.strerror}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"config {path!r} must hold a JSON object, "
+                         f"not {type(data).__name__}")
     unknown = set(data) - set(Limits._fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

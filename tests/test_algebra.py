@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,17 @@ class TestSeriesArithmetic:
     def test_sqrt_requires_unit_one(self):
         with pytest.raises(ValueError):
             (2 + x(3)).sqrt()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    @pytest.mark.parametrize("value", [TruncatedSeries.one(3, "x"), t],
+                             ids=["series", "poly"])
+    def test_unknown_operand_type_is_refused_by_python(self, op, value):
+        # NotImplemented, not the coercion's "expected an exact rational",
+        # so that another operand type can answer through its reflected method
+        for a, b in ((value, object()), (object(), value)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(a, b)
 
 
 # products binary powering spends on base ** k for k = 0..8: a squaring per

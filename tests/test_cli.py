@@ -403,6 +403,15 @@ OVER_GUARD_JOBS = [
     pytest.param({"eulerian_guard": 10},
                  ("formula", "--id", "eulerian_r", "--n", "11", "--r", "2"),
                  "eulerian_guard=10", id="config-formula-eulerian-r"),
+    pytest.param(None, ("formula", "--id", "b231", "--n", "20000",
+                        "--k", "3"),
+                 "formula_guard=5000", id="formula-b231"),
+    pytest.param(None, ("formula", "--id", "b123", "--n", "20000",
+                        "--k", "10000"),
+                 "formula_guard=5000", id="formula-b123"),
+    pytest.param({"formula_guard": 6},
+                 ("formula", "--id", "b231", "--n", "7", "--k", "3"),
+                 "formula_guard=6", id="config-formula-b231"),
 ]
 
 

@@ -75,6 +75,11 @@ class TestDualRoutes:
     def test_closed_equals_functional(self, gf_id):
         assert expand(gf_id, 10).coeffs == expand_functional(gf_id, 10).coeffs
 
+    @pytest.mark.parametrize("gf_id", ["B132", "V", "What", "W", "G",
+                                       "Gtilde", "W1_words"])
+    def test_closed_equals_functional_at_order_20(self, gf_id):
+        assert expand(gf_id, 20) == expand_functional(gf_id, 20)
+
     def test_f_quadratic_agrees_with_composition_through_order_14(self):
         assert expand("F", 14).coeffs == expand_functional("F", 14).coeffs
 
@@ -119,6 +124,27 @@ class TestSolver:
         x = TruncatedSeries.gen(5, "x")
         with pytest.raises(DivergenceError, match="second"):
             genfun._solve(lambda f, g: (1 + x * f, 1 + g), 2, 5, "second")
+
+    @pytest.mark.parametrize("N", [0, 5, 20])
+    @pytest.mark.parametrize("gf_id", [i for i, info in GF_IDS.items()
+                                       if info.functional is not None])
+    def test_rhs_runs_twice_per_solve(self, monkeypatch, gf_id, N):
+        # once on lazy unknowns, once for the eager certificate
+        calls = []
+        solve = genfun._solve
+
+        def counting(rhs, *args):
+            calls.append(0)
+            index = len(calls) - 1
+
+            def counted(*state):
+                calls[index] += 1
+                return rhs(*state)
+            return solve(counted, *args)
+
+        monkeypatch.setattr(genfun, "_solve", counting)
+        expand_functional(gf_id, N)
+        assert calls and set(calls) == {2}
 
 
 class TestPeakInsertionPipeline:

@@ -2,6 +2,7 @@
 and expansions."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,20 @@ def test_unreadable_config_exits_2(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"invalid input: cannot read config {path!r}")
+
+
+@pytest.mark.parametrize("data", ["abc", 5, [1]])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, data):
+    cfg = tmp_path / "limits.json"
+    cfg.write_text(json.dumps(data))
+    message = f"config {str(cfg)!r} must hold a JSON object"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_limits(str(cfg))
+    assert main(["--config", str(cfg), "formula", "--id", "b231", "--n", "3",
+                 "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid input: {message}")
 
 
 @pytest.mark.parametrize("value", [True, False, 9.5, 9.0, "9", None, [9]])
