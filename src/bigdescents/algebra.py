@@ -27,6 +27,11 @@ refuses a nonzero remainder.  The univariate root counting in
 One loop, ``_evaluate``, substitutes for variables: polynomials in
 ``MultiPoly.subs`` and ``TruncatedSeries.map_coeffs``, series in
 ``series_compose``.
+
+One loop, ``_convolve``, sums the coefficient products over i + j = k for
+series products, division, ``sqrt`` and ``genfun``'s lazy product; a square
+(one object on both sides, as ``_power`` hands it) makes each cross product
+once and doubles it.
 """
 
 from __future__ import annotations
@@ -83,6 +88,25 @@ def _power(base, n: int, one):
         if bit == "1":
             out = out * base
     return out
+
+
+def _convolve(a, b, k: int, lo: int = 0) -> MultiPoly:
+    """The sum of ``a[i] * b[k - i]`` for i from ``lo`` to k, or to ``k - lo``
+    when ``a is b`` (each cross product is then made once and doubled).  A
+    zero ``a[i]`` is skipped before ``b[k - i]`` is read: a lazy ``b`` is
+    asked only for the coefficients that a nonzero ``a[i]`` needs."""
+    acc = MultiPoly.zero()
+    for i in range(lo, (k + 1) // 2 if a is b else k + 1):
+        p = a[i]
+        if p.terms:
+            q = b[k - i]
+            if q.terms:
+                acc = acc + p * q
+    if a is b:
+        acc = acc + acc
+        if k % 2 == 0 and k >= 2 * lo and a[k // 2].terms:
+            acc = acc + a[k // 2] * a[k // 2]
+    return acc
 
 
 def _evaluate(poly: MultiPoly, values: Mapping, powers: dict, zero):
@@ -349,10 +373,10 @@ class MultiPoly:
         extra = self.used_vars() - {name}
         if extra:
             raise ValueError(f"polynomial also involves {sorted(extra)}")
-        i = _VAR_INDEX[name]
-        coeffs = [0] * (self.degree(name) + 1 if self.terms else 1)
         if not self.terms:
             return [0]
+        i = _VAR_INDEX[name]
+        coeffs = [0] * (self.degree(name) + 1)
         for exps, q in self.terms.items():
             coeffs[exps[i]] = q
         return coeffs
@@ -487,15 +511,8 @@ class TruncatedSeries:
         if other is NotImplemented:
             return other
         n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc = MultiPoly.zero()
-            for i in range(k + 1):
-                if self.coeffs[i].is_zero() or other.coeffs[k - i].is_zero():
-                    continue
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return TruncatedSeries(out, self.var)
+        return TruncatedSeries([_convolve(self.coeffs, other.coeffs, k)
+                                for k in range(n + 1)], self.var)
 
     __rmul__ = __mul__
 
@@ -526,15 +543,9 @@ class TruncatedSeries:
                 f"divisor constant term {c0} is not a nonzero rational"
             )
         inv0 = _reciprocal(c0.const_value())
-        n = min(self.order, other.order)
         out: list[MultiPoly] = []
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k + 1):
-                if other.coeffs[i].is_zero() or out[k - i].is_zero():
-                    continue
-                acc = acc - other.coeffs[i] * out[k - i]
-            out.append(acc * inv0)
+        for k in range(min(self.order, other.order) + 1):
+            out.append((self.coeffs[k] - _convolve(other.coeffs, out, k, 1)) * inv0)
         return TruncatedSeries(out, self.var)
 
     def __rtruediv__(self, other) -> "TruncatedSeries":
@@ -558,10 +569,7 @@ class TruncatedSeries:
         half = Fraction(1, 2)
         out = [MultiPoly.one()]
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc = acc - out[i] * out[k - i]
-            out.append(acc * half)
+            out.append((self.coeffs[k] - _convolve(out, out, k, 1)) * half)
         return TruncatedSeries(out, self.var)
 
     def exact_div(self, k: int, c: MultiPoly | Scalar) -> "TruncatedSeries":

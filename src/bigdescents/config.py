@@ -67,8 +67,9 @@ def load_limits(path: str) -> Limits:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path!r}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"cannot read config {path!r}: {reason}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path!r} must hold a JSON object, "
                          f"not {type(data).__name__}")

@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebra import MultiPoly, TruncatedSeries, _power, series_compose
+from .algebra import MultiPoly, TruncatedSeries, _convolve, _power, series_compose
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DivergenceError, InexactDivisionError
 
@@ -279,22 +279,11 @@ class _Lazy:
     def __mul__(self, other) -> "_Lazy":
         if isinstance(other, (int, Fraction, MultiPoly)):
             return _Lazy(lambda k: self[k] * other)
-        # read the eager factor first: a zero coefficient there spares the
-        # lazy factor's coefficient, which may not be computable yet
+        # the eager factor goes first, as _convolve never reads a coefficient
+        # opposite a zero one: the lazy factor's may not be computable yet
         a, b = (other.coeffs, self) if isinstance(other, TruncatedSeries) \
             else (self, _coeffs_of(other))
-
-        def product(k):
-            acc = MultiPoly.zero()
-            for i in range(k + 1):
-                p = a[i]
-                if p.terms:
-                    q = b[k - i]
-                    if q.terms:
-                        acc = acc + p * q
-            return acc
-
-        return _Lazy(product)
+        return _Lazy(lambda k: _convolve(a, b, k))
 
     __rmul__ = __mul__
 

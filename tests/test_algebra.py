@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bigdescents.algebra import (MultiPoly, TruncatedSeries, series_compose)
 from bigdescents.errors import (DivergenceError, InexactDivisionError,
                                 NonInvertibleError)
-from bigdescents.genfun import GF_IDS, expand, expand_functional
+from bigdescents.genfun import GF_IDS, _Lazy, expand, expand_functional
 
 t = MultiPoly.var("t")
 s = MultiPoly.var("s")
@@ -356,6 +356,32 @@ class TestAlgebraProperties:
     def test_sqrt_square(self, a):
         shifted = 1 + TruncatedSeries([MultiPoly.zero()] + list(a.coeffs[:-1]), "x")
         assert shifted.sqrt() ** 2 == shifted
+
+    # A square (one object on both sides) makes each cross product once; a
+    # copy of a factor is another object and takes the general product.
+    @given(small_series())
+    @settings(max_examples=60, deadline=None)
+    def test_square_matches_general_product(self, a):
+        assert a * a == a * TruncatedSeries(a.coeffs, "x")
+
+    @given(small_series())
+    @settings(max_examples=40, deadline=None)
+    def test_sqrt_against_general_product(self, a):
+        shifted = 1 + TruncatedSeries([MultiPoly.zero()] + list(a.coeffs[:-1]), "x")
+        root = shifted.sqrt()
+        assert root * TruncatedSeries(root.coeffs, "x") == shifted
+
+    @given(small_series())
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_square_matches_general_product(self, a):
+        def lazy():
+            return _Lazy(lambda k: a.coeffs[k])
+        square = lazy()
+        square = square * square
+        product = lazy() * lazy()
+        coeffs = range(a.order + 1)
+        assert [square[k] for k in coeffs] == [product[k] for k in coeffs]
+        assert [square[k] for k in coeffs] == list((a * a).coeffs)
 
     @given(small_polys(), small_polys(), small_polys())
     @settings(max_examples=60, deadline=None)

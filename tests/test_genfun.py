@@ -146,6 +146,21 @@ class TestSolver:
         expand_functional(gf_id, N)
         assert calls and set(calls) == {2}
 
+    def test_squares_make_each_cross_product_once(self, monkeypatch):
+        # Gtilde's right-hand side squares its unknown; a square that made
+        # each cross product twice would take about 1,100 products here
+        calls = []
+        mul = MultiPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+        expand_functional("Gtilde", 30)
+        assert len(calls) <= 700
+
 
 class TestPeakInsertionPipeline:
     def test_pipeline_matches_closed_forms(self):

@@ -265,10 +265,16 @@ def test_load_limits_refuses_unknown_keys_and_non_positive_guards(tmp_path):
             load_limits(str(cfg))
 
 
-@pytest.mark.parametrize("name", [pytest.param("missing.json", id="missing-file"),
-                                  pytest.param("", id="directory")])
-def test_unreadable_config_exits_2(tmp_path, capsys, name):
+@pytest.mark.parametrize("name,content", [
+    pytest.param("missing.json", None, id="missing-file"),
+    pytest.param("", None, id="directory"),
+    pytest.param("limits.json", b'{"qsym_guard": 9,', id="malformed-json"),
+    pytest.param("limits.json", b"\xff", id="not-utf-8"),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, name, content):
     path = str(tmp_path / name)
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
     with pytest.raises(ValueError, match="cannot read config"):
         load_limits(path)
     assert main(["--config", path, "formula", "--id", "b231", "--n", "3",
