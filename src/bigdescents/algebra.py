@@ -31,7 +31,8 @@ One loop, ``_evaluate``, substitutes for variables: polynomials in
 One loop, ``_convolve``, sums the coefficient products over i + j = k for
 series products, division, ``sqrt`` and ``genfun``'s lazy product; a square
 (one object on both sides, as ``_power`` hands it) makes each cross product
-once and doubles it.
+once and doubles it.  It multiplies each pair into one accumulator through
+``_mul_into``, the product loop that ``MultiPoly.__mul__`` runs as well.
 """
 
 from __future__ import annotations
@@ -94,19 +95,45 @@ def _convolve(a, b, k: int, lo: int = 0) -> MultiPoly:
     """The sum of ``a[i] * b[k - i]`` for i from ``lo`` to k, or to ``k - lo``
     when ``a is b`` (each cross product is then made once and doubled).  A
     zero ``a[i]`` is skipped before ``b[k - i]`` is read: a lazy ``b`` is
-    asked only for the coefficients that a nonzero ``a[i]`` needs."""
-    acc = MultiPoly.zero()
+    asked only for the coefficients that a nonzero ``a[i]`` needs.  Every
+    product is multiplied straight into one accumulator dict."""
+    terms: dict[tuple[int, ...], Scalar] = {}
     for i in range(lo, (k + 1) // 2 if a is b else k + 1):
         p = a[i]
         if p.terms:
             q = b[k - i]
             if q.terms:
-                acc = acc + p * q
+                _mul_into(terms, p, q)
     if a is b:
-        acc = acc + acc
+        for exps in terms:
+            terms[exps] *= 2
         if k % 2 == 0 and k >= 2 * lo and a[k // 2].terms:
-            acc = acc + a[k // 2] * a[k // 2]
-    return acc
+            _mul_into(terms, a[k // 2], a[k // 2])
+    return _trusted(_fold(terms))
+
+
+def _mul_into(terms: dict, p: MultiPoly, q: MultiPoly) -> dict:
+    """Add ``p * q`` into ``terms`` (exponents to coefficient), dropping each
+    coefficient that cancels: the one polynomial product loop."""
+    get = terms.get
+    q_items = q.terms.items()
+    for e1, q1 in p.terms.items():
+        for e2, q2 in q_items:
+            exps = tuple(map(add, e1, e2))
+            r = get(exps, 0) + q1 * q2
+            if r:
+                terms[exps] = r
+            else:
+                del terms[exps]
+    return terms
+
+
+def _trusted(terms: dict) -> MultiPoly:
+    """A MultiPoly over ``terms`` as given: exponent tuples of full length,
+    no zero coefficient and no integral Fraction, none of it checked."""
+    out = MultiPoly.__new__(MultiPoly)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 def _evaluate(poly: MultiPoly, values: Mapping, powers: dict, zero):
@@ -234,16 +261,12 @@ class MultiPoly:
                 terms[exps] = r
             else:
                 terms.pop(exps, None)
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", _fold(terms))
-        return out
+        return _trusted(_fold(terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", {e: -q for e, q in self.terms.items()})
-        return out
+        return _trusted({e: -q for e, q in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
@@ -262,24 +285,8 @@ class MultiPoly:
             q = _exact(other)
             if not q:
                 return MultiPoly.zero()
-            out = MultiPoly.__new__(MultiPoly)
-            object.__setattr__(out, "terms",
-                               _fold({e: c * q for e, c in self.terms.items()}))
-            return out
-        terms: dict[tuple[int, ...], Scalar] = {}
-        get = terms.get
-        other_items = other.terms.items()
-        for e1, q1 in self.terms.items():
-            for e2, q2 in other_items:
-                exps = tuple(map(add, e1, e2))
-                r = get(exps, 0) + q1 * q2
-                if r:
-                    terms[exps] = r
-                else:
-                    del terms[exps]
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", _fold(terms))
-        return out
+            return _trusted(_fold({e: c * q for e, c in self.terms.items()}))
+        return _trusted(_fold(_mul_into({}, self, other)))
 
     __rmul__ = __mul__
 

@@ -7,8 +7,11 @@ except that ``phi_213_231`` raises ``DomainViolationError`` on a letter that is
 neither the least nor the greatest of those left: ``apply`` checks the input
 once against the record (a permutation, avoiding the domain patterns, at least
 ``min_length`` long).
-``verify_transfer`` enumerates its domain, so it calls the maps directly, and
-``tally`` counts every identity's failures over the enumeration in one loop.
+``verify_transfer`` enumerates its domain once, calls the maps directly, and
+``tally`` counts every identity's failures over the enumeration in one loop,
+applying the forward map once per object.  A record's reversed identities
+are stated on the avoiders of the reversed patterns; the tally reads them on
+reverse(x) for each domain object x (reversal maps one class onto the other).
 
 The nine bijections:
 
@@ -155,13 +158,12 @@ def chi(pi: Perm) -> DyckPath:
     'UUDUUDDDUUUDDD'
     """
     word = []
-    height = 0
-    running = 0
+    height = 0  # the running maximum
     for v in pi:
-        running = max(running, v)
-        word.append("U" * (running - height))
+        if v > height:
+            word.append("U" * (v - height))
+            height = v
         word.append("D")
-        height = running
     return DyckPath("".join(word))
 
 
@@ -350,8 +352,9 @@ class Bijection(NamedTuple):
     backward: Callable
     # identities: (label, statistic on the domain object, statistic on image)
     identities: tuple[tuple[str, Callable, Callable], ...]
-    # identities checked on the avoiders of the reversed domain patterns,
-    # each mapped through forward(reverse(pi))
+    # identities (label, f, g) that state f(pi) = g(forward(reverse(pi)))
+    # on the avoiders pi of the reversed domain patterns; they are read as
+    # f(reverse(x)) against g(forward(x)) for each domain object x
     reversed_identities: tuple[tuple[str, Callable, Callable], ...] = ()
 
 
@@ -505,10 +508,11 @@ def tally(objects, image, identities) -> tuple[IdentityResult, ...]:
     with f(x) != g(image(x)) counted as failures."""
     population = 0
     failures = [0] * len(identities)
+    checks = [(i, f, g) for i, (_, f, g) in enumerate(identities)]
     for x in objects:
         population += 1
         y = image(x)
-        for i, (_, f, g) in enumerate(identities):
+        for i, f, g in checks:
             if f(x) != g(y):
                 failures[i] += 1
     return tuple(IdentityResult(label, population, bad)
@@ -543,19 +547,28 @@ def _domain_objects(b: Bijection, n: int, limits: Limits = DEFAULT_LIMITS):
 
 def verify_transfer(name: str, n: int,
                     limits: Limits = DEFAULT_LIMITS) -> TransferReport:
-    """Exhaustively check round trips and statistic identities at size n;
-    the domain is enumerated under `limits`' guards."""
+    """Exhaustively check round trips and statistic identities at size n,
+    in one tally that enumerates the domain under `limits`' guards once and
+    applies the forward map once per object.
+
+    The reversed identities ride in the same pass.  pi contains reverse(sigma)
+    iff reverse(pi) contains sigma, so reversal, an involution, maps the
+    avoiders of the reversed domain patterns one to one onto the domain.  As
+    x runs over the domain, each object once, pi = reverse(x) runs over the
+    reversed class, each avoider once, and the identity
+    f(pi) = g(forward(reverse(pi))) reads f(reverse(x)) = g(forward(x)).  So
+    the population and the failure count of each reversed identity are those
+    of a tally over the reversed class."""
     b = _lookup(name)
     if n < b.min_length:
         raise ValueError(f"{name} is defined from length {b.min_length} on")
+    reversed_identities = tuple(
+        (label, lambda x, f=f: f(perms.reverse(x)), g)
+        for label, f, g in b.reversed_identities)
     round_trip, *identities = tally(
         _domain_objects(b, n, limits), b.forward,
-        (("round trip", lambda x: x, b.backward), *b.identities))
-    if b.reversed_identities:
-        reversed_patterns = tuple(perms.reverse(p) for p in b.domain_patterns)
-        identities += tally(
-            enumerate_avoiders(n, reversed_patterns, limits=limits),
-            lambda pi: b.forward(perms.reverse(pi)), b.reversed_identities)
+        (("round trip", lambda x: x, b.backward), *b.identities,
+         *reversed_identities))
     return TransferReport(bijection=name, n=n,
                           population=round_trip.population,
                           round_trip_failures=round_trip.failures,

@@ -487,22 +487,16 @@ def lbasc(pi: Sequence[int]) -> int:
     return basc(pi) + (1 if pi[0] > 1 else 0)
 
 
-def weak_excedance_set(pi: Sequence[int]) -> set[int]:
-    return {k for k, v in enumerate(pi, start=1) if v >= k}
-
-
 def hibasc(pi: Sequence[int]) -> int:
-    """Big ascents k such that k+1 is a weak excedance."""
-    wex = weak_excedance_set(pi)
+    """Big ascents k such that k+1 is a weak excedance (pi_{k+1} >= k+1)."""
     return sum(1 for k in range(1, len(pi))
-               if pi[k - 1] + 1 < pi[k] and (k + 1) in wex)
+               if pi[k - 1] + 1 < pi[k] and pi[k] >= k + 1)
 
 
 def lobasc(pi: Sequence[int]) -> int:
     """Big ascents k such that k+1 is not a weak excedance."""
-    wex = weak_excedance_set(pi)
     return sum(1 for k in range(1, len(pi))
-               if pi[k - 1] + 1 < pi[k] and (k + 1) not in wex)
+               if pi[k - 1] + 1 < pi[k] and pi[k] < k + 1)
 
 
 def left_to_right_maxima(word: Iterable[int]) -> set[int]:

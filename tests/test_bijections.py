@@ -1,6 +1,7 @@
 import pytest
 
 from bigdescents import bijections as bj
+from bigdescents import verify
 from bigdescents.cli import main
 from bigdescents.errors import DomainViolationError
 from bigdescents.genfun import catalan
@@ -223,6 +224,70 @@ class TestFailureCounts:
         label = "composite:phi_213_312^-1 . phi_213_231"
         assert f"ok   {label} (n=2, population=2)" in lines
         assert f"FAIL {label} (n=3, population=4) -- 1 failures" in lines
+
+
+class TestOnePass:
+    """Each bijection check enumerates its domain and applies its map once
+    per object."""
+
+    @staticmethod
+    def count_enumerations(monkeypatch, *modules):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_avoiders(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, "enumerate_avoiders", counting)
+        return calls
+
+    def test_planted_non_injective_omega_f_fails_both_rows(self, monkeypatch):
+        def forward(pi):  # the identity goes where the decreasing one goes
+            if pi == tuple(range(1, len(pi) + 1)):
+                pi = pi[::-1]
+            return bj.omega_f(pi)
+
+        monkeypatch.setitem(bj.BIJECTIONS, "omega_f",
+                            bj.BIJECTIONS["omega_f"]._replace(forward=forward))
+        rows = {(r.name, r.n): r for r in verify.check_bijections(4)}
+        for n in range(5):
+            distinct = len({str(forward(pi))
+                            for pi in enumerate_avoiders(n, ((2, 3, 1),))})
+            transfer = rows["bijection:omega_f", n]
+            onto = rows["bijection:omega_f:onto-dyck", n]
+            assert distinct == (catalan(n) - 1 if n >= 2 else 1)
+            assert transfer.ok == onto.ok == (n < 2)
+            assert onto.population == catalan(n)
+            if n >= 2:
+                assert transfer.witness.startswith("1 round-trip failures; ")
+                assert onto.witness == f"{distinct} distinct images"
+            assert rows["bijection:omega_l:onto-dyck", n].ok
+
+    def test_transfer_enumerates_once_and_maps_each_object_once(
+            self, monkeypatch):
+        calls = []
+
+        def counting(pi):
+            calls.append(pi)
+            return bj.chi(pi)
+
+        monkeypatch.setitem(bj.BIJECTIONS, "chi",
+                            bj.BIJECTIONS["chi"]._replace(forward=counting))
+        enumerations = self.count_enumerations(monkeypatch, bj)
+        report = bj.verify_transfer("chi", 7)
+        assert report.all_pass()
+        assert len(enumerations) == 1
+        assert len(calls) == report.population == catalan(7) == 429
+
+    def test_check_bijections_enumerations(self, monkeypatch):
+        # one per transfer of a permutation domain (omega_f, omega_l and chi
+        # at n = 0..7, the five phi at n = 1..7) and one per composite row
+        # (two composites at n = 1..7); the onto-Dyck rows reuse the omega
+        # transfers
+        enumerations = self.count_enumerations(monkeypatch, bj, verify)
+        assert all(r.ok for r in verify.check_bijections(7))
+        assert len(enumerations) == 3 * 8 + 5 * 7 + 2 * 7 == 73
 
 
 class TestComposites:

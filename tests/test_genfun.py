@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigdescents import genfun
+from bigdescents import algebra, genfun
 from bigdescents.algebra import MultiPoly, TruncatedSeries
 from bigdescents.errors import DivergenceError
 from bigdescents.genfun import (GF_IDS, b123, b231, b231_joint, binom,
@@ -160,6 +160,21 @@ class TestSolver:
         monkeypatch.setattr(MultiPoly, "__rmul__", counting)
         expand_functional("Gtilde", 30)
         assert len(calls) <= 700
+
+    def test_squares_make_each_cross_product_once_in_the_product_loop(
+            self, monkeypatch):
+        # the same bound on the one polynomial product loop, which the series
+        # convolution calls without going through MultiPoly.__mul__
+        calls = []
+        mul_into = algebra._mul_into
+
+        def counting(terms, p, q):
+            calls.append(1)
+            return mul_into(terms, p, q)
+
+        monkeypatch.setattr(algebra, "_mul_into", counting)
+        expand_functional("Gtilde", 30)
+        assert 0 < len(calls) <= 700
 
 
 class TestPeakInsertionPipeline:

@@ -170,6 +170,16 @@ class TestStatistics:
         assert statistic(pi, "hibasc") == 2
         assert statistic(pi, "lobasc") == 1
 
+    def test_hibasc_lobasc_against_weak_excedance_set(self):
+        # from the docstrings: a big ascent k (pi_k + 1 < pi_{k+1}) is high
+        # when k+1 is a weak excedance (pi_{k+1} >= k+1) and low otherwise
+        for n in range(8):
+            for pi in itertools.permutations(range(1, n + 1)):
+                wex = {k for k, v in enumerate(pi, start=1) if v >= k}
+                big = [k for k in range(1, n) if pi[k - 1] + 1 < pi[k]]
+                assert perms.hibasc(pi) == sum(k + 1 in wex for k in big)
+                assert perms.lobasc(pi) == sum(k + 1 not in wex for k in big)
+
     def test_empty_permutation(self):
         for name in [*perms.STATISTICS, "des_r(3)"]:
             assert statistic((), name) == 0
