@@ -11,7 +11,9 @@ layers:
 - ``TruncatedSeries``: power series truncated at a fixed order in one formal
   variable (x for length generating functions, z for path-length ones), with
   ``MultiPoly`` coefficients.  Arithmetic results carry the minimum of the
-  operand orders.
+  operand orders.  Each operation is one rule for coefficient k, run for
+  every k at once on complete operands and on request otherwise (for the
+  unknowns of ``genfun``'s fixed-point solver and what is built on them).
 
 Division comes in two flavours.  ``TruncatedSeries.__truediv__`` requires the
 divisor's constant term to be a nonzero rational (a unit).  ``exact_div``
@@ -29,7 +31,7 @@ One loop, ``_evaluate``, substitutes for variables: polynomials in
 ``series_compose``.
 
 One loop, ``_convolve``, sums the coefficient products over i + j = k for
-series products, division, ``sqrt`` and ``genfun``'s lazy product; a square
+series products, division and ``sqrt``, complete or lazy; a square
 (one object on both sides, as ``_power`` hands it) makes each cross product
 once and doubles it.  It multiplies each pair into one accumulator through
 ``_mul_into``, the product loop that ``MultiPoly.__mul__`` runs as well.
@@ -44,11 +46,16 @@ from typing import Iterable, Mapping, Union
 from .errors import DivergenceError, InexactDivisionError, NonInvertibleError
 
 VARIABLES = ("t", "s", "u", "v", "w")
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 _ZERO_EXP = (0,) * _NVARS
 
 Scalar = Union[int, Fraction]
+
+
+def _var_index(name: str) -> int:
+    if name not in VARIABLES:
+        raise ValueError(f"unknown variable {name!r} (have {VARIABLES})")
+    return VARIABLES.index(name)
 
 
 def _exact(value: Scalar) -> Scalar:
@@ -143,6 +150,8 @@ def _evaluate(poly: MultiPoly, values: Mapping, powers: dict, zero):
     ``powers[name]`` lists ``values[name] ** 1, ** 2, ...`` as far as a term
     has needed; callers evaluating many polynomials share one dict.
     """
+    for name in values:
+        _var_index(name)
     total = zero
     for exps, q in poly.terms.items():
         kept = list(exps)
@@ -200,17 +209,15 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MultiPoly":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r} (have {VARIABLES})")
         exps = [0] * _NVARS
-        exps[_VAR_INDEX[name]] = power
+        exps[_var_index(name)] = power
         return cls({tuple(exps): 1})
 
     @classmethod
     def univariate(cls, coeffs: Iterable[Scalar], name: str = "t") -> "MultiPoly":
         """The polynomial in ``name`` with ascending coefficients ``coeffs``
         (the inverse of ``to_univariate``)."""
-        i = _VAR_INDEX[name]
+        i = _var_index(name)
         return cls({_ZERO_EXP[:i] + (k,) + _ZERO_EXP[i + 1:]: q
                     for k, q in enumerate(coeffs)})
 
@@ -243,9 +250,9 @@ class MultiPoly:
 
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
+        i = _var_index(name)
         if not self.terms:
             return -1
-        i = _VAR_INDEX[name]
         return max(exps[i] for exps in self.terms)
 
     # -- arithmetic --------------------------------------------------------
@@ -308,7 +315,7 @@ class MultiPoly:
     # -- calculus, substitution, division ----------------------------------
 
     def derivative(self, name: str) -> "MultiPoly":
-        i = _VAR_INDEX[name]
+        i = _var_index(name)
         terms: dict[tuple[int, ...], Scalar] = {}
         for exps, q in self.terms.items():
             e = exps[i]
@@ -377,12 +384,12 @@ class MultiPoly:
 
     def to_univariate(self, name: str = "t") -> list[Scalar]:
         """Coefficient list (ascending) of a polynomial that uses only `name`."""
+        i = _var_index(name)
         extra = self.used_vars() - {name}
         if extra:
             raise ValueError(f"polynomial also involves {sorted(extra)}")
         if not self.terms:
             return [0]
-        i = _VAR_INDEX[name]
         coeffs = [0] * (self.degree(name) + 1)
         for exps, q in self.terms.items():
             coeffs[exps[i]] = q
@@ -422,29 +429,87 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-class TruncatedSeries:
-    """Power series truncated at a fixed order, with MultiPoly coefficients."""
+class _Cycle(Exception):
+    """A lazy coefficient was requested while it was being computed."""
 
-    __slots__ = ("coeffs", "var")
+
+def _quotient(k: int, out: list, a, b) -> MultiPoly:
+    c0 = b[0]
+    if not c0.is_const() or c0.is_zero():
+        raise NonInvertibleError(f"divisor constant term {c0} is not a nonzero rational")
+    return (a[k] - _convolve(b, out, k, 1)) * _reciprocal(c0.const_value())
+
+
+def _root(k: int, out: list, a) -> MultiPoly:
+    if k:
+        return (a[k] - _convolve(out, out, k, 1)) * Fraction(1, 2)
+    if a[0] != MultiPoly.one():
+        raise ValueError("series square root requires constant term 1")
+    return a[0]
+
+
+class TruncatedSeries:
+    """Power series truncated at a fixed order, with MultiPoly coefficients;
+    ``series[k]`` is coefficient k."""
+
+    __slots__ = ("_known", "_rule", "order", "var")
 
     def __init__(self, coeffs: Iterable[MultiPoly | Scalar], var: str = "x"):
         polys = tuple(MultiPoly.coerce(c) for c in coeffs)
         if not polys:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", polys)
-        object.__setattr__(self, "var", var)
+        self._set(polys, None, len(polys) - 1, var)
+
+    def _set(self, known, rule, order: int, var: str) -> None:
+        for name, value in zip(self.__slots__, (known, rule, order, var)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("TruncatedSeries is immutable")
 
+    @classmethod
+    def _lazy(cls, order: int, var: str, rule, *operands) -> "TruncatedSeries":
+        """The series whose coefficient k is ``rule(k, out, *seqs)``, ``out``
+        listing its coefficients below k and ``seqs`` the operands'.  Computed
+        whole now if every operand is complete (its ``_known`` a tuple), else
+        on request (an unknown has no operand); once complete it drops rule."""
+        out = cls.__new__(cls)
+        known: list[MultiPoly] = []
+        seqs = [s._known if type(s._known) is tuple else s for s in operands]
+        out._set(known, lambda k: rule(k, known, *seqs), order, var)
+        if operands and all(type(s) is tuple for s in seqs):
+            out[order]
+        return out
+
+    def __getitem__(self, k: int) -> MultiPoly:
+        if not 0 <= k <= self.order:
+            raise IndexError(f"coefficient {k} outside truncation order {self.order}")
+        known = self._known
+        if k < len(known):
+            return known[k]
+        rule = self._rule
+        if rule is None:  # coefficient k needs itself
+            raise _Cycle
+        object.__setattr__(self, "_rule", None)
+        while len(known) <= k:
+            known.append(rule(len(known)))
+        if len(known) > self.order:
+            object.__setattr__(self, "_known", tuple(known))
+        else:
+            object.__setattr__(self, "_rule", rule)
+        return known[k]
+
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[MultiPoly, ...]:
+        self[self.order]
+        return self._known
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value: MultiPoly | Scalar, order: int, var: str = "x") -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("order must be non-negative")
         coeffs = [MultiPoly.coerce(value)] + [MultiPoly.zero()] * order
         return cls(coeffs, var)
 
@@ -465,14 +530,11 @@ class TruncatedSeries:
         coeffs = [MultiPoly.zero(), MultiPoly.one()] + [MultiPoly.zero()] * (order - 1)
         return cls(coeffs[:order + 1], var)
 
-    def coefficient(self, n: int) -> MultiPoly:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
+    coefficient = __getitem__
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
+        if not 0 <= order <= self.order:
+            raise ValueError(f"order must be non-negative and at most {self.order}")
         return TruncatedSeries(self.coeffs[: order + 1], self.var)
 
     # -- arithmetic --------------------------------------------------------
@@ -492,15 +554,13 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.var
-        )
+        return TruncatedSeries._lazy(min(self.order, other.order), self.var,
+                                     lambda k, out, a, b: a[k] + b[k], self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.var)
+        return TruncatedSeries._lazy(self.order, self.var, lambda k, out, a: -a[k], self)
 
     def __sub__(self, other) -> "TruncatedSeries":
         other = self._coerce(other)
@@ -513,13 +573,17 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction, MultiPoly)):
             p = MultiPoly.coerce(other)
-            return TruncatedSeries([c * p for c in self.coeffs], self.var)
+            return TruncatedSeries._lazy(self.order, self.var,
+                                         lambda k, out, a: a[k] * p, self)
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        n = min(self.order, other.order)
-        return TruncatedSeries([_convolve(self.coeffs, other.coeffs, k)
-                                for k in range(n + 1)], self.var)
+        # a complete factor goes first, as _convolve never reads a coefficient
+        # opposite a zero one: a lazy factor's may not be computable yet
+        lazy_first = type(self._known) is list and type(other._known) is tuple
+        a, b = (other, self) if lazy_first else (self, other)
+        return TruncatedSeries._lazy(min(self.order, other.order), self.var,
+                                     lambda k, out, a, b: _convolve(a, b, k), a, b)
 
     __rmul__ = __mul__
 
@@ -544,16 +608,8 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        c0 = other.coeffs[0]
-        if not c0.is_const() or c0.is_zero():
-            raise NonInvertibleError(
-                f"divisor constant term {c0} is not a nonzero rational"
-            )
-        inv0 = _reciprocal(c0.const_value())
-        out: list[MultiPoly] = []
-        for k in range(min(self.order, other.order) + 1):
-            out.append((self.coeffs[k] - _convolve(other.coeffs, out, k, 1)) * inv0)
-        return TruncatedSeries(out, self.var)
+        return TruncatedSeries._lazy(min(self.order, other.order), self.var,
+                                     _quotient, self, other)
 
     def __rtruediv__(self, other) -> "TruncatedSeries":
         other = self._coerce(other)
@@ -571,13 +627,7 @@ class TruncatedSeries:
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term exactly 1."""
-        if self.coeffs[0] != MultiPoly.one():
-            raise ValueError("series square root requires constant term 1")
-        half = Fraction(1, 2)
-        out = [MultiPoly.one()]
-        for k in range(1, self.order + 1):
-            out.append((self.coeffs[k] - _convolve(out, out, k, 1)) * half)
-        return TruncatedSeries(out, self.var)
+        return TruncatedSeries._lazy(self.order, self.var, _root, self)
 
     def exact_div(self, k: int, c: MultiPoly | Scalar) -> "TruncatedSeries":
         """Divide by ``var**k * c`` with a term-by-term exactness certificate.

@@ -17,7 +17,7 @@ secondary marker in the joint path statistics, and u, v, w mark high big
 ascents, low big ascents, and an initial double rise of a Dyck path.
 
 Every functional route is a right-hand side handed to the one solver,
-`_solve`.  It evaluates the right-hand side once on lazy series, computing
+`_solve`.  It evaluates the right-hand side once on lazy unknowns, computing
 each coefficient once (an online fixed point: van der Hoeven, "Relax, but
 don't be too lazy", J. Symbolic Comput. 34, 2002), then certifies the fixed
 point by one eager evaluation on every unknown; a system that does not
@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebra import MultiPoly, TruncatedSeries, _convolve, _power, series_compose
+from .algebra import MultiPoly, TruncatedSeries, _Cycle, series_compose
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DivergenceError, InexactDivisionError
 
@@ -231,97 +231,27 @@ def expand_by_peak_insertion(which: str, N: int) -> TruncatedSeries:
 # functional-equation expansions
 # ---------------------------------------------------------------------------
 
-class _Cycle(Exception):
-    """A lazy coefficient was requested while it was being computed."""
-
-
-class _Lazy:
-    """A power series whose coefficient k is computed on first request, by
-    ``next_coeff(k)``, and kept.
-
-    Sums, differences, powers and products with other lazy series, with
-    `TruncatedSeries` and with scalar or `MultiPoly` factors are lazy series
-    again.  A coefficient that needs itself raises _Cycle.
-    """
-
-    __slots__ = ("next_coeff", "_known", "_busy")
-
-    def __init__(self, next_coeff):
-        self.next_coeff = next_coeff
-        self._known: list[MultiPoly] = []
-        self._busy = False
-
-    def __getitem__(self, k: int) -> MultiPoly:
-        known = self._known
-        if k >= len(known):
-            if self._busy:
-                raise _Cycle
-            self._busy = True
-            while len(known) <= k:
-                known.append(self.next_coeff(len(known)))
-            self._busy = False
-        return known[k]
-
-    def __add__(self, other) -> "_Lazy":
-        b = _coeffs_of(other)
-        return _Lazy(lambda k: self[k] + b[k])
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Lazy":
-        b = _coeffs_of(other)
-        return _Lazy(lambda k: self[k] - b[k])
-
-    def __rsub__(self, other) -> "_Lazy":
-        b = _coeffs_of(other)
-        return _Lazy(lambda k: b[k] - self[k])
-
-    def __mul__(self, other) -> "_Lazy":
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return _Lazy(lambda k: self[k] * other)
-        # the eager factor goes first, as _convolve never reads a coefficient
-        # opposite a zero one: the lazy factor's may not be computable yet
-        a, b = (other.coeffs, self) if isinstance(other, TruncatedSeries) \
-            else (self, _coeffs_of(other))
-        return _Lazy(lambda k: _convolve(a, b, k))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "_Lazy":
-        return _power(self, n, lambda: _coeffs_of(1))
-
-
-def _coeffs_of(operand):
-    """What indexes the coefficients of a lazy or eager series, or of a
-    constant."""
-    if isinstance(operand, _Lazy):
-        return operand
-    if isinstance(operand, TruncatedSeries):
-        return operand.coeffs
-    return _Lazy(lambda k, c=MultiPoly.coerce(operand): c if k == 0
-                 else MultiPoly.zero())
-
-
 def _solve(rhs: Callable[..., tuple[TruncatedSeries, ...]], unknowns: int,
            N: int, name: str, var: str = "x") -> tuple[TruncatedSeries, ...]:
     """The fixed point of ``state = rhs(*state)`` through order N, certified.
 
-    `rhs` runs once on lazy unknowns (`_Lazy`), and unknown i's coefficient
-    k is coefficient k of the i-th series it returns, computed once and kept.
+    `rhs` runs once on lazy unknowns, and unknown i's coefficient k is
+    coefficient k of the i-th series it returns, computed once and kept.
     Every unknown on a right-hand side is multiplied by the series variable
     (directly or through a Gauss-Seidel update earlier in `rhs`), so
     coefficient k needs only coefficients below k.  Coefficients 0..N are
-    pulled and the lazy graph is dropped.  Then `rhs` runs on the
-    `TruncatedSeries` so found and must return every unknown unchanged.  A
+    pulled and the lazy graph is dropped.  Then `rhs` runs on the complete
+    unknowns so found and must return every unknown unchanged.  A
     system with a coefficient that needs itself, or that fails this
     certificate, has no fixed point here, and DivergenceError is raised.
     """
     exprs: list = []
-    lazy = [_Lazy(lambda k, i=i: exprs[i][k]) for i in range(unknowns)]
-    exprs.extend(map(_coeffs_of, rhs(*lazy)))
+    state = tuple(TruncatedSeries._lazy(N, var, lambda k, out, i=i: exprs[i][k])
+                  for i in range(unknowns))
+    exprs.extend(rhs(*state))
     try:
-        state = tuple(TruncatedSeries([u[k] for k in range(N + 1)], var)
-                      for u in lazy)
+        for u in state:
+            u[N]  # computes coefficients 0..N
     except _Cycle:
         state = None
     exprs.clear()  # the unknowns reach the lazy graph only through exprs

@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from bigdescents.algebra import (MultiPoly, TruncatedSeries, series_compose)
 from bigdescents.errors import (DivergenceError, InexactDivisionError,
                                 NonInvertibleError)
-from bigdescents.genfun import GF_IDS, _Lazy, expand, expand_functional
+from bigdescents.genfun import GF_IDS, expand, expand_functional
 
 t = MultiPoly.var("t")
 s = MultiPoly.var("s")
@@ -67,6 +68,24 @@ class TestMultiPoly:
     def test_str_is_readable(self):
         assert str(5 + 25 * t + 12 * t ** 2) == "5 + 25*t + 12*t^2"
         assert str(MultiPoly.zero()) == "0"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t.degree("q"),
+    lambda: MultiPoly.zero().degree("q"),
+    lambda: t.derivative("q"),
+    lambda: t.to_univariate("q"),
+    lambda: MultiPoly.univariate([1, 2], "q"),
+    lambda: MultiPoly.var("q"),
+    lambda: t.subs({"q": 1}),
+    lambda: x(3).map_coeffs({"q": 1}),
+    lambda: series_compose(TruncatedSeries.gen(3, "z"), {"z": x(3), "q": x(3)}),
+], ids=["degree", "degree_of_zero", "derivative", "to_univariate",
+        "univariate", "var", "subs", "map_coeffs", "series_compose"])
+def test_unknown_variable_refused(call):
+    # a typo must not substitute nothing or surface as a bare KeyError
+    with pytest.raises(ValueError, match="unknown variable 'q'"):
+        call()
 
 
 class TestSeriesArithmetic:
@@ -174,6 +193,16 @@ class TestOrderZero:
         with pytest.raises(ValueError):
             x(-1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TruncatedSeries([1, 2, 3, 4, 5, 6]).truncate(-3),
+        lambda: TruncatedSeries.constant(5, -2),
+        lambda: TruncatedSeries.one(-4),
+        lambda: TruncatedSeries.zero(-1),
+    ], ids=["truncate", "constant", "one", "zero"])
+    def test_negative_order_refused(self, make):
+        with pytest.raises(ValueError, match="non-negative"):
+            make()
+
     @pytest.mark.parametrize("gf_id,route", [
         (gf_id, route) for gf_id, info in sorted(GF_IDS.items())
         for route in ("closed", "functional")
@@ -186,6 +215,24 @@ class TestOrderZero:
             low, high = expand_functional(gf_id, 0), expand_functional(gf_id, 4)
         assert low.order == 0
         assert low.coeffs == high.coeffs[:1]
+
+
+class TestLazySeries:
+    @pytest.mark.parametrize("op", [operator.add, operator.mul, operator.truediv])
+    def test_complete_result_keeps_no_operand(self, op):
+        a, b = 1 + t * x(5), 1 - x(5)
+        before = sys.getrefcount(a)
+        result = op(a, b)
+        assert sys.getrefcount(a) == before
+        assert result.order == 5
+
+    def test_lazy_result_drops_its_operands_once_complete(self):
+        a = TruncatedSeries._lazy(5, "x", lambda k, out: t ** k)
+        before = sys.getrefcount(a)
+        result = a * x(5)
+        assert sys.getrefcount(a) == before + 1
+        assert result.coeffs == (x(5) * TruncatedSeries(a.coeffs, "x")).coeffs
+        assert sys.getrefcount(a) == before
 
 
 class TestCompose:
@@ -375,7 +422,7 @@ class TestAlgebraProperties:
     @settings(max_examples=40, deadline=None)
     def test_lazy_square_matches_general_product(self, a):
         def lazy():
-            return _Lazy(lambda k: a.coeffs[k])
+            return TruncatedSeries._lazy(a.order, "x", lambda k, out: a.coeffs[k])
         square = lazy()
         square = square * square
         product = lazy() * lazy()

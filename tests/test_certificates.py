@@ -28,8 +28,8 @@ def _raised_name(node: ast.Raise) -> str | None:
     return None
 
 
-def _budget_raises(path: Path) -> list[str]:
-    """The qualified names of the functions in `path` that raise BudgetError."""
+def _raises(path: Path, exc: str) -> list[str]:
+    """The qualified names of the functions in `path` that raise `exc`."""
     found = []
 
     def visit(node, scope):
@@ -38,7 +38,7 @@ def _budget_raises(path: Path) -> list[str]:
                                   ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Raise) and _raised_name(child) == "BudgetError":
+            if isinstance(child, ast.Raise) and _raised_name(child) == exc:
                 found.append(f"{path.stem}.{'.'.join(scope)}")
             visit(child, scope)
 
@@ -46,10 +46,22 @@ def _budget_raises(path: Path) -> list[str]:
     return found
 
 
+def _raisers(exc: str) -> list[str]:
+    return [name for path in sorted(PACKAGE.rglob("*.py"))
+            for name in _raises(path, exc)]
+
+
 def test_one_function_refuses_over_guard_jobs():
-    raises = [name for path in sorted(PACKAGE.rglob("*.py"))
-              for name in _budget_raises(path)]
-    assert raises == ["config.Limits.check"]
+    assert _raisers("BudgetError") == ["config.Limits.check"]
+
+
+def test_a_cycle_stays_inside_the_series_type():
+    # a coefficient that needs itself is a _Cycle of the series type; only
+    # the solver and composition turn what they cannot settle into
+    # DivergenceError
+    assert _raisers("_Cycle") == ["algebra.TruncatedSeries.__getitem__"]
+    assert _raisers("DivergenceError") == ["algebra.series_compose",
+                                           "genfun._solve"]
 
 
 def test_counting_formulas_reject_a_remainder(monkeypatch):

@@ -125,6 +125,13 @@ class TestSolver:
         with pytest.raises(DivergenceError, match="second"):
             genfun._solve(lambda f, g: (1 + x * f, 1 + g), 2, 5, "second")
 
+    def test_known_factor_is_read_first(self):
+        # with the lazy unknown on the left of f * x, coefficient k of f would
+        # need itself unless x's zero constant term is read first
+        x = TruncatedSeries.gen(5, "x")
+        (f,) = genfun._solve(lambda f: (1 + f * x,), 1, 5, "geometric")
+        assert f == 1 / (1 - x)
+
     @pytest.mark.parametrize("N", [0, 5, 20])
     @pytest.mark.parametrize("gf_id", [i for i, info in GF_IDS.items()
                                        if info.functional is not None])
