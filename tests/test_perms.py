@@ -211,6 +211,98 @@ class TestStatistics:
                                          + statistic(pi, "lobasc"))
 
 
+# Each statistic written out from its docstring with 1-based positions:
+# p(k) is pi_k, and a count runs over the positions its definition names.
+def _des_r_oracle(r):
+    def count(pi):
+        p, n = (lambda k: pi[k - 1]), len(pi)
+        return sum(p(k) > p(k + 1) + r for k in range(1, n))
+    return count
+
+
+def _sdes_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    return sum(p(k) == p(k + 1) + 1 for k in range(1, n))
+
+
+def _lddes_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    first = n >= 2 and p(1) > p(2)
+    return first + sum(p(k - 1) > p(k) > p(k + 1) for k in range(2, n))
+
+
+def _pk_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    return sum(p(k - 1) < p(k) > p(k + 1) for k in range(2, n))
+
+
+def _rbdes_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    return _des_r_oracle(1)(pi) + (n >= 1 and p(n) > 1)
+
+
+def _basc_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    return sum(p(k) + 1 < p(k + 1) for k in range(1, n))
+
+
+def _lbasc_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    return _basc_oracle(pi) + (n >= 1 and p(1) > 1)
+
+
+def _hibasc_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    return sum(p(k) + 1 < p(k + 1) and p(k + 1) >= k + 1 for k in range(1, n))
+
+
+def _lobasc_oracle(pi):
+    p, n = (lambda k: pi[k - 1]), len(pi)
+    return sum(p(k) + 1 < p(k + 1) and p(k + 1) < k + 1 for k in range(1, n))
+
+
+STATISTIC_ORACLES = {
+    "des": _des_r_oracle(0), "bdes": _des_r_oracle(1), "sdes": _sdes_oracle,
+    "lddes": _lddes_oracle, "pk": _pk_oracle, "rbdes": _rbdes_oracle,
+    "basc": _basc_oracle, "lbasc": _lbasc_oracle, "hibasc": _hibasc_oracle,
+    "lobasc": _lobasc_oracle,
+}
+
+
+def _all_perms(max_n):
+    for n in range(max_n + 1):
+        yield from itertools.permutations(range(1, n + 1))
+
+
+class TestStatisticOracles:
+    """Every statistic against its definition on all of S_n, n <= 7 (the
+    empty word and (1,) included), as a tuple and as the list the
+    generating tree passes."""
+
+    def test_oracles_cover_every_registered_statistic(self):
+        assert set(STATISTIC_ORACLES) == set(perms.STATISTICS)
+
+    @pytest.mark.parametrize("name", sorted(STATISTIC_ORACLES))
+    def test_registered_statistic_matches_definition(self, name):
+        value, oracle = perms.STATISTICS[name].value, STATISTIC_ORACLES[name]
+        for pi in _all_perms(7):
+            assert value(pi) == oracle(pi), (name, pi)
+            assert value(list(pi)) == oracle(pi), (name, pi)
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_des_r_matches_definition(self, r):
+        oracle = _des_r_oracle(r)
+        for pi in _all_perms(7):
+            assert des_r(pi, r) == oracle(pi), (r, pi)
+            assert statistic(pi, f"des_r({r})") == oracle(pi), (r, pi)
+
+    def test_reversal_turns_big_ascents_into_big_descents(self):
+        for pi in _all_perms(7):
+            rev = reverse(pi)
+            assert bdes(rev) == statistic(pi, "basc"), pi
+            assert rbdes(rev) == statistic(pi, "lbasc"), pi
+
+
 class TestStatisticSets:
     def test_rlmax(self):
         pi = (2, 7, 4, 5, 3, 6, 1)

@@ -92,6 +92,67 @@ def test_validated_types_compare_by_value_and_type(make, other):
     assert make() != str(make())
 
 
+# Values of all five validated types, with cross-type pairs whose fields are
+# equal: the empty Dyck and binary words, and one coefficient map as a qsym
+# and as a Schur expansion.
+CONTRACT_VALUES = [
+    DyckPath(""), DyckPath("UD"), DyckPath("UUDD"), DyckPath("UDUD"),
+    TwoMotzkinPath(()), TwoMotzkinPath(("h0",)), TwoMotzkinPath(("h1",)),
+    TwoMotzkinPath(("u", "d")),
+    BinaryWord(""), BinaryWord("01"), BinaryWord("10"), BinaryWord("1"),
+    QsymExpansion(2, {(2,): 1}), QsymExpansion(2, {(2,): 2}),
+    QsymExpansion(2, {(2,): 1, (1, 1): 3}), QsymExpansion(0, {}),
+    SymExpansion(2, {(2,): 1}), SymExpansion(2, {(2,): 1, (1, 1): 3}),
+    SymExpansion(0, {}),
+]
+
+
+def _fields(value):
+    return tuple(getattr(value, name) for name in value._fields)
+
+
+def _warm_caches(value):
+    if isinstance(value, DyckPath):
+        value.statistics
+    elif isinstance(value, TwoMotzkinPath):
+        value.step_counts()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "cached"])
+def test_value_contract_across_types(warm):
+    """Equal exactly when type and fields are equal, in both directions;
+    != negates ==; equal hashable values hash equal; a cached path
+    statistic changes none of it."""
+    for a in CONTRACT_VALUES:
+        for b in CONTRACT_VALUES:
+            copy = type(b)(*_fields(b))
+            if warm:
+                _warm_caches(copy)
+            same = type(a) is type(b) and _fields(a) == _fields(b)
+            assert (a == copy) is same and (copy == a) is same, (a, b)
+            assert (a != copy) is (not same) and (copy != a) is (not same)
+            if same and not isinstance(a, UNHASHABLE):
+                assert hash(a) == hash(copy)
+
+
+def test_empty_words_of_two_types_are_unequal():
+    assert BinaryWord("") != DyckPath("") and DyckPath("") != BinaryWord("")
+    assert not BinaryWord("") == DyckPath("")
+    assert not DyckPath("") == BinaryWord("")
+    assert TwoMotzkinPath(()) != DyckPath("")
+
+
+def test_cached_path_statistics_leave_equality_and_hash_alone():
+    dyck, motzkin = DyckPath("UUDUDD"), TwoMotzkinPath(("u", "h1", "d"))
+    before = hash(dyck), hash(motzkin)
+    dyck.statistics
+    motzkin.step_counts()
+    assert (hash(dyck), hash(motzkin)) == before
+    assert dyck == DyckPath("UUDUDD") and DyckPath("UUDUDD") == dyck
+    assert motzkin == TwoMotzkinPath(("u", "h1", "d"))
+    assert repr(motzkin) == "TwoMotzkinPath(steps=('u', 'h1', 'd'))"
+
+
 # the exact repr of each validated type's value in VALUES
 REPRS = {
     DyckPath: "DyckPath(steps='UUDUDD')",
