@@ -77,14 +77,14 @@ def _stack_word(pi: Perm) -> str:
     """Right to left, each letter pops (D) every smaller letter on top of the
     stack and is then pushed (U); whatever is left is popped at the end."""
     word = []
-    stack = []
+    stack = [len(pi) + 1]  # a bottom larger than every letter, never popped
     for v in reversed(pi):
-        while stack and stack[-1] < v:
+        while stack[-1] < v:
             stack.pop()
             word.append("D")
         stack.append(v)
         word.append("U")
-    word.append("D" * len(stack))
+    word.append("D" * (len(stack) - 1))
     return "".join(word)
 
 
@@ -115,7 +115,16 @@ def omega_f(pi: Perm) -> DyckPath:
 
 def _first_return_decode(steps: str) -> Perm:
     """Decode the Dyck word U w(sigma) D w(tau) as sigma n tau over index
-    ranges of the steps, each U matched to its D once up front."""
+    ranges of the steps, each U matched to its D once up front.
+
+    The U at i, matched to the D at j, starts steps[i:hi], the rest of the
+    range it lies in (hi is the D of the innermost U around i, or the end).
+    That rest stands for the values base+1 .. base+(hi-i)/2, where base
+    counts the values below it.  The U's letter is the largest of them,
+    written when its D is read: after its sigma, steps[i+1:j], whose base
+    is the same, and before its tau, steps[j+1:hi], whose base is
+    base + (j-i-1)/2.
+    """
     match = [0] * len(steps)
     opened = []
     for i, ch in enumerate(steps):
@@ -123,19 +132,18 @@ def _first_return_decode(steps: str) -> Perm:
             opened.append(i)
         else:
             match[opened.pop()] = i
-    out: list[int] = []
-
-    def build(lo: int, hi: int, base: int) -> None:
-        # steps[lo:hi] is a Dyck word; append its permutation of the values
-        # base+1 .. base+(hi-lo)/2, taking tau in the loop
-        while lo < hi:
-            j = match[lo]
-            build(lo + 1, j, base)
-            out.append(base + (hi - lo) // 2)
-            base += (j - lo - 1) // 2
-            lo = j + 1
-
-    build(0, len(steps), 0)
+    out = []
+    base_at = [0] * len(steps)  # per U, the base of the rest it starts
+    base = 0
+    for j, ch in enumerate(steps):
+        if ch == "U":
+            base_at[j] = base
+            opened.append(j)
+        else:
+            i = opened.pop()
+            hi = match[opened[-1]] if opened else len(steps)
+            out.append(base_at[i] + (hi - i) // 2)
+            base = base_at[i] + (j - i - 1) // 2
     return tuple(out)
 
 
@@ -172,7 +180,7 @@ def chi_inv(path: DyckPath) -> Perm:
     in increasing order to fill the positions below the diagonal."""
     n = path.semilength
     values = [0] * n  # by column; 0 marks a column without a peak
-    row_free = [True] * (n + 1)
+    peak_row = [False] * (n + 1)
     height = column = 0
     prev = ""
     for ch in path.steps:
@@ -181,20 +189,25 @@ def chi_inv(path: DyckPath) -> Perm:
         else:
             if prev == "U":
                 values[column] = height  # peak cell
-                row_free[height] = False
+                peak_row[height] = True
             column += 1
         prev = ch
-    free_rows = (r for r in range(1, n + 1) if row_free[r])
-    return check_permutation(tuple(v or next(free_rows) for v in values))
+    row = 1
+    for column in range(n):
+        if not values[column]:
+            while peak_row[row]:
+                row += 1
+            values[column] = row
+            row += 1
+    return check_permutation(values)
 
 
 # ---------------------------------------------------------------------------
 # psi: Dyck paths <-> 2-Motzkin paths
 # ---------------------------------------------------------------------------
 
-# (i-th U step red, (i+1)-th D step red) -> step i of the 2-Motzkin word
-_PSI_STEPS = {(False, True): "u", (True, False): "d",
-              (False, False): "h0", (True, True): "h1"}
+# [i-th U step red][(i+1)-th D step red] -> step i of the 2-Motzkin word
+_PSI_STEPS = (("h0", "u"), ("d", "h1"))
 
 
 def psi(path: DyckPath) -> TwoMotzkinPath:
@@ -203,11 +216,24 @@ def psi(path: DyckPath) -> TwoMotzkinPath:
     >>> str(psi(DyckPath("UDUUDUUUDUDDUDDD")))
     'h1 u h1 h0 u d d'
     """
-    steps = path.steps  # a U is red iff a D follows, a D iff a U precedes
-    u_red = [steps.startswith("D", i + 1) for i, s in enumerate(steps) if s == "U"]
-    d_red = [steps[i - 1] == "U" for i, s in enumerate(steps) if s == "D"]
-    return TwoMotzkinPath(tuple(_PSI_STEPS[u_red[i], d_red[i + 1]]
-                                for i in range(path.semilength - 1)))
+    # a U is red iff a D follows, a D iff a U precedes.  The i-th U step
+    # comes before the (i+1)-th D step and is not next to it, so its color
+    # is known when that D is read.
+    u_red = []  # per U step read so far
+    out = []
+    downs = 0
+    prev = ""
+    for s in path.steps:
+        if s == "U":
+            u_red.append(False)
+        else:
+            if prev == "U":
+                u_red[-1] = True
+            if downs:
+                out.append(_PSI_STEPS[u_red[downs - 1]][prev == "U"])
+            downs += 1
+        prev = s
+    return TwoMotzkinPath(tuple(out))
 
 
 def psi_inv(alpha: TwoMotzkinPath) -> DyckPath:
@@ -222,13 +248,20 @@ def psi_inv(alpha: TwoMotzkinPath) -> DyckPath:
     round-trip tests certify that this inverts psi.
     """
     m = len(alpha.steps) + 1
-    red_u = [i + 1 for i, tok in enumerate(alpha.steps) if tok in ("d", "h1")] + [m]
-    red_d = [1] + [i + 2 for i, tok in enumerate(alpha.steps) if tok in ("u", "h1")]
-    ascents = [red_u[0]] + [red_u[j] - red_u[j - 1] for j in range(1, len(red_u))]
-    descents = [red_d[j + 1] - red_d[j] for j in range(len(red_d) - 1)]
-    descents.append(m - red_d[-1] + 1)
-    word = "".join("U" * a + "D" * b for a, b in zip(ascents, descents))
-    return DyckPath(word)  # validation rejects ill-formed inputs
+    ascents, descents = [], []
+    red_u, red_d = 0, 1  # the last red U and red D index
+    for i, tok in enumerate(alpha.steps, 1):
+        if tok == "d" or tok == "h1":  # the i-th U step is red
+            ascents.append("U" * (i - red_u))
+            red_u = i
+        if tok == "u" or tok == "h1":  # the (i+1)-th D step is red
+            descents.append("D" * (i + 1 - red_d))
+            red_d = i + 1
+    ascents.append("U" * (m - red_u))
+    descents.append("D" * (m + 1 - red_d))
+    runs = [""] * (2 * len(ascents))
+    runs[::2], runs[1::2] = ascents, descents
+    return DyckPath("".join(runs))  # validation rejects ill-formed inputs
 
 
 # ---------------------------------------------------------------------------
@@ -275,44 +308,54 @@ def phi_213_231_inv(w: BinaryWord) -> Perm:
 def phi_213_312(pi: Perm) -> BinaryWord:
     """w_k = 1 if the letter k appears before n in pi, else 0."""
     n = len(pi)
-    cut = pi.index(n)
-    before = set(pi[:cut])
-    return BinaryWord("".join("1" if k in before else "0" for k in range(1, n)))
+    bits = ["0"] * (n - 1)
+    for v in pi:
+        if v == n:
+            break
+        bits[v - 1] = "1"
+    return BinaryWord("".join(bits))
 
 
 def phi_213_312_inv(w: BinaryWord) -> Perm:
-    n = len(w.bits) + 1
-    before = [k for k in range(1, n) if w.bits[k - 1] == "1"]
-    after = [k for k in range(1, n) if w.bits[k - 1] == "0"]
-    return tuple(before) + (n,) + tuple(reversed(after))
+    before, after = [], []
+    for k, ch in enumerate(w.bits, 1):
+        (before if ch == "1" else after).append(k)
+    return (*before, len(w.bits) + 1, *reversed(after))
+
+
+def _maxima_word(letters, n: int) -> BinaryWord:
+    """Indicator word, over the values 1..n, of the letters larger than every
+    letter before them."""
+    bits = ["0"] * n
+    hi = 0
+    for v in letters:
+        if v > hi:
+            bits[v - 1] = "1"
+            hi = v
+    return BinaryWord("".join(bits))
 
 
 def rlmax_word(pi: Perm) -> BinaryWord:
     """Indicator word of the right-to-left maxima (phi_123_132 and
     phi_132_213; a nonempty word ends in 1)."""
-    rl = perms.left_to_right_maxima(reversed(pi))
-    return BinaryWord("".join("1" if k in rl else "0" for k in range(1, len(pi) + 1)))
+    return _maxima_word(reversed(pi), len(pi))
 
 
 def lrmax_word(pi: Perm) -> BinaryWord:
     """Indicator word of the left-to-right maxima (phi_231_321; a nonempty
     word ends in 1)."""
-    lr = perms.left_to_right_maxima(pi)
-    return BinaryWord("".join("1" if k in lr else "0" for k in range(1, len(pi) + 1)))
+    return _maxima_word(pi, len(pi))
 
 
-def _maxima_blocks(w: BinaryWord) -> list[tuple[int, range]]:
-    """One block per 1 of the word, left to right: its position k (a maximum
-    of the preimage) and the values between the previous 1's position and k.
-    Every inverse below lays out these blocks, in one order or the other."""
+# One block per 1 of the word: its position k (a maximum of the preimage)
+# and the values between the previous 1's position and k.  Every inverse
+# below lays out these blocks, in one order or the other, finding each 1
+# with str.find or str.rfind.
+
+def _maxima_bits(w: BinaryWord) -> str:
     if not w.bits.endswith("1"):
         raise ValueError(f"word {w.bits!r} does not end in 1")
-    blocks, prev = [], 0
-    for k, ch in enumerate(w.bits, start=1):
-        if ch == "1":
-            blocks.append((k, range(prev + 1, k)))
-            prev = k
-    return blocks
+    return w.bits
 
 
 def phi_123_132_inv(w: BinaryWord) -> Perm:
@@ -322,20 +365,40 @@ def phi_123_132_inv(w: BinaryWord) -> Perm:
     >>> phi_123_132_inv(BinaryWord("010010001"))
     (8, 7, 6, 9, 4, 3, 5, 1, 2)
     """
-    return tuple(v for k, gap in reversed(_maxima_blocks(w))
-                 for v in (*reversed(gap), k))
+    bits, out = _maxima_bits(w), []
+    k = len(bits)
+    while k:  # the 1 at position k, after the previous one at position p
+        p = bits.rfind("1", 0, k - 1) + 1
+        out.extend(range(k - 1, p, -1))
+        out.append(k)
+        k = p
+    return tuple(out)
 
 
 def phi_132_213_inv(w: BinaryWord) -> Perm:
     """Largest maximum first, each block increasing up to its right-to-left
     maximum."""
-    return tuple(v for k, gap in reversed(_maxima_blocks(w)) for v in (*gap, k))
+    bits, out = _maxima_bits(w), []
+    k = len(bits)
+    while k:
+        p = bits.rfind("1", 0, k - 1) + 1
+        out.extend(range(p + 1, k))
+        out.append(k)
+        k = p
+    return tuple(out)
 
 
 def phi_231_321_inv(w: BinaryWord) -> Perm:
     """Smallest maximum first, each left-to-right maximum before its block's
     other values in increasing order."""
-    return tuple(v for k, gap in _maxima_blocks(w) for v in (k, *gap))
+    bits, out = _maxima_bits(w), []
+    p = 0
+    while p < len(bits):  # the 1 at position k, after the previous one at p
+        k = bits.find("1", p) + 1
+        out.append(k)
+        out.extend(range(p + 1, k))
+        p = k
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

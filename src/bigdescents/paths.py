@@ -114,10 +114,15 @@ class TwoMotzkinPath(Value):
     def parse(cls, text: str) -> "TwoMotzkinPath":
         return cls(tuple(text.split()))
 
-    def step_counts(self) -> dict[str, int]:
-        counts = {"u": 0, "d": 0, "h0": 0, "h1": 0}
-        for tok in self.steps:
-            counts[tok] += 1
+    def step_counts(self) -> Mapping[str, int]:
+        """The number of steps of each kind, by token (a read-only mapping),
+        counted on first use and cached on the path like
+        `DyckPath.statistics`."""
+        counts = self.__dict__.get("_step_counts")
+        if counts is None:
+            steps = self.steps
+            counts = self.__dict__["_step_counts"] = MappingProxyType(
+                {tok: steps.count(tok) for tok in ("u", "d", "h0", "h1")})
         return counts
 
     def __str__(self):
@@ -162,21 +167,24 @@ def occ_factor(p: DyckPath | BinaryWord, factor: str, level0_only: bool = False)
     >>> occ_factor(DyckPath("UUUDDUDDUDUUDD"), "UD", level0_only=True)
     1
     """
-    if isinstance(p, BinaryWord):
+    if isinstance(p, DyckPath):
+        word = p.steps
+    elif isinstance(p, BinaryWord):
         if level0_only:
             raise ValueError("level-0 restriction only applies to Dyck paths")
         word = p.bits
-    elif isinstance(p, DyckPath):
-        word = p.steps
     else:
         raise TypeError("occ_factor expects a DyckPath or BinaryWord")
     if not factor:
         raise ValueError("empty factor")
-    count = 0
+    count = ups = seen = 0  # ups: the U steps before step `seen`
     i = word.find(factor)
     while i >= 0:
-        # the height before step i is 2 * (U steps before i) - i
-        if not level0_only or 2 * word.count("U", 0, i) == i:
+        if level0_only:
+            ups += word.count("U", seen, i)
+            seen = i
+        # the height before step i is 2 * ups - i
+        if not level0_only or 2 * ups == i:
             count += 1
         i = word.find(factor, i + 1)
     return count
@@ -234,7 +242,8 @@ def path_statistics(p: DyckPath) -> Mapping[str, int]:
     blue_u_after_blue_u = []  # per blue U step: the blue U before it is adjacent
     downs = blue_downs = height = 0
     peak_d = False  # the last D step ended a peak
-    for before, prev, s in zip("  " + steps, " " + steps, steps):
+    before = prev = ""  # the two steps before s
+    for s in steps:
         if s == "U":
             height += 1
             u_after_u.append(prev == "U")
@@ -256,6 +265,7 @@ def path_statistics(p: DyckPath) -> Mapping[str, int]:
             downs += 1
             if not height:
                 returns += 1
+        before, prev = prev, s
     return MappingProxyType({
         "pk": pk, "con": con, "hibasc": max(pk - 1 - after_peak, 0),
         "lobasc": lobasc, "ini_UU": int(steps.startswith("UU")),

@@ -435,7 +435,12 @@ def des_r(pi: Sequence[int], r: int) -> int:
     """Number of positions k with pi_k > pi_{k+1} + r."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    return sum(1 for a, b in zip(pi, pi[1:]) if a > b + r)
+    count = prev = 0  # a 0 before pi_1 makes no r-descent
+    for b in pi:
+        if prev > b + r:
+            count += 1
+        prev = b
+    return count
 
 
 def des(pi: Sequence[int]) -> int:
@@ -448,55 +453,101 @@ def bdes(pi: Sequence[int]) -> int:
 
 def sdes(pi: Sequence[int]) -> int:
     """Descents that are not big: pi_k = pi_{k+1} + 1."""
-    return sum(1 for a, b in zip(pi, pi[1:]) if a == b + 1)
+    count = prev = 0
+    for b in pi:
+        if prev == b + 1:
+            count += 1
+        prev = b
+    return count
 
 
 def lddes(pi: Sequence[int]) -> int:
     """Left double descents: k=1 with pi_1 > pi_2, or pi_{k-1} > pi_k > pi_{k+1}."""
-    n = len(pi)
-    count = 0
-    if n >= 2 and pi[0] > pi[1]:
-        count += 1
-    for k in range(1, n - 1):
-        if pi[k - 1] > pi[k] > pi[k + 1]:
-            count += 1
+    count, rose = 0, False  # rose: pi_{k-1} < pi_k, false at k = 1
+    letters = iter(pi)
+    prev = next(letters, 0)
+    for b in letters:
+        if prev > b:
+            if not rose:
+                count += 1
+            rose = False
+        else:
+            rose = True
+        prev = b
     return count
 
 
 def pk(pi: Sequence[int]) -> int:
     """Interior positions with pi_{k-1} < pi_k > pi_{k+1}."""
-    return sum(1 for k in range(1, len(pi) - 1) if pi[k - 1] < pi[k] > pi[k + 1])
+    count, rose = 0, False  # rose: pi_{k-1} < pi_k, false at k = 1
+    letters = iter(pi)
+    prev = next(letters, 0)
+    for b in letters:
+        if prev > b:
+            if rose:
+                count += 1
+            rose = False
+        else:
+            rose = True
+        prev = b
+    return count
 
 
 def rbdes(pi: Sequence[int]) -> int:
     """Big descents of the word pi with a 0 appended."""
-    if not pi:
-        return 0
-    return bdes(pi) + (1 if pi[-1] > 1 else 0)
+    count = prev = 0
+    for b in pi:
+        if prev > b + 1:
+            count += 1
+        prev = b
+    return count + (prev > 1)
 
 
 def basc(pi: Sequence[int]) -> int:
     """Big ascents: positions with pi_k + 1 < pi_{k+1}."""
-    return sum(1 for a, b in zip(pi, pi[1:]) if a + 1 < b)
+    count = 0
+    letters = iter(pi)
+    prev = next(letters, 0)
+    for b in letters:
+        if prev + 1 < b:
+            count += 1
+        prev = b
+    return count
 
 
 def lbasc(pi: Sequence[int]) -> int:
-    """Big ascents plus position 0 when pi_1 > 1."""
-    if not pi:
-        return 0
-    return basc(pi) + (1 if pi[0] > 1 else 0)
+    """Big ascents plus position 0 when pi_1 > 1: the big ascents of the
+    word pi with a 0 prepended."""
+    count = prev = 0
+    for b in pi:
+        if prev + 1 < b:
+            count += 1
+        prev = b
+    return count
 
 
 def hibasc(pi: Sequence[int]) -> int:
     """Big ascents k such that k+1 is a weak excedance (pi_{k+1} >= k+1)."""
-    return sum(1 for k in range(1, len(pi))
-               if pi[k - 1] + 1 < pi[k] and pi[k] >= k + 1)
+    count = 0
+    letters = iter(pi)
+    prev, k = next(letters, 0), 1
+    for b in letters:  # b is pi_{k+1}
+        if prev + 1 < b and b >= k + 1:
+            count += 1
+        prev, k = b, k + 1
+    return count
 
 
 def lobasc(pi: Sequence[int]) -> int:
     """Big ascents k such that k+1 is not a weak excedance."""
-    return sum(1 for k in range(1, len(pi))
-               if pi[k - 1] + 1 < pi[k] and pi[k] < k + 1)
+    count = 0
+    letters = iter(pi)
+    prev, k = next(letters, 0), 1
+    for b in letters:  # b is pi_{k+1}
+        if prev + 1 < b and b < k + 1:
+            count += 1
+        prev, k = b, k + 1
+    return count
 
 
 def left_to_right_maxima(word: Iterable[int]) -> set[int]:

@@ -158,10 +158,13 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
     m = max(n - 1, 0)
     by_mask = [0] * (1 << m)
     for pi in enumerate_avoiders(n, pats, limits=limits):
-        mask = 0
-        for k, (a, b) in enumerate(zip(pi, pi[1:])):
-            if a > b + r:
-                mask |= 1 << k
+        mask, bit = 0, 1  # bit k - 1 stands for position k
+        letters = iter(pi)
+        prev = next(letters, 0)
+        for b in letters:
+            if prev > b + r:
+                mask |= bit
+            prev, bit = b, bit << 1
         by_mask[mask] += 1
     return by_mask
 

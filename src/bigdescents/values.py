@@ -23,7 +23,11 @@ class Value:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        mine, theirs = self.__dict__, other.__dict__
+        for name in self._fields:
+            if mine[name] != theirs[name]:
+                return False
+        return True
 
     def __hash__(self):
         return hash(self._key())
