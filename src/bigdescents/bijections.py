@@ -21,8 +21,8 @@ The nine bijections:
   Reflecting a path (reading it backwards with U and D swapped) turns its
   last-return decomposition into its first-return one, so
   omega_f = mirror o omega_l.  The inverse decodes the first-return
-  decomposition over index ranges of the steps, sharing nothing with the
-  stack pass, and omega_l_inv = omega_f_inv o mirror.  The mirror maps
+  decomposition in one pass over the steps, sharing nothing with the stack
+  pass, and omega_l_inv = omega_f_inv o mirror.  The mirror maps
   step strings to step strings, so no map builds (and validates) a second
   DyckPath.
 - chi: 321-avoiders to Dyck paths.  The path's k-th D step sits at height
@@ -114,36 +114,34 @@ def omega_f(pi: Perm) -> DyckPath:
 
 
 def _first_return_decode(steps: str) -> Perm:
-    """Decode the Dyck word U w(sigma) D w(tau) as sigma n tau over index
-    ranges of the steps, each U matched to its D once up front.
+    """Decode the Dyck word U w(sigma) D w(tau) as sigma n tau in one pass.
 
-    The U at i, matched to the D at j, starts steps[i:hi], the rest of the
-    range it lies in (hi is the D of the innermost U around i, or the end).
-    That rest stands for the values base+1 .. base+(hi-i)/2, where base
-    counts the values below it.  The U's letter is the largest of them,
-    written when its D is read: after its sigma, steps[i+1:j], whose base
-    is the same, and before its tau, steps[j+1:hi], whose base is
-    base + (j-i-1)/2.
+    Each D step is the next position, holding the letter of the U it
+    matches.  In sigma n tau every letter of sigma is below every letter of
+    tau, and both are below n, so ranking the letters by value lists
+    sigma's, then tau's, then n, recursively.  The U's directly inside one
+    U (or at height 0) are n, the maximum of its tau, the maximum of that
+    tau's tau, ...: they wait until that U's D (or the end of the word),
+    after every letter below them has been ranked, and are then ranked
+    last first.
     """
-    match = [0] * len(steps)
-    opened = []
-    for i, ch in enumerate(steps):
+    out = [0] * (len(steps) // 2)
+    waiting = []  # positions of letters not yet ranked, innermost level last
+    starts = []  # per open U, where the level directly inside it starts
+    rank = position = 0
+    for ch in steps:
         if ch == "U":
-            opened.append(i)
+            starts.append(len(waiting))
         else:
-            match[opened.pop()] = i
-    out = []
-    base_at = [0] * len(steps)  # per U, the base of the rest it starts
-    base = 0
-    for j, ch in enumerate(steps):
-        if ch == "U":
-            base_at[j] = base
-            opened.append(j)
-        else:
-            i = opened.pop()
-            hi = match[opened[-1]] if opened else len(steps)
-            out.append(base_at[i] + (hi - i) // 2)
-            base = base_at[i] + (j - i - 1) // 2
+            start = starts.pop()
+            while len(waiting) > start:
+                rank += 1
+                out[waiting.pop()] = rank
+            waiting.append(position)
+            position += 1
+    while waiting:
+        rank += 1
+        out[waiting.pop()] = rank
     return tuple(out)
 
 

@@ -121,8 +121,9 @@ class TwoMotzkinPath(Value):
         counts = self.__dict__.get("_step_counts")
         if counts is None:
             steps = self.steps
-            counts = self.__dict__["_step_counts"] = MappingProxyType(
-                {tok: steps.count(tok) for tok in ("u", "d", "h0", "h1")})
+            counts = self.__dict__["_step_counts"] = MappingProxyType({
+                "u": steps.count("u"), "d": steps.count("d"),
+                "h0": steps.count("h0"), "h1": steps.count("h1")})
         return counts
 
     def __str__(self):
