@@ -1,9 +1,13 @@
-"""The stdout of the longest table and scan jobs against recorded digests.
+"""The stdout of the longest table, scan and quasisymmetric jobs against
+recorded digests.
 
-Each digest is the sha256 of the job's stdout through ``cli.main``, recorded
-from the depth-first generating tree that visits every avoider, before the
-merged walk of ``perms.distribution_rows`` existed.  So the merged walk must
-reproduce the exhaustive tables byte for byte at the default guards.
+Each digest is the sha256 of the job's stdout through ``cli.main``.  The
+table and real-rooted digests were recorded from the depth-first generating
+tree that visits every avoider, before the merged walk of
+``perms.distribution_rows`` existed; the qsym, Schur-scan and des_r(2)
+digests from the avoider enumeration of ``symfunc`` and the walk keyed by
+``perms._signature``, before either became a client of ``merged.walk``.  So
+the merged walks must reproduce the exhaustive outputs byte for byte.
 """
 
 import hashlib
@@ -25,6 +29,19 @@ STDOUT_DIGESTS = {
         "9854ce6554d707c769b88d7b857150f16242a75b385087dfd005474412afead4",
     ("conjecture", "--which", "real-rooted", "--max-n", "14"):
         "a287cb893c8b2e60221921ba4e5d662ea5d9e196a8820ea0406bd2b9be77f4cc",
+    ("table", "--patterns", "213,231", "--n", "14", "--stat", "des_r(2)"):
+        "d20bbcaec12781bf441e4ca89bb7305c3bef045a4bfd6464da66ac4d2c1e5cd2",
+    ("conjecture", "--which", "schur-positive", "--max-n", "8"):
+        "34af70da544ff75a1bc36b7b7b3d595d79e1de6713463a81e1856bcf02348643",
+    ("qsym", "--patterns", "", "--n", "10", "--basis", "schur",
+     "--max-n", "10"):
+        "d6002c709aa58f20c9ffcc490a4abdd05d13f531e449a726a53cbf9b3f8ef21c",
+    ("qsym", "--patterns", "123", "--n", "12", "--basis", "fundamental",
+     "--max-n", "12"):
+        "79d3a3961d2dd74ac1963fc449071a35cb207dccc9625123525f7db17181ba46",
+    ("qsym", "--patterns", "231", "--n", "10", "--basis", "monomial",
+     "--max-n", "10"):
+        "fc2c0fbedc4b4a36b40481bf6baad19439ac973748147286b416418af98ddb53",
 }
 
 
