@@ -18,7 +18,6 @@ per path and cached on it.
 
 from __future__ import annotations
 
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -81,11 +80,16 @@ class DyckPath(Value):
     def semilength(self) -> int:
         return len(self.steps) // 2
 
-    @cached_property
+    @property
     def statistics(self) -> Mapping[str, int]:
-        """`path_statistics` of this path, computed on first use.  Equality
-        and the hash read only `steps`, so the cache changes neither."""
-        return path_statistics(self)
+        """`path_statistics` of this path, computed on first use and kept in
+        the instance dict (a `functools.cached_property` would take a lock
+        on every first read).  Equality and the hash read only `steps`, so
+        the cache changes neither."""
+        stats = self.__dict__.get("_statistics")
+        if stats is None:
+            stats = self.__dict__["_statistics"] = path_statistics(self)
+        return stats
 
     def __str__(self):
         return self.steps

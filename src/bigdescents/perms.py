@@ -21,11 +21,12 @@ per parent (an interval or a prefix split for a length-3 pattern, an
 occurrence scan pinned to the new maximum for any other length).  Two walks
 tally the children's statistic values without building the last level,
 updating des_r(r) in O(1) from the neighbours of the inserted letter:
-- the merged walk (``_merged_rows``) serves ``distribution_rows`` and
-  ``distribution_table`` for des_r(r) over S_n and over every class of
-  length-3 patterns.  Level by level it keeps one node per signature, a
-  finite label of the node's future (West 1995; Vatter, J. Symbolic
-  Comput. 41, 2006), so it tallies a few hundred states where the tree has
+- the merged walk (``_merged_rows``, a client of `merged.walk`) serves
+  ``distribution_rows`` and ``distribution_table`` for des_r(r) over S_n
+  and over every class of patterns of length at most 3.  Level by level it
+  keeps one state per key, a finite label of the node's future (West 1995;
+  Vatter, J. Symbolic Comput. 41, 2006), and derives each child's state
+  from its parent's, so it tallies a few hundred states where the tree has
   tens of thousands of avoiders;
 - the depth-first walk (``_grow``) visits every avoider in O(n) memory.  It
   serves the tables of a class with a longer pattern and of a statistic
@@ -41,6 +42,7 @@ import itertools
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import merged
 from .config import DEFAULT_LIMITS, Limits
 
 Perm = tuple[int, ...]
@@ -330,84 +332,47 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
     return counts
 
 
-def _signature(node: list[int], rules, r: int) -> int:
-    """The state of `node` in the merged walk of `_merged_rows`: one code
-    per site in the union of the rules' sites, in order, packed into an int.
-
-    A site between a and b gets rank + (r + 2) * (descent + 2 * rules),
-    where rank = min(r + 1, top - b) (0 only at the end sentinel b = top),
-    descent is 1 when (a, b) is an r-descent, and bit k of rules is set when
-    the site is active for rule k.  With no rules every site is active and
-    the sites are interchangeable, so the codes are sorted.  The codes are
-    the digits of the int after a leading 1, in base 2 * (r + 2) << the
-    number of rules.  An int key, unlike a tuple, leaves nothing on the
-    interpreter's tuple free lists once the walk's many short-lived keys
-    are gone.
-    """
-    top = len(node) + 1
-    ext = [0, *node, top]
-    codes = [min(r + 1, top - b) + (r + 2) * (a > b + r)
-             for a, b in zip(ext, ext[1:])]
-    if rules:
-        active = [0] * top
-        for k, rule in enumerate(rules):
-            for i in rule(node):
-                active[i] |= 1 << k
-        codes = [code + 2 * (r + 2) * bits
-                 for code, bits in zip(codes, active) if bits]
-    else:
-        codes.sort()
-    key, base = 1, 2 * (r + 2) << len(rules)
-    for code in codes:
-        key = key * base + code
-    return key
-
-
 def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     """`_grow`'s ``counts`` for des_r(r) over a class whose patterns all have
-    length 3 (or that has none), walked level by level with one node per
-    `_signature`: a representative and the counts of the values of every
-    avoider it stands for.
+    length at most 3, tallied on `merged.walk`.
 
-    Sound because two avoiders of one length with one signature have the
-    same subtree up to a shift of the statistic.  Inserting top = m + 1 at
-    site i, between a and b, adds [top - b > r] - [a > b + r], which the
-    site's code holds.  The child's pairs are the parent's, with (a, top)
-    no r-descent and of rank 1, (top, b) an r-descent exactly when the
-    site's rank is r + 1, and every rank other than 0 and r + 1 up by one.
-    For each length-3 rule the child's sites follow from the parent's
-    and from i's place among them: an initial interval (123, 213) ends at i
-    or at i + 1, except that 123's grows by one when i = 0; a final
-    interval (312, 321) starts at i or at i + 1, except that 321's grows by
-    one when i is the end; a split (132, 231) keeps site 0 and the parent's
-    sites from i on, or the parent's sites up to i and the end.  Site 0 and
-    the end are in the union whenever a rule needs them, and a site outside
-    every rule's set never returns.  So the child's signature is a function
-    of the parent's and of i, and merging loses nothing.  With no patterns
-    the sites do not depend on their order.
+    The key of a state is site 0's code and then the codes of the other
+    live sites in order, or, with no patterns, every code sorted.  Sound
+    because avoiders with one key have the same subtree up to a shift of
+    the statistic: their live sites pair off in order, site i adds
+    [(top, b) is an r-descent] - [(a, b) was one], which its code holds,
+    and each paired child has one key.  A child's codes are the parent's
+    slices kept, killed, or killed but for site 0 or the end (the site of
+    code 0), so its live codes are the parent's, with the same slices
+    taken at the paired site; where dead sites lie does not matter.
+    With no patterns every site is live in every child and the sites do
+    not depend on their order.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]
-    counts[0][0] = 1
-    rules = [_site_rule(p) for p in pats if len(p) <= n]
-    level = {None: ([], {0: 1})}
-    for top in range(1, n + 1):
-        row, following, thr = counts[top], {}, top - r
-        while level:  # drop each state once walked: one level at a time
-            node, values = level.popitem()[1]
-            ext = [0, *node, top]
-            for i in _active_sites(node, rules):
-                step = (ext[i + 1] < thr) - (ext[i] > ext[i + 1] + r)
-                for s, c in values.items():
-                    row[s + step] += c
-                if top == n:
-                    continue
-                child = [*node[:i], top, *node[i:]]
-                _, tally = following.setdefault(_signature(child, rules, r),
-                                                (child, {}))
-                for s, c in values.items():
-                    tally[s + step] = tally.get(s + step, 0) + c
-        level = following
+    key = _live_codes if pats else _sorted_codes
+    for row, tallies in zip(counts, merged.walk(n, pats, r, key, _shift)):
+        for tally in tallies:
+            for s, c in tally.items():
+                row[s] += c
     return counts
+
+
+_DEAD = bytes([merged.DEAD])
+
+
+def _live_codes(codes: bytes) -> bytes:
+    return codes[:1] + codes[1:].translate(None, _DEAD)
+
+
+def _sorted_codes(codes: bytes) -> bytes:
+    return bytes(sorted(codes))
+
+
+def _shift(values: dict, i: int, made: bool, broken: bool, into: dict) -> None:
+    """des_r's update at a site: s - [a > b + r] + [top > b + r]."""
+    step = made - broken
+    for s, c in values.items():
+        into[s + step] = into.get(s + step, 0) + c
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
@@ -550,18 +515,6 @@ def lobasc(pi: Sequence[int]) -> int:
     return count
 
 
-def left_to_right_maxima(word: Iterable[int]) -> set[int]:
-    """The letters larger than every letter before them.  The right-to-left
-    maxima of pi are those of ``reversed(pi)``; both contain n when pi is
-    nonempty."""
-    out, hi = set(), 0
-    for v in word:
-        if v > hi:
-            out.add(v)
-            hi = v
-    return out
-
-
 class Statistic(NamedTuple):
     """A registered statistic: its value on one permutation and, when it
     counts r-descents, the r that the generating tree updates in O(1) and
@@ -656,7 +609,7 @@ def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
     class or statistic on the depth-first tree, as in `tree_rows`."""
     resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
-    if resolved.r is None or any(len(p) != 3 for p in pats):
+    if resolved.r is None or not merged.handles(pats):
         return _tables(stat, pats, _grow(n, pats, resolved))
     return _tables(stat, pats, _merged_rows(n, pats, resolved.r))
 

@@ -22,7 +22,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .perms import check_permutation, enumerate_avoiders
+from . import merged
+from .perms import _checked_patterns, check_permutation, enumerate_avoiders
 from .values import Value
 
 Composition = tuple[int, ...]
@@ -150,13 +151,30 @@ class SymExpansion(_Expansion):
 
 
 def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
-    """Count avoiders by their r-descent set, encoded as a bitmask of [n-1]."""
+    """Count avoiders by their r-descent set, encoded as a bitmask of [n-1].
+
+    A class of patterns of length at most 3 is tallied on `merged.walk`,
+    keyed by the codes of every site in order without their descent flags
+    (`merged.RANKS`).  Sound because avoiders with one key have the same
+    subtree up to `_insert_bit`: it reads only the site's place and whether
+    (top, b) is an r-descent, which the site's rank fixes, and a child's
+    ranks and dead sites follow from the parent's and the place alone.
+    The mask itself holds every pair's descent flag.  Any other class
+    enumerates its avoiders.
+    """
     if r < 0:
         raise ValueError("r must be non-negative")
     limits.check("qsym_guard", n)
     pats = tuple(check_permutation(p) for p in patterns)
     m = max(n - 1, 0)
     by_mask = [0] * (1 << m)
+    if merged.handles(pats):
+        for tallies in merged.walk(n, _checked_patterns(n, pats, limits), r,
+                                   _site_ranks, _insert_bit):
+            pass
+        for mask, c in tallies[0].items():
+            by_mask[mask] += c
+        return by_mask
     for pi in enumerate_avoiders(n, pats, limits=limits):
         mask, bit = 0, 1  # bit k - 1 stands for position k
         letters = iter(pi)
@@ -167,6 +185,21 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
             prev, bit = b, bit << 1
         by_mask[mask] += 1
     return by_mask
+
+
+def _site_ranks(codes: bytes) -> bytes:
+    return codes.translate(merged.RANKS)
+
+
+def _insert_bit(masks: dict, i: int, made: bool, broken: bool,
+                into: dict) -> None:
+    """The r-descent sets after inserting the new maximum at site i: the
+    pairs before position i stay, position i becomes an ascent, position
+    i + 1 is an r-descent when `made`, and the later pairs move up by one."""
+    low = ((1 << i) - 1) >> 1
+    for mask, c in masks.items():
+        mask = (mask & low) | (made << i) | (mask >> i << i + 1)
+        into[mask] = into.get(mask, 0) + c
 
 
 def _mask_to_comp(n: int, mask: int) -> Composition:

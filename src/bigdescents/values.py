@@ -3,7 +3,7 @@
 A subclass names its fields in `_fields` and stores each one in the
 instance `__dict__` from its `__init__`.  The base refuses every later
 assignment and compares, hashes and shows a value by those fields alone, so
-other `__dict__` entries (a `functools.cached_property`, say) change none of
+other `__dict__` entries (a path's cached statistics, say) change none of
 the three.  Equality holds only between values of the same type.
 """
 

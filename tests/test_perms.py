@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bigdescents import perms, verify
+from bigdescents import merged, perms, verify
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
+from bigdescents.merged import DEAD, DESCENT
 from bigdescents.perms import (DistributionTable, bdes, contains, des, des_r,
                                distribution_rows, distribution_table,
-                               enumerate_avoiders, lddes,
-                               left_to_right_maxima, parse_pattern_set,
+                               enumerate_avoiders, lddes, parse_pattern_set,
                                parse_permutation, pk, rbdes, reverse, sdes,
                                standardize, statistic, tree_rows)
 from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
@@ -303,19 +303,6 @@ class TestStatisticOracles:
             assert rbdes(rev) == statistic(pi, "lbasc"), pi
 
 
-class TestStatisticSets:
-    def test_rlmax(self):
-        pi = (2, 7, 4, 5, 3, 6, 1)
-        assert left_to_right_maxima(reversed(pi)) == {1, 6, 7}
-        assert left_to_right_maxima(pi) == {2, 7}
-
-    @given(perm_strategy)
-    def test_n_is_always_a_rl_maximum(self, pi):
-        if pi:
-            assert len(pi) in left_to_right_maxima(reversed(pi))
-            assert len(pi) in left_to_right_maxima(pi)
-
-
 class TestDistributionTable:
     def test_known_rows(self):
         assert distribution_table(5, ((1, 3, 2),), "bdes").counts == \
@@ -353,12 +340,12 @@ class TestDistributionRows:
 
     def test_guard_fires_before_any_level(self, monkeypatch):
         computed = []
-        monkeypatch.setattr(perms, "_active_sites",
-                            lambda *a: computed.append(a) or range(0))
+        monkeypatch.setattr(merged, "walk",
+                            lambda *a: computed.append(a) or iter(()))
         with pytest.raises(BudgetError):
             distribution_rows(15, ((2, 3, 1),), "bdes")
         assert computed == []
-        # the patch is live: below the guard the tree asks it for sites
+        # the patch is live: below the guard the merged walk is started
         distribution_rows(3, ((2, 3, 1),), "bdes")
         assert computed
 
@@ -427,29 +414,38 @@ def merged_mismatches(n, pattern_sets):
             != tree_rows(n, ps, f"des_r({r})")]
 
 
-# Each forgets one field of a site's code in `perms._signature`, which is
-# rank + unit * (descent + 2 * rule flags) with unit = r + 2.
+# Each forgets one field of a site's code in `merged.walk`'s states: its
+# rank, whether the patterns leave it dead (a dead site reads as a live
+# ascent of rank 1), or its descent flag.
 COARSENINGS = {
-    "without-rank": lambda code, unit: code // unit,
-    "without-rule-flags": lambda code, unit: code % (2 * unit),
-    "without-descent-flag": lambda code, unit: code - unit * (code // unit % 2),
+    "without-rank": lambda code: code if code == DEAD else code & DESCENT,
+    "without-rule-flags": lambda code: 1 if code == DEAD else code,
+    "without-descent-flag": lambda code: code if code == DEAD
+    else code & ~DESCENT,
 }
 
 
 def coarsen(monkeypatch, forget):
-    """Make the merged walk key its states on a coarser signature: unpack
-    the sites' codes (the base-``2 * unit << len(rules)`` digits of the key
-    after its leading 1) and forget one field of each."""
-    signature = perms._signature
+    """Make the merged walk key its states on coarser codes: every code is
+    mapped through `forget` before the client's key sees it."""
+    walk, coarser = merged.walk, bytes(map(forget, range(256)))
 
-    def coarser(node, rules, r):
-        key, codes = signature(node, rules, r), []
-        while key > 1:
-            key, code = divmod(key, 2 * (r + 2) << len(rules))
-            codes.append(forget(code, r + 2))
-        return tuple(codes)
+    def coarse_walk(n, pats, r, key, push):
+        return walk(n, pats, r, lambda codes: key(codes.translate(coarser)),
+                    push)
 
-    monkeypatch.setattr(perms, "_signature", coarser)
+    monkeypatch.setattr(merged, "walk", coarse_walk)
+
+
+def scratch_codes(node, rules, r):
+    """A node's codes in `merged.walk`, from scratch: each site's rank
+    min(r + 1, top - b) plus DESCENT when (a, b) is an r-descent, or DEAD
+    where the patterns' site rules leave no insertion."""
+    top = len(node) + 1
+    ext, live = [0, *node, top], perms._active_sites(list(node), rules)
+    return bytes(min(r + 1, top - b) | DESCENT * (a > b + r)
+                 if i in live else DEAD
+                 for i, (a, b) in enumerate(zip(ext, ext[1:])))
 
 
 class TestMergedWalk:
@@ -469,6 +465,28 @@ class TestMergedWalk:
     def test_a_coarser_signature_is_caught(self, monkeypatch, forget):
         coarsen(monkeypatch, forget)
         assert len(merged_mismatches(7, SUBSETS_OF_S3)) >= 10
+
+    @pytest.mark.parametrize("patterns", [(), *SUBSETS_OF_S3], ids=lambda ps:
+                             ",".join(map(perms.format_permutation, ps)))
+    def test_each_child_state_follows_from_its_parent(self, patterns):
+        """Every node of the tree to length 8, for r = 0, 1, 2: the codes
+        that `merged.Sites.child` derives from the parent's codes and the
+        site equal the child's codes from scratch."""
+        rules = [perms._site_rule(p) for p in patterns]
+        for r in range(3):
+            sites = merged.Sites(patterns, r, 8)
+            assert sites.root == scratch_codes((), rules, r)
+            stack = [((), sites.root)]
+            while stack:
+                node, codes = stack.pop()
+                up = codes.translate(sites.bump)
+                for i in perms._active_sites(list(node), rules):
+                    child = (*node[:i], len(node) + 1, *node[i:])
+                    codes_i = sites.child(codes, up, i)
+                    assert codes_i == scratch_codes(child, rules, r), \
+                        (child, r)
+                    if len(child) < 8:
+                        stack.append((child, codes_i))
 
     def test_verify_holds_it_to_the_tree(self, monkeypatch):
         coarsen(monkeypatch, COARSENINGS["without-descent-flag"])

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import pytest
 
 from bigdescents import conjectures as cj
-from bigdescents import symfunc
+from bigdescents import perms, symfunc
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.symfunc import (QsymExpansion, SymExpansion, _rearrangements,
@@ -231,3 +232,83 @@ class TestBialternantOracle:
         patterns = ((1, 2, 3),)
         got = schur_expand(qsym_sum(8, patterns)).coeffs
         assert got != bialternant_schur(8, qsym_fundamental(8, patterns))
+
+
+# ---------------------------------------------------------------------------
+# the descent-set counts of the merged walk
+# ---------------------------------------------------------------------------
+
+SUBSETS_OF_S3 = [ps for size in range(7)
+                 for ps in itertools.combinations(
+                     itertools.permutations((1, 2, 3)), size)]
+
+
+def enumerated_masks(n, patterns, r):
+    """`_descent_set_counts` from the avoiders one by one: bit k - 1 of an
+    avoider's mask is set when pi_k > pi_{k+1} + r."""
+    by_mask = [0] * (1 << max(n - 1, 0))
+    for pi in perms.enumerate_avoiders(n, patterns):
+        by_mask[sum(1 << k for k in range(n - 1)
+                    if pi[k] > pi[k + 1] + r)] += 1
+    return by_mask
+
+
+def hook_length_schur(n, rows=None, columns=None):
+    """The sum of f^lam s_lam over the partitions lam of n with at most
+    `rows` rows and `columns` columns, f^lam by the hook-length formula.
+    By RSK, Des(pi) = Des(Q(pi)), so the sum of F_{Des(pi)} over S_n is
+    this sum over all lam; by Schensted's theorem, restricted to S_n(321)
+    it keeps at most two rows and to S_n(123) at most two columns."""
+
+    def shapes(left, cap):
+        if not left:
+            yield ()
+        for part in range(min(left, cap), 0, -1):
+            for rest in shapes(left - part, part):
+                yield (part,) + rest
+
+    out = {}
+    for lam in shapes(n, columns or n):
+        if rows is not None and len(lam) > rows:
+            continue
+        cols = [sum(part > j for part in lam) for j in range(n)]
+        hooks = math.prod(part - j + cols[j] - i - 1
+                          for i, part in enumerate(lam) for j in range(part))
+        out[lam] = math.factorial(n) // hooks
+    return out
+
+
+class TestMaskWalk:
+    """The r-descent sets of a class of length-3 patterns, tallied on the
+    merged walk."""
+
+    @pytest.mark.parametrize("patterns", SUBSETS_OF_S3, ids=lambda ps:
+                             ",".join(map(perms.format_permutation, ps)))
+    def test_equals_the_enumeration(self, patterns):
+        limits = Limits(qsym_guard=8)
+        for n in range(9):
+            for r in range(3):
+                assert symfunc._descent_set_counts(n, patterns, r, limits) \
+                    == enumerated_masks(n, patterns, r), (n, r)
+
+    @pytest.mark.parametrize("patterns, shape", [
+        ((), {}), (((3, 2, 1),), {"rows": 2}), (((1, 2, 3),), {"columns": 2})])
+    def test_des_sums_match_the_hook_length_formula(self, patterns, shape):
+        limits = Limits(qsym_guard=12, avoider_guard_empty=12)
+        for n in range(13):
+            got = schur_expand(qsym_sum(n, patterns, r=0, limits=limits))
+            assert got.coeffs == hook_length_schur(n, **shape), n
+
+    def test_length_3_classes_walk_no_tree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a merged walk visited the avoiders")
+
+        for module, name in ((perms, "_active_sites"),
+                             (perms, "enumerate_avoiders"),
+                             (symfunc, "enumerate_avoiders")):
+            monkeypatch.setattr(module, name, refuse)
+        rows = perms.distribution_rows(12, [(1, 2, 3)], "bdes")
+        assert [row.total() for row in rows] == [
+            math.comb(2 * n, n) // (n + 1) for n in range(13)]
+        q = qsym_fundamental(10, [(2, 3, 1)], limits=Limits(qsym_guard=10))
+        assert sum(q.values()) == 16796
