@@ -48,8 +48,8 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 DESCENT, DEAD = 0x80, 0xFF
-# The codes with their descent flags cleared.
-RANKS = bytes(c if c == DEAD else c & ~DESCENT for c in range(256))
+_RANKS = bytes(c if c == DEAD else c & ~DESCENT for c in range(256))
+_DEAD = bytes([DEAD])
 
 # How a rule treats the parent's sites on one side of the chosen site.
 KILL, OUTER, KEEP = 0, 1, 2
@@ -78,6 +78,16 @@ def handles(pats: Sequence[Sequence[int]]) -> bool:
     return all(tuple(p) in _RULES for p in pats)
 
 
+def live_codes(codes: bytes) -> bytes:
+    """Site 0's code, then the codes of the other live sites in order."""
+    return codes[:1] + codes[1:].translate(None, _DEAD)
+
+
+def site_ranks(codes: bytes) -> bytes:
+    """The codes with their descent flags cleared."""
+    return codes.translate(_RANKS)
+
+
 class Sites:
     """The codes of a class for des_r(r), and how a child's codes follow
     from its parent's.  r is capped at n, which changes no code: no pair of
@@ -86,17 +96,19 @@ class Sites:
     def __init__(self, pats: Sequence[Sequence[int]], r: int, n: int):
         r = min(r, n)
         if r + 1 >= DEAD & ~DESCENT:
-            raise ValueError("site codes fit one byte only for r, n <= 125")
+            raise ValueError("site codes fit one byte only while "
+                             "min(r, n) <= 125")
         live = [rank | flag for flag in (0, DESCENT) for rank in range(r + 2)]
-        self.made, self.broken = [False] * 256, [False] * 256
+        made, broken = bytearray(256), bytearray(256)
         bump = bytearray(range(256))
         for c in live:
             rank = c & ~DESCENT
-            self.made[c], self.broken[c] = rank == r + 1, c != rank
+            made[c], broken[c] = rank == r + 1, c != rank
             if 0 < rank <= r:
                 bump[c] += 1
-        self.bump = bytes(bump)
-        self.dead = bytes([DEAD]) * (n + 2)
+        self.made, self.broken, self.bump = bytes(made), bytes(broken), \
+            bytes(bump)
+        self.dead = _DEAD * (n + 2)
         self.root = bytes([DEAD if (1,) in map(tuple, pats) else 0])
         self.moves = []
         for case in range(4):  # FIRST when i = 0, LAST when i = m
@@ -106,10 +118,9 @@ class Sites:
                 if not case & special:
                     left, right = min(left, rule[0]), min(right, rule[3])
                     a, b = a and rule[1], b and rule[2]
-            mid = [b""] * 256
-            for c in live:
-                made = bump[c & ~DESCENT] | DESCENT * self.made[c]
-                mid[c] = bytes([1 if a else DEAD, made if b else DEAD])
+            mid = {c: bytes([1 if a else DEAD,
+                             bump[c & ~DESCENT] | DESCENT * made[c] if b
+                             else DEAD]) for c in live}
             self.moves.append((left, mid, right))
 
     def child(self, codes: bytes, up: bytes, i: int) -> bytes:
@@ -134,14 +145,15 @@ class Sites:
 
 def walk(n: int, pats: Sequence[Sequence[int]], r: int,
          key: Callable[[bytes], object],
-         push: Callable[[dict, int, bool, bool, dict], None],
+         push: Callable[[dict, int, int, int, dict], None],
          ) -> Iterator[list[dict]]:
     """Yield, for each length m = 0..n, tallies whose sum counts the
     avoiders of length m by value; the empty permutation has value 0.
 
     For each live site i of a state, ``push(values, i, made, broken, into)``
     adds to the tally `into` the values of the children at i, where `made`
-    tells whether (top, b) is an r-descent and `broken` whether (a, b) was.
+    is 1 when (top, b) is an r-descent and 0 otherwise, and `broken` is 1
+    when (a, b) was one.
     The children of one key share one state, whose codes are the first
     child's.  The last level is tallied from its parents, into one tally,
     without building its codes.  Each level is dropped once walked.

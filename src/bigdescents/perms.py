@@ -42,7 +42,6 @@ import itertools
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import merged
 from .config import DEFAULT_LIMITS, Limits
 
 Perm = tuple[int, ...]
@@ -336,10 +335,10 @@ def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     """`_grow`'s ``counts`` for des_r(r) over a class whose patterns all have
     length at most 3, tallied on `merged.walk`.
 
-    The key of a state is site 0's code and then the codes of the other
-    live sites in order, or, with no patterns, every code sorted.  Sound
-    because avoiders with one key have the same subtree up to a shift of
-    the statistic: their live sites pair off in order, site i adds
+    The key of a state is `merged.live_codes`: site 0's code, then the codes
+    of the other live sites in order; with no patterns, every code sorted.
+    Sound because avoiders with one key have the same subtree up to a shift
+    of the statistic: their live sites pair off in order, site i adds
     [(top, b) is an r-descent] - [(a, b) was one], which its code holds,
     and each paired child has one key.  A child's codes are the parent's
     slices kept, killed, or killed but for site 0 or the end (the site of
@@ -348,8 +347,9 @@ def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     With no patterns every site is live in every child and the sites do
     not depend on their order.
     """
+    from . import merged  # loaded by the first walk, not by every job
     counts = [[0] * (m + 1) for m in range(n + 1)]
-    key = _live_codes if pats else _sorted_codes
+    key = merged.live_codes if pats else _sorted_codes
     for row, tallies in zip(counts, merged.walk(n, pats, r, key, _shift)):
         for tally in tallies:
             for s, c in tally.items():
@@ -357,18 +357,11 @@ def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     return counts
 
 
-_DEAD = bytes([merged.DEAD])
-
-
-def _live_codes(codes: bytes) -> bytes:
-    return codes[:1] + codes[1:].translate(None, _DEAD)
-
-
 def _sorted_codes(codes: bytes) -> bytes:
     return bytes(sorted(codes))
 
 
-def _shift(values: dict, i: int, made: bool, broken: bool, into: dict) -> None:
+def _shift(values: dict, i: int, made: int, broken: int, into: dict) -> None:
     """des_r's update at a site: s - [a > b + r] + [top > b + r]."""
     step = made - broken
     for s, c in values.items():
@@ -518,7 +511,8 @@ def lobasc(pi: Sequence[int]) -> int:
 class Statistic(NamedTuple):
     """A registered statistic: its value on one permutation and, when it
     counts r-descents, the r that the generating tree updates in O(1) and
-    by which the merged walk tallies the classes of length-3 patterns."""
+    by which the merged walk tallies the classes of patterns of length at
+    most 3."""
 
     value: Callable[[Sequence[int]], int]
     r: int | None = None
@@ -605,8 +599,9 @@ def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
                       limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
     """The tables of lengths 0..n from one walk, tallied at every depth,
     with the guard applied to n.  des_r(r) over a class whose patterns all
-    have length 3 (or over S_n) is tallied on the merged walk; any other
-    class or statistic on the depth-first tree, as in `tree_rows`."""
+    have length at most 3 (or over S_n) is tallied on the merged walk; any
+    other class or statistic on the depth-first tree, as in `tree_rows`."""
+    from . import merged
     resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
     if resolved.r is None or not merged.handles(pats):

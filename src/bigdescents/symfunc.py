@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from . import merged
 from .perms import _checked_patterns, check_permutation, enumerate_avoiders
 from .values import Value
 
@@ -155,13 +154,14 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
 
     A class of patterns of length at most 3 is tallied on `merged.walk`,
     keyed by the codes of every site in order without their descent flags
-    (`merged.RANKS`).  Sound because avoiders with one key have the same
+    (`merged.site_ranks`).  Sound because avoiders with one key have the same
     subtree up to `_insert_bit`: it reads only the site's place and whether
     (top, b) is an r-descent, which the site's rank fixes, and a child's
     ranks and dead sites follow from the parent's and the place alone.
     The mask itself holds every pair's descent flag.  Any other class
     enumerates its avoiders.
     """
+    from . import merged  # loaded by the first walk, not by every job
     if r < 0:
         raise ValueError("r must be non-negative")
     limits.check("qsym_guard", n)
@@ -170,8 +170,8 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
     by_mask = [0] * (1 << m)
     if merged.handles(pats):
         for tallies in merged.walk(n, _checked_patterns(n, pats, limits), r,
-                                   _site_ranks, _insert_bit):
-            pass
+                                   merged.site_ranks, _insert_bit):
+            pass  # only the last level's tally is read
         for mask, c in tallies[0].items():
             by_mask[mask] += c
         return by_mask
@@ -187,11 +187,7 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
     return by_mask
 
 
-def _site_ranks(codes: bytes) -> bytes:
-    return codes.translate(merged.RANKS)
-
-
-def _insert_bit(masks: dict, i: int, made: bool, broken: bool,
+def _insert_bit(masks: dict, i: int, made: int, broken: int,
                 into: dict) -> None:
     """The r-descent sets after inserting the new maximum at site i: the
     pairs before position i stay, position i becomes an ascent, position
