@@ -404,6 +404,9 @@ class TestTreeAgainstNaiveFilter:
 SUBSETS_OF_S3 = [ps for size in range(1, 7)
                  for ps in itertools.combinations(
                      itertools.permutations((1, 2, 3)), size)]
+# classes with a pattern shorter than 3, which the merged walk also covers
+SHORTER_SETS = [((1,),), ((1, 2),), ((2, 1),), ((1, 2), (2, 1)),
+                ((1,), (1, 2, 3)), ((1, 2), (1, 3, 2)), ((2, 1), (3, 1, 2))]
 
 
 def merged_mismatches(n, pattern_sets):
@@ -449,8 +452,9 @@ def scratch_codes(node, rules, r):
 
 
 class TestMergedWalk:
-    """des_r(r) over the classes of length-3 patterns, tallied with one node
-    per signature, against the tree that visits every avoider."""
+    """des_r(r) over the classes of patterns of length at most 3, tallied on
+    `merged.walk` with one state per key, against the tree that visits
+    every avoider."""
 
     def test_equals_the_tree_on_every_subset_of_s3(self):
         assert merged_mismatches(10, SUBSETS_OF_S3) == []
@@ -460,13 +464,17 @@ class TestMergedWalk:
         for n in range(3):
             assert merged_mismatches(n, SUBSETS_OF_S3) == []
 
+    def test_equals_the_tree_with_shorter_patterns(self):
+        assert merged_mismatches(8, SHORTER_SETS) == []
+
     @pytest.mark.parametrize("forget", COARSENINGS.values(),
                              ids=COARSENINGS.keys())
     def test_a_coarser_signature_is_caught(self, monkeypatch, forget):
         coarsen(monkeypatch, forget)
         assert len(merged_mismatches(7, SUBSETS_OF_S3)) >= 10
 
-    @pytest.mark.parametrize("patterns", [(), *SUBSETS_OF_S3], ids=lambda ps:
+    @pytest.mark.parametrize("patterns", [(), *SUBSETS_OF_S3, *SHORTER_SETS],
+                             ids=lambda ps:
                              ",".join(map(perms.format_permutation, ps)))
     def test_each_child_state_follows_from_its_parent(self, patterns):
         """Every node of the tree to length 8, for r = 0, 1, 2: the codes

@@ -241,6 +241,8 @@ class TestBialternantOracle:
 SUBSETS_OF_S3 = [ps for size in range(7)
                  for ps in itertools.combinations(
                      itertools.permutations((1, 2, 3)), size)]
+SHORTER_SETS = [((1,),), ((1, 2),), ((2, 1),), ((1, 2), (2, 1)),
+                ((1,), (1, 2, 3)), ((1, 2), (1, 3, 2)), ((2, 1), (3, 1, 2))]
 
 
 def enumerated_masks(n, patterns, r):
@@ -282,7 +284,8 @@ class TestMaskWalk:
     """The r-descent sets of a class of length-3 patterns, tallied on the
     merged walk."""
 
-    @pytest.mark.parametrize("patterns", SUBSETS_OF_S3, ids=lambda ps:
+    @pytest.mark.parametrize("patterns", SUBSETS_OF_S3 + SHORTER_SETS,
+                             ids=lambda ps:
                              ",".join(map(perms.format_permutation, ps)))
     def test_equals_the_enumeration(self, patterns):
         limits = Limits(qsym_guard=8)
