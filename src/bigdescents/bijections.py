@@ -9,9 +9,7 @@ once against the record (a permutation, avoiding the domain patterns, at least
 ``min_length`` long).
 ``verify_transfer`` enumerates its domain once, calls the maps directly, and
 ``tally`` counts every identity's failures over the enumeration in one loop,
-applying the forward map once per object.  A record's reversed identities
-are stated on the avoiders of the reversed patterns; the tally reads them on
-reverse(x) for each domain object x (reversal maps one class onto the other).
+applying the forward map once per object.
 
 The nine bijections:
 
@@ -413,10 +411,6 @@ class Bijection(NamedTuple):
     backward: Callable
     # identities: (label, statistic on the domain object, statistic on image)
     identities: tuple[tuple[str, Callable, Callable], ...]
-    # identities (label, f, g) that state f(pi) = g(forward(reverse(pi)))
-    # on the avoiders pi of the reversed domain patterns; they are read as
-    # f(reverse(x)) against g(forward(x)) for each domain object x
-    reversed_identities: tuple[tuple[str, Callable, Callable], ...] = ()
 
 
 def _occ(factor: str, level0: bool = False):
@@ -473,13 +467,17 @@ _register(Bijection(
         ("first letter > 1 <-> ini_UU",
          lambda pi: 1 if pi and pi[0] > 1 else 0,
          lambda p: path_statistic(p, "ini_UU")),
-    ),
-    # big descents of 123-avoiders match high/low big-ascent counts of the
-    # reversed 321-avoider's staircase path
-    reversed_identities=(
-        ("bdes <-> hibasc + lobasc of chi(reverse)", perms.bdes, _basc),
+        # big descents of 123-avoiders match high/low big-ascent counts of
+        # the reversed 321-avoider's staircase path.  pi contains
+        # reverse(sigma) iff reverse(pi) contains sigma, so as x runs over
+        # the 321-avoiders, each once, pi = reverse(x) runs over the
+        # 123-avoiders, each once: f(pi) = g(chi(reverse(pi))) is checked as
+        # f(reverse(x)) = g(chi(x)), on the 123-avoiders' population
+        ("bdes <-> hibasc + lobasc of chi(reverse)",
+         lambda x: perms.bdes(perms.reverse(x)), _basc),
         ("rbdes <-> hibasc + lobasc + ini_UU of chi(reverse)",
-         perms.rbdes, lambda p: _basc(p) + path_statistic(p, "ini_UU")),
+         lambda x: perms.rbdes(perms.reverse(x)),
+         lambda p: _basc(p) + path_statistic(p, "ini_UU")),
     ),
 ))
 _register(Bijection(
@@ -610,26 +608,13 @@ def verify_transfer(name: str, n: int,
                     limits: Limits = DEFAULT_LIMITS) -> TransferReport:
     """Exhaustively check round trips and statistic identities at size n,
     in one tally that enumerates the domain under `limits`' guards once and
-    applies the forward map once per object.
-
-    The reversed identities ride in the same pass.  pi contains reverse(sigma)
-    iff reverse(pi) contains sigma, so reversal, an involution, maps the
-    avoiders of the reversed domain patterns one to one onto the domain.  As
-    x runs over the domain, each object once, pi = reverse(x) runs over the
-    reversed class, each avoider once, and the identity
-    f(pi) = g(forward(reverse(pi))) reads f(reverse(x)) = g(forward(x)).  So
-    the population and the failure count of each reversed identity are those
-    of a tally over the reversed class."""
+    applies the forward map once per object."""
     b = _lookup(name)
     if n < b.min_length:
         raise ValueError(f"{name} is defined from length {b.min_length} on")
-    reversed_identities = tuple(
-        (label, lambda x, f=f: f(perms.reverse(x)), g)
-        for label, f, g in b.reversed_identities)
     round_trip, *identities = tally(
         _domain_objects(b, n, limits), b.forward,
-        (("round trip", lambda x: x, b.backward), *b.identities,
-         *reversed_identities))
+        (("round trip", lambda x: x, b.backward), *b.identities))
     return TransferReport(bijection=name, n=n,
                           population=round_trip.population,
                           round_trip_failures=round_trip.failures,

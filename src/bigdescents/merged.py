@@ -73,11 +73,6 @@ _RULES = {
 }
 
 
-def handles(pats: Sequence[Sequence[int]]) -> bool:
-    """Whether `walk` covers the class: every pattern has length 1 to 3."""
-    return all(tuple(p) in _RULES for p in pats)
-
-
 def live_codes(codes: bytes) -> bytes:
     """Site 0's code, then the codes of the other live sites in order."""
     return codes[:1] + codes[1:].translate(None, _DEAD)

@@ -331,6 +331,13 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
     return counts
 
 
+def _merged_walk_covers(pats: tuple[Perm, ...]) -> bool:
+    """Whether `merged.walk` covers the class of the checked patterns: every
+    pattern has length 1 to 3.  Decided before `merged` is imported, so a
+    job that never walks does not load it."""
+    return all(1 <= len(p) <= 3 for p in pats)
+
+
 def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
     """`_grow`'s ``counts`` for des_r(r) over a class whose patterns all have
     length at most 3, tallied on `merged.walk`.
@@ -601,10 +608,9 @@ def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
     with the guard applied to n.  des_r(r) over a class whose patterns all
     have length at most 3 (or over S_n) is tallied on the merged walk; any
     other class or statistic on the depth-first tree, as in `tree_rows`."""
-    from . import merged
     resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
-    if resolved.r is None or not merged.handles(pats):
+    if resolved.r is None or not _merged_walk_covers(pats):
         return _tables(stat, pats, _grow(n, pats, resolved))
     return _tables(stat, pats, _merged_rows(n, pats, resolved.r))
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .perms import _checked_patterns, check_permutation, enumerate_avoiders
+from .perms import _checked_patterns, _merged_walk_covers, enumerate_avoiders
 from .values import Value
 
 Composition = tuple[int, ...]
@@ -161,16 +161,15 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
     The mask itself holds every pair's descent flag.  Any other class
     enumerates its avoiders.
     """
-    from . import merged  # loaded by the first walk, not by every job
     if r < 0:
         raise ValueError("r must be non-negative")
     limits.check("qsym_guard", n)
-    pats = tuple(check_permutation(p) for p in patterns)
+    pats = _checked_patterns(n, patterns, limits)
     m = max(n - 1, 0)
     by_mask = [0] * (1 << m)
-    if merged.handles(pats):
-        for tallies in merged.walk(n, _checked_patterns(n, pats, limits), r,
-                                   merged.site_ranks, _insert_bit):
+    if _merged_walk_covers(pats):
+        from . import merged  # loaded by the first walk, not by every job
+        for tallies in merged.walk(n, pats, r, merged.site_ranks, _insert_bit):
             pass  # only the last level's tally is read
         for mask, c in tallies[0].items():
             by_mask[mask] += c
@@ -272,9 +271,9 @@ def asymmetry_witness(q: QsymExpansion) -> tuple[Composition, Composition] | Non
 def schur_expand(q: QsymExpansion) -> SymExpansion:
     """Schur expansion of a symmetric quasisymmetric expansion.
 
-    Raises ValueError (with a witness pair) on non-symmetric input, and an
-    internal-consistency error if the triangular solve fails to reproduce
-    the input exactly.
+    Raises ValueError (with a witness pair) on non-symmetric input, and
+    ArithmeticError unless the solve reproduces m_mu's coefficient for each
+    partition mu, which certifies every composition: both sides are symmetric.
     """
     witness = asymmetry_witness(q)
     if witness is not None:
@@ -286,23 +285,23 @@ def schur_expand(q: QsymExpansion) -> SymExpansion:
             value -= coeff * kostka(nu, lam)
         if value:
             out[lam] = value
-    result = SymExpansion(n=q.n, coeffs=out)
-    if schur_to_monomial_qsym(result).coeffs != q.coeffs:
+    if any(value != q.coefficient(mu)
+           for mu, value in _monomial_coefficients(out, q.n).items()):
         raise ArithmeticError("Schur expansion failed to reproduce its input")
-    return result
+    return SymExpansion(n=q.n, coeffs=out)
+
+
+def _monomial_coefficients(schur: dict, n: int) -> dict[Partition, int]:
+    """m_mu's coefficient in sum of a_lam s_lam, for each partition mu of n."""
+    return {mu: sum(a * kostka(lam, mu) for lam, a in schur.items())
+            for mu in partitions_of(n)}
 
 
 def schur_to_monomial_qsym(e: SymExpansion) -> QsymExpansion:
     """Re-expand a Schur combination into monomial quasisymmetrics."""
-    coeffs: dict[Composition, int] = {}
-    for lam, a in e.coeffs.items():
-        for mu in partitions_of(e.n):
-            k = kostka(lam, mu)
-            if not k:
-                continue
-            for comp in _rearrangements(mu):
-                coeffs[comp] = coeffs.get(comp, 0) + a * k
-    return QsymExpansion(n=e.n, coeffs={c: v for c, v in coeffs.items() if v})
+    return QsymExpansion(n=e.n, coeffs={
+        comp: v for mu, v in _monomial_coefficients(e.coeffs, e.n).items()
+        if v for comp in _rearrangements(mu)})
 
 
 def is_schur_positive(e: SymExpansion) -> bool:

@@ -200,9 +200,9 @@ class TestFailureCounts:
         monkeypatch.setitem(bj.BIJECTIONS, "chi", bj.BIJECTIONS["chi"]._replace(
             backward=backward,
             identities=(("starts with 1", lambda pi: pi[0] == 1,
-                         lambda p: True),),
-            reversed_identities=(("is not 321", lambda pi: pi != (3, 2, 1),
-                                  lambda p: True),)))
+                         lambda p: True),
+                        ("is not 321", lambda x: x[::-1] != (3, 2, 1),
+                         lambda p: True))))
         report = bj.verify_transfer("chi", 3)
         # the 321-avoiders of length 3 are 123, 132, 213, 231, 312
         assert report.population == 5

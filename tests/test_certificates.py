@@ -55,6 +55,10 @@ def test_one_function_refuses_over_guard_jobs():
     assert _raisers("BudgetError") == ["config.Limits.check"]
 
 
+def test_one_function_certifies_schur_expansions():
+    assert _raisers("ArithmeticError") == ["symfunc.schur_expand"]
+
+
 def test_a_cycle_stays_inside_the_series_type():
     # a coefficient that needs itself is a _Cycle of the series type; only
     # the solver and composition turn what they cannot settle into

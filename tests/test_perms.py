@@ -1,6 +1,9 @@
 import functools
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -520,6 +523,26 @@ class TestMergedWalk:
         assert distribution_rows(6, patterns, stat) == \
             tree_rows(6, patterns, stat)
         assert bool(calls) == merged
+
+    def test_only_a_walk_loads_merged(self):
+        """Each job in a fresh interpreter: the route is decided before
+        `merged` is imported, so a job that never walks does not load it."""
+        def loads(job):
+            script = ("import sys, bigdescents.cli\n"
+                      "from bigdescents.perms import distribution_rows\n"
+                      "from bigdescents.symfunc import qsym_sum\n"
+                      f"{job}\n"
+                      "print('bigdescents.merged' in sys.modules)\n")
+            out = subprocess.run(
+                [sys.executable, "-B", "-c", script], check=True,
+                capture_output=True, text=True,
+                env={"PYTHONPATH": str(Path(perms.__file__).parents[1])})
+            return out.stdout.split() == ["True"]
+
+        assert not loads("distribution_rows(7, [(1, 2, 3, 4)], 'bdes')\n"
+                         "distribution_rows(9, [(2, 3, 1)], 'pk')")
+        assert loads("distribution_rows(9, [(2, 3, 1)], 'bdes')")
+        assert loads("qsym_sum(6, [(1, 2, 3)])")
 
 
 class TestWilfEquivalenceData:

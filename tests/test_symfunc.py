@@ -137,8 +137,48 @@ class TestSchurMachinery:
         assert schur_expand(combined).coeffs == {(2, 1): 1}
 
     def test_non_symmetric_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"witness \(\(1, 2\), \(2, 1\)\)"):
             schur_expand(fundamental_to_monomial(3, {1}))
+
+    def test_the_certificate_reads_partitions_only(self, monkeypatch):
+        """After its symmetry check schur_expand runs nothing over
+        compositions: no re-expansion, no more rearrangements."""
+        def refuse(e):
+            raise AssertionError("the certificate re-expanded compositions")
+
+        calls = []
+        real = symfunc._rearrangements
+        monkeypatch.setattr(symfunc, "_rearrangements",
+                            lambda parts: calls.append(parts) or real(parts))
+        monkeypatch.setattr(symfunc, "schur_to_monomial_qsym", refuse)
+        for n in range(9):
+            q = qsym_sum(n, ())
+            asymmetry_witness(q)
+            alone = len(calls)
+            calls.clear()
+            got = schur_expand(q).coeffs
+            assert len(calls) == alone, n
+            calls.clear()
+            assert got == bialternant_schur(n, qsym_fundamental(n, ())), n
+
+    @pytest.mark.parametrize("wrong", [
+        lambda lam, mu: 2 if lam == mu else None,
+        lambda lam, mu: 1 if (lam, mu) == ((2, 2), (3, 1)) else None,
+    ], ids=["diagonal-2", "undominated-1"])
+    def test_a_wrong_kostka_number_fails_the_certificate(self, monkeypatch,
+                                                        wrong):
+        # the Kostka faults a re-expansion over compositions would catch:
+        # a diagonal entry other than 1, and a nonzero entry where lam does
+        # not dominate mu
+        real = symfunc.kostka
+        monkeypatch.setattr(symfunc, "kostka", lambda lam, mu: (
+            real(lam, mu) if wrong(lam, mu) is None else wrong(lam, mu)))
+        try:
+            with pytest.raises(ArithmeticError):
+                schur_expand(qsym_sum(4, (), r=0))
+        finally:
+            real.cache_clear()  # it recursed through the planted numbers
 
     def test_zero_expansion_is_symmetric(self):
         q = QsymExpansion(n=4, coeffs={})
@@ -224,7 +264,7 @@ class TestBialternantOracle:
 
     def test_oracle_sees_a_wrong_kostka_number(self, monkeypatch):
         # K((5,3),(2,2,2,1,1)) = 9 planted as 10: the solve and the
-        # round-trip certificate both use it, so only the oracle sees it
+        # certificate both use it, so only the oracle sees it
         real = symfunc.kostka
         monkeypatch.setattr(
             symfunc, "kostka", lambda lam, mu: real(lam, mu) + (
