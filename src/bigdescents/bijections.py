@@ -473,10 +473,8 @@ _register(Bijection(
         # the 321-avoiders, each once, pi = reverse(x) runs over the
         # 123-avoiders, each once: f(pi) = g(chi(reverse(pi))) is checked as
         # f(reverse(x)) = g(chi(x)), on the 123-avoiders' population
-        ("bdes <-> hibasc + lobasc of chi(reverse)",
-         lambda x: perms.bdes(perms.reverse(x)), _basc),
-        ("rbdes <-> hibasc + lobasc + ini_UU of chi(reverse)",
-         lambda x: perms.rbdes(perms.reverse(x)),
+        ("bdes <-> hibasc + lobasc of chi(reverse)", perms.basc, _basc),
+        ("rbdes <-> hibasc + lobasc + ini_UU of chi(reverse)", perms.lbasc,
          lambda p: _basc(p) + path_statistic(p, "ini_UU")),
     ),
 ))

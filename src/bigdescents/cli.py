@@ -238,12 +238,13 @@ def _cmd_qsym(args, limits: Limits) -> int:
                 print(f"# symmetric=false, witness {banner[0]} vs {banner[1]}")
             print(" + ".join(f"{v}*M{list(c)}" for c, v in items) or "0")
         return 0
-    witness = asymmetry_witness(q)
-    if witness is not None:
+    try:
+        expansion = schur_expand(q)
+    except ValueError:  # not symmetric
+        witness = asymmetry_witness(q)
         print(f"not symmetric: M-coefficients differ on {witness[0]} vs "
               f"{witness[1]}; Schur basis unavailable", file=sys.stderr)
         return 1
-    expansion = schur_expand(q)
     if args.format == "json":
         print(json.dumps({"basis": "schur", "n": args.n,
                           "coeffs": [[list(l), v] for l, v in

@@ -245,18 +245,15 @@ def _schur_positive_records(max_n: int,
     for patterns in _SCHUR_TARGETS:
         for n in range(max_n + 1):
             q = qsym_sum(n, patterns, r=1, limits=limits)
-            witness = None
-            bad = asymmetry_witness(q)
-            if bad is not None:
-                holds = False
+            try:
+                expansion = schur_expand(q)
+            except ValueError:  # not symmetric
+                bad = asymmetry_witness(q)
                 witness = f"not symmetric: {bad[0]} vs {bad[1]}"
             else:
-                expansion = schur_expand(q)
-                holds = is_schur_positive(expansion)
-                if not holds:
-                    witness = str(min(
-                        (lam for lam, c in expansion.coeffs.items() if c < 0)))
-            yield ScanRecord(patterns=patterns, n=n, holds=holds,
+                witness = None if is_schur_positive(expansion) else str(min(
+                    lam for lam, c in expansion.coeffs.items() if c < 0))
+            yield ScanRecord(patterns=patterns, n=n, holds=witness is None,
                              expected=True, witness=witness)
 
 

@@ -11,9 +11,10 @@ pi_k = pi_{k+1} + 1.  Right big descents additionally count position n when
 pi_n > 1 (equivalently, big descents of the word pi with a 0 appended).
 Big ascents are positions with pi_k + 1 < pi_{k+1}; a big ascent k is high
 when k+1 is a weak excedance (pi_{k+1} >= k+1) and low otherwise.  Each named
-statistic is one entry of ``STATISTICS``: its value function and, for des and
-bdes, the r of the generating tree's O(1) update.  ``des_r(r)`` and its
-shorthand ``des_k`` name des_r for any r.
+statistic is one entry of ``STATISTICS``: its value function and, for
+des_r(r) of pi, of pi with a 0 appended or of either reversed, the r of
+the generating tree's O(1) update.  ``des_r(r)`` and its shorthand
+``des_k`` name des_r for any r.
 
 Avoider classes live on their generating tree: each avoider of length m
 has as children its insertions of m + 1 at the active sites, computed once
@@ -29,10 +30,10 @@ updating des_r(r) in O(1) from the neighbours of the inserted letter:
   from its parent's, so it tallies a few hundred states where the tree has
   tens of thousands of avoiders;
 - the depth-first walk (``_grow``) visits every avoider in O(n) memory.  It
-  serves the tables of a class with a longer pattern and of a statistic
-  without an O(1) update, ``tree_rows`` (the exhaustive oracle of
-  ``verify``) and ``enumerate_avoiders``, which collects and sorts the
-  leaves.
+  serves the tables of a class with a longer pattern, of a padded word and
+  of a statistic without an O(1) update, ``tree_rows`` (the exhaustive
+  oracle of ``verify``) and ``enumerate_avoiders``, which collects and
+  sorts the leaves.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ def standardize(word: Sequence[int]) -> Perm:
         raise ValueError(f"letters of {letters} are not distinct")
     rank = {v: i + 1 for i, v in enumerate(sorted(letters))}
     return tuple(rank[v] for v in letters)
-
-
-def reverse(pi: Sequence[int]) -> Perm:
-    return tuple(reversed(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +272,18 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
     """Walk the generating tree of S_m(pats), m <= n, depth first, visiting
     every avoider: for `enumerate_avoiders`, for `tree_rows`, and for
     `distribution_rows` when the merged walk does not apply (a pattern of
-    length 4 or more, or a statistic other than des_r(r)).
+    length 4 or more, a padded statistic, or one other than des_r(r)).
 
     Returns ``counts[m][k]``, the number of avoiders of length m with
     statistic value k, for every m <= n.
     Each parent computes its active sites once and tallies its children's
     values without building them.  When ``stat.r`` is set the statistic is
     des_r(r), updated from the neighbours a, b of the inserted maximum m + 1
-    as ``s - [a > b + r] + [m + 1 > b + r]``; otherwise ``stat.value`` is
-    evaluated on each child.  When `leaves` is a list the avoiders of length
-    n are appended to it.  Only the path from the root is alive: O(n) memory
-    besides the leaves.
+    as ``s - [a > b + r] + [m + 1 > b + r]``, with b = 0 past the end of a
+    padded word and the caller passing a reversed statistic the reversed
+    patterns; otherwise ``stat.value`` is evaluated on each child.  When
+    `leaves` is a list the avoiders of length n are appended to it.  Only
+    the path from the root is alive: O(n) memory besides the leaves.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]
     if not all(pats):
@@ -297,15 +295,16 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
             leaves.append(())
         return counts
     rules = [_site_rule(p) for p in pats if len(p) <= n]
-    value, r = stat
+    value, r, padded = stat.value, stat.r, stat.padded
     node: list[int] = []
 
     def descend(s: int) -> None:
         top = len(node) + 1
         sites = _active_sites(node, rules)
         if r is not None:
-            # sentinels: no pair is broken at site 0, none is made at site m
-            ext = [0, *node, top]
+            # sentinels: no pair is broken at site 0, and none is made at
+            # site m unless the word is padded with a 0
+            ext = [0, *node, 0 if padded else top]
             thr = top - r
             values = [s - (ext[i] > ext[i + 1] + r) + (ext[i + 1] < thr)
                       for i in sites]
@@ -460,35 +459,19 @@ def pk(pi: Sequence[int]) -> int:
 
 def rbdes(pi: Sequence[int]) -> int:
     """Big descents of the word pi with a 0 appended."""
-    count = prev = 0
-    for b in pi:
-        if prev > b + 1:
-            count += 1
-        prev = b
-    return count + (prev > 1)
+    return des_r((*pi, 0), 1)
 
 
 def basc(pi: Sequence[int]) -> int:
-    """Big ascents: positions with pi_k + 1 < pi_{k+1}."""
-    count = 0
-    letters = iter(pi)
-    prev = next(letters, 0)
-    for b in letters:
-        if prev + 1 < b:
-            count += 1
-        prev = b
-    return count
+    """Big ascents, positions with pi_k + 1 < pi_{k+1}: the big descents of
+    the reversed word."""
+    return des_r(reversed(pi), 1)
 
 
 def lbasc(pi: Sequence[int]) -> int:
     """Big ascents plus position 0 when pi_1 > 1: the big ascents of the
-    word pi with a 0 prepended."""
-    count = prev = 0
-    for b in pi:
-        if prev + 1 < b:
-            count += 1
-        prev = b
-    return count
+    word pi with a 0 prepended, or rbdes of the reversed word."""
+    return des_r((*reversed(pi), 0), 1)
 
 
 def hibasc(pi: Sequence[int]) -> int:
@@ -519,10 +502,13 @@ class Statistic(NamedTuple):
     """A registered statistic: its value on one permutation and, when it
     counts r-descents, the r that the generating tree updates in O(1) and
     by which the merged walk tallies the classes of patterns of length at
-    most 3."""
+    most 3.  With r set, the value is des_r(r) of the word reversed when
+    `reversed` and then with a 0 appended when `padded`."""
 
     value: Callable[[Sequence[int]], int]
     r: int | None = None
+    padded: bool = False
+    reversed: bool = False
 
 
 # Every named statistic; `statistic`, the distribution tables and the CLI's
@@ -533,9 +519,9 @@ STATISTICS: dict[str, Statistic] = {
     "sdes": Statistic(sdes),
     "lddes": Statistic(lddes),
     "pk": Statistic(pk),
-    "rbdes": Statistic(rbdes),
-    "basc": Statistic(basc),
-    "lbasc": Statistic(lbasc),
+    "rbdes": Statistic(rbdes, r=1, padded=True),
+    "basc": Statistic(basc, r=1, reversed=True),
+    "lbasc": Statistic(lbasc, r=1, padded=True, reversed=True),
     "hibasc": Statistic(hibasc),
     "lobasc": Statistic(lobasc),
 }
@@ -605,14 +591,18 @@ def _tables(stat: str, pats: tuple[Perm, ...],
 def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
                       limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
     """The tables of lengths 0..n from one walk, tallied at every depth,
-    with the guard applied to n.  des_r(r) over a class whose patterns all
-    have length at most 3 (or over S_n) is tallied on the merged walk; any
-    other class or statistic on the depth-first tree, as in `tree_rows`."""
+    with the guard applied to n.  des_r(r), unpadded, over a class whose
+    patterns all have length at most 3 (or over S_n) is tallied on the
+    merged walk, whose end site assumes no 0 after the word; any other
+    class or statistic on the depth-first tree, as in `tree_rows`."""
     resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
-    if resolved.r is None or not _merged_walk_covers(pats):
-        return _tables(stat, pats, _grow(n, pats, resolved))
-    return _tables(stat, pats, _merged_rows(n, pats, resolved.r))
+    # reversal maps S_n(pats) onto S_n(reversed pats), where a reversed
+    # statistic is its unreversed self
+    walked = tuple(p[::-1] for p in pats) if resolved.reversed else pats
+    if resolved.r is None or resolved.padded or not _merged_walk_covers(pats):
+        return _tables(stat, pats, _grow(n, walked, resolved))
+    return _tables(stat, pats, _merged_rows(n, walked, resolved.r))
 
 
 def tree_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
@@ -620,8 +610,10 @@ def tree_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
     """`distribution_rows` from the depth-first tree for every class and
     statistic: it visits each avoider, so it is the exhaustive oracle that
     `verify` holds the merged walk to."""
+    resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
-    return _tables(stat, pats, _grow(n, pats, _resolve_stat(stat)))
+    walked = tuple(p[::-1] for p in pats) if resolved.reversed else pats
+    return _tables(stat, pats, _grow(n, walked, resolved))
 
 
 def distribution_table(n: int, patterns: Iterable[Sequence[int]], stat: str,

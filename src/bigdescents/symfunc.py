@@ -19,6 +19,7 @@ solve triangular, and integrality is automatic.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -64,9 +65,10 @@ def kostka(lam: Partition, mu: Partition) -> int:
 
     Peeling the largest entry removes a horizontal strip, so
     K(lam, mu) = sum over shapes lam' with lam/lam' a horizontal strip of
-    size mu_last of K(lam', mu[:-1]).
+    size mu_last of K(lam', mu[:-1]).  It is 0 unless lam dominates mu.
     """
-    if sum(lam) != sum(mu):
+    if sum(lam) != sum(mu) or any(
+            a < b for a, b in zip(accumulate(lam), accumulate(mu))):
         return 0
     if not mu:
         return 1

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import time
 
 import pytest
 
+from bigdescents import cli, conjectures, symfunc
 from bigdescents.bijections import BIJECTIONS
 from bigdescents.cli import _build_parser, main
 from bigdescents.conjectures import SCANS
@@ -237,9 +239,10 @@ class TestQsym:
 
     def test_non_symmetric_schur_fails(self, capsys):
         # single-pattern 132 sums stop being symmetric at weight 4
-        code, _, err = run(capsys, "qsym", "--patterns", "132", "--n", "4")
-        assert code == 1
-        assert "not symmetric" in err
+        code, out, err = run(capsys, "qsym", "--patterns", "132", "--n", "4")
+        assert (code, out) == (1, "")
+        assert err == ("not symmetric: M-coefficients differ on (1, 1, 2) vs "
+                       "(1, 2, 1); Schur basis unavailable\n")
 
     def test_max_n_sets_every_guard(self, tmp_path, capsys):
         # n = 9 is over both the default qsym_guard and the config's avoider
@@ -249,6 +252,61 @@ class TestQsym:
         code, out, _ = run(capsys, "--config", str(cfg), "qsym",
                            "--patterns", "123", "--n", "9", "--max-n", "9")
         assert code == 0 and out.strip().endswith("s(9)")
+
+
+def count_symmetry_checks(monkeypatch):
+    """Count the Schur expansions that `qsym` and the Schur scan start and
+    the symmetry checks run, through every name that reaches them."""
+    calls = {"expand": 0, "witness": 0}
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (symfunc, cli, conjectures):
+        counted(module, "asymmetry_witness", "witness")
+    for module in (cli, conjectures):
+        counted(module, "schur_expand", "expand")
+    return calls
+
+
+class TestOneSymmetryCheckPerExpansion:
+    """`schur_expand` proves symmetry itself; its callers look for a
+    witness pair only once it has refused."""
+
+    def test_qsym_schur(self, monkeypatch, capsys):
+        calls = count_symmetry_checks(monkeypatch)
+        assert run(capsys, "qsym", "--patterns", "", "--n", "6")[0] == 0
+        assert calls == {"expand": 1, "witness": 1}
+        assert run(capsys, "qsym", "--patterns", "132", "--n", "4")[0] == 1
+        assert calls == {"expand": 2, "witness": 3}
+
+    def test_schur_scan(self, monkeypatch, capsys):
+        calls = count_symmetry_checks(monkeypatch)
+        assert run(capsys, "conjecture", "--which", "schur-positive",
+                   "--max-n", "6")[0] == 0
+        assert calls == {"expand": 21, "witness": 21}  # 3 classes, n <= 6
+
+    def test_schur_scan_of_a_non_symmetric_sum(self, monkeypatch, capsys):
+        # every target's sum replaced by the 132-avoiders', which stops
+        # being symmetric at weight 4; digest recorded when the scan still
+        # checked symmetry before expanding
+        real = conjectures.qsym_sum
+        monkeypatch.setattr(conjectures, "qsym_sum",
+                            lambda n, patterns, r, limits:
+                            real(n, ((1, 3, 2),), r=r, limits=limits))
+        code, out, _ = run(capsys, "conjecture", "--which", "schur-positive",
+                           "--max-n", "5")
+        assert code == 1
+        assert ("FAIL schur_positive patterns=123 n=5 -- not symmetric: "
+                "(1, 1, 1, 2) vs (1, 1, 2, 1)") in out.splitlines()
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "ec083c6bec7a27022a8901381472ac7838988f9d90c3093c91b122e260d06a8d"
 
 
 class TestVerifyAndConjecture:

@@ -7,7 +7,10 @@ tree that visits every avoider, before the merged walk of
 ``perms.distribution_rows`` existed; the qsym, Schur-scan and des_r(2)
 digests from the avoider enumeration of ``symfunc`` and the walk keyed by
 ``perms._signature``, before either became a client of ``merged.walk``.  So
-the merged walks must reproduce the exhaustive outputs byte for byte.
+the merged walks must reproduce the exhaustive outputs byte for byte.  The
+rbdes, basc and lbasc digests were recorded while each had its own loop,
+evaluated on every avoider, before the tables read them as des_r(1) of a
+padded or reversed word.
 """
 
 import hashlib
@@ -42,6 +45,18 @@ STDOUT_DIGESTS = {
     ("qsym", "--patterns", "231", "--n", "10", "--basis", "monomial",
      "--max-n", "10"):
         "fc2c0fbedc4b4a36b40481bf6baad19439ac973748147286b416418af98ddb53",
+    ("table", "--patterns", "231", "--n", "12", "--stat", "basc",
+     "--format", "json"):
+        "8463bc4bc21393cad6b973214af364f5b5c7f90766886f63e621755d1bc9d933",
+    ("table", "--patterns", "1234", "--n", "9", "--stat", "basc"):
+        "f5eb52753054cb6ce977d4960fc0cb55f0344056ab58cbb1f3b67e9e1a3cf814",
+    ("table", "--patterns", "", "--n", "9", "--stat", "rbdes"):
+        "ea98f1ca2ece55d065da57fcb0d581af271593e39088b9486afb350e1fefdf6c",
+    ("table", "--patterns", "2143", "--n", "9", "--stat", "lbasc"):
+        "4364189a4c38daa786c244ec140236df0ca6f631477e7d3798bf354f7573dc57",
+    ("table", "--patterns", "132,213", "--n", "12", "--stat", "lbasc",
+     "--format", "bfile"):
+        "15f5ba28880ab88d30cc7b5028fe739ea09f1102c481e877dda77d392ddac675",
 }
 
 

@@ -16,7 +16,7 @@ from bigdescents.merged import DEAD, DESCENT
 from bigdescents.perms import (DistributionTable, bdes, contains, des, des_r,
                                distribution_rows, distribution_table,
                                enumerate_avoiders, lddes, parse_pattern_set,
-                               parse_permutation, pk, rbdes, reverse, sdes,
+                               parse_permutation, pk, rbdes, sdes,
                                standardize, statistic, tree_rows)
 from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
 
@@ -40,6 +40,10 @@ class TestStandardize:
         for i in range(len(word)):
             for j in range(len(word)):
                 assert (word[i] < word[j]) == (out[i] < out[j])
+
+
+def reverse(pi):
+    return tuple(reversed(pi))
 
 
 def complement(pi):
@@ -299,6 +303,19 @@ class TestStatisticOracles:
             assert des_r(pi, r) == oracle(pi), (r, pi)
             assert statistic(pi, f"des_r({r})") == oracle(pi), (r, pi)
 
+    def test_entries_with_r_are_des_r_of_their_words(self):
+        """The tables read an entry's r and flags instead of its value, so
+        the two must agree: des_r(r) of pi reversed when ``reversed``, then
+        with a 0 appended when ``padded``."""
+        with_r = {name: stat for name, stat in perms.STATISTICS.items()
+                  if stat.r is not None}
+        assert sorted(with_r) == ["basc", "bdes", "des", "lbasc", "rbdes"]
+        for name, stat in with_r.items():
+            for pi in _all_perms(7):
+                word = pi[::-1] if stat.reversed else pi
+                word += (0,) * stat.padded
+                assert stat.value(pi) == des_r(word, stat.r), (name, pi)
+
     def test_reversal_turns_big_ascents_into_big_descents(self):
         for pi in _all_perms(7):
             rev = reverse(pi)
@@ -389,13 +406,15 @@ class TestTreeAgainstNaiveFilter:
     def test_rows_match_naive_counts(self, patterns):
         classes = [naive_class(patterns, n) for n in range(8)]
         for stat, value in ORACLE_STATS.items():
-            rows = distribution_rows(7, patterns, stat)
-            assert len(rows) == len(classes)
-            for n, (row, naive) in enumerate(zip(rows, classes)):
-                found = [0] * (n + 1)
-                for pi in naive:
-                    found[value(pi)] += 1
-                assert row.counts == tuple(found), (stat, n)
+            for rows_of in (distribution_rows, tree_rows):
+                rows = rows_of(7, patterns, stat)
+                assert len(rows) == len(classes)
+                for n, (row, naive) in enumerate(zip(rows, classes)):
+                    found = [0] * (n + 1)
+                    for pi in naive:
+                        found[value(pi)] += 1
+                    assert row.counts == tuple(found), (rows_of, stat, n)
+                    assert row.patterns == tuple(sorted(patterns))
 
     @pytest.mark.parametrize("patterns", LENGTH_4_SETS)
     def test_enumeration_matches_naive_list(self, patterns):
@@ -513,6 +532,10 @@ class TestMergedWalk:
         (((2, 1, 3), (1, 2, 3, 4)), "des", False),
         (((2, 3, 1),), "pk", False),
         ((), "sdes", False),
+        (((2, 3, 1),), "basc", True),
+        (((2, 3, 1),), "rbdes", False),
+        (((2, 3, 1),), "lbasc", False),
+        (((1, 2, 3, 4),), "basc", False),
     ])
     def test_merges_length_3_classes_by_des_r_only(self, monkeypatch,
                                                    patterns, stat, merged):
@@ -523,6 +546,23 @@ class TestMergedWalk:
         assert distribution_rows(6, patterns, stat) == \
             tree_rows(6, patterns, stat)
         assert bool(calls) == merged
+
+    @pytest.mark.parametrize("name", ["rbdes", "basc", "lbasc"])
+    def test_tables_of_a_padded_or_reversed_word_never_evaluate_it(
+            self, monkeypatch, name):
+        """Their tables update des_r(1) in O(1) on the tree or tally it on
+        the merged walk; the value function is only the oracle."""
+        classes = [(), ((2, 3, 1),), ((1, 3, 2), (2, 1, 3)), ((2, 1, 4, 3),)]
+        want = [tree_rows(7, ps, name) for ps in classes]
+
+        def refuse(pi):
+            raise AssertionError(f"{name} evaluated on {pi}")
+
+        monkeypatch.setitem(perms.STATISTICS, name,
+                            perms.STATISTICS[name]._replace(value=refuse))
+        for ps, rows in zip(classes, want):
+            assert distribution_rows(7, ps, name) == rows
+            assert tree_rows(7, ps, name) == rows
 
     def test_only_a_walk_loads_merged(self):
         """Each job in a fresh interpreter: the route is decided before

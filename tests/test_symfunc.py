@@ -57,6 +57,35 @@ class TestCompositionsAndPartitions:
         for lam in partitions_of(5):
             assert kostka(lam, lam) == 1
 
+    def test_kostka_counts_semistandard_tableaux(self):
+        """Against a count that fills the cells of lam one by one, which
+        knows nothing of horizontal strips or dominance."""
+        def tableaux(lam, mu):
+            cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+            left, grid = list(mu), {}
+
+            def fill(k):
+                if k == len(cells):
+                    return 1
+                i, j = cells[k]  # rows weakly increase, columns strictly
+                low = max(grid.get((i, j - 1), 1), grid.get((i - 1, j), 0) + 1)
+                total = 0
+                for v in range(low, len(mu) + 1):
+                    if left[v - 1]:
+                        left[v - 1] -= 1
+                        grid[i, j] = v
+                        total += fill(k + 1)
+                        left[v - 1] += 1
+                grid.pop((i, j), None)
+                return total
+
+            return fill(0)
+
+        for n in range(7):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    assert kostka(lam, mu) == tableaux(lam, mu), (lam, mu)
+
 
 class TestFundamental:
     def test_empty_set_has_all_refinements(self):
