@@ -7,9 +7,9 @@ sentinels a = 0 at site 0 and b = m + 1 at the end site m.  Its children are
 its insertions of m + 1 at the live sites, those where the new maximum makes
 no occurrence of a pattern (West, Discrete Math. 146, 1995).  A state holds
 one byte per site, in order, and a ``{value: count}`` tally of the avoiders
-it stands for.  A live site's byte is rank = min(r + 1, m + 1 - b), which is
-0 only at the end site, plus `DESCENT` when (a, b) is an r-descent; every
-other site holds `DEAD`.
+it stands for.  A live site's byte is rank = min(r + 1, m + 1 - b) plus
+`DESCENT` when (a, b) is an r-descent; other sites hold `DEAD`.  A 0 after
+the word puts b = 0 at the end, which changes the root's code alone.
 
 A child's codes follow from its parent's codes and the site i (the view of
 the insertion encoding, Albert, Linton & Ruskuc, Electron. J. Combin. 12,
@@ -74,8 +74,8 @@ _RULES = {
 
 
 def live_codes(codes: bytes) -> bytes:
-    """Site 0's code, then the codes of the other live sites in order."""
-    return codes[:1] + codes[1:].translate(None, _DEAD)
+    """Site 0's code, the live interior codes in order, and the end's code."""
+    return codes[:1] + codes[1:-1].translate(None, _DEAD) + codes[-1:]
 
 
 def site_ranks(codes: bytes) -> bytes:
@@ -84,11 +84,12 @@ def site_ranks(codes: bytes) -> bytes:
 
 
 class Sites:
-    """The codes of a class for des_r(r), and how a child's codes follow
-    from its parent's.  r is capped at n, which changes no code: no pair of
-    a permutation of length n is an n-descent."""
+    """The codes of a class for des_r(r), of the word with a 0 appended
+    when `padded`, and how a child's codes follow from its parent's.  r is
+    capped at n, which changes no code: no pair of 0..n is an n-descent."""
 
-    def __init__(self, pats: Sequence[Sequence[int]], r: int, n: int):
+    def __init__(self, pats: Sequence[Sequence[int]], r: int, n: int,
+                 padded: bool):
         r = min(r, n)
         if r + 1 >= DEAD & ~DESCENT:
             raise ValueError("site codes fit one byte only while "
@@ -104,7 +105,7 @@ class Sites:
         self.made, self.broken, self.bump = bytes(made), bytes(broken), \
             bytes(bump)
         self.dead = _DEAD * (n + 2)
-        self.root = bytes([DEAD if (1,) in map(tuple, pats) else 0])
+        self.root = bytes([DEAD if (1,) in map(tuple, pats) else padded])
         self.moves = []
         for case in range(4):  # FIRST when i = 0, LAST when i = m
             left, a, b, right = _KEEP_ALL
@@ -141,19 +142,19 @@ class Sites:
 def walk(n: int, pats: Sequence[Sequence[int]], r: int,
          key: Callable[[bytes], object],
          push: Callable[[dict, int, int, int, dict], None],
-         ) -> Iterator[list[dict]]:
+         padded: bool = False) -> Iterator[list[dict]]:
     """Yield, for each length m = 0..n, tallies whose sum counts the
     avoiders of length m by value; the empty permutation has value 0.
 
     For each live site i of a state, ``push(values, i, made, broken, into)``
     adds to the tally `into` the values of the children at i, where `made`
     is 1 when (top, b) is an r-descent and 0 otherwise, and `broken` is 1
-    when (a, b) was one.
+    when (a, b) was one; b = 0 past the last letter when `padded`.
     The children of one key share one state, whose codes are the first
     child's.  The last level is tallied from its parents, into one tally,
     without building its codes.  Each level is dropped once walked.
     """
-    sites = Sites(pats, r, n)
+    sites = Sites(pats, r, n, padded)
     bump, made, broken, child = sites.bump, sites.made, sites.broken, \
         sites.child
     level = {None: (sites.root, {0: 1})}

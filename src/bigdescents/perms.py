@@ -30,10 +30,9 @@ updating des_r(r) in O(1) from the neighbours of the inserted letter:
   from its parent's, so it tallies a few hundred states where the tree has
   tens of thousands of avoiders;
 - the depth-first walk (``_grow``) visits every avoider in O(n) memory.  It
-  serves the tables of a class with a longer pattern, of a padded word and
-  of a statistic without an O(1) update, ``tree_rows`` (the exhaustive
-  oracle of ``verify``) and ``enumerate_avoiders``, which collects and
-  sorts the leaves.
+  serves the tables of a class with a longer pattern and of a statistic
+  without an O(1) update, ``tree_rows`` (the exhaustive oracle of
+  ``verify``) and ``enumerate_avoiders``, which sorts the leaves.
 """
 
 from __future__ import annotations
@@ -272,7 +271,7 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
     """Walk the generating tree of S_m(pats), m <= n, depth first, visiting
     every avoider: for `enumerate_avoiders`, for `tree_rows`, and for
     `distribution_rows` when the merged walk does not apply (a pattern of
-    length 4 or more, a padded statistic, or one other than des_r(r)).
+    length 4 or more, or a statistic other than des_r(r)).
 
     Returns ``counts[m][k]``, the number of avoiders of length m with
     statistic value k, for every m <= n.
@@ -337,26 +336,27 @@ def _merged_walk_covers(pats: tuple[Perm, ...]) -> bool:
     return all(1 <= len(p) <= 3 for p in pats)
 
 
-def _merged_rows(n: int, pats: tuple[Perm, ...], r: int) -> list[list[int]]:
-    """`_grow`'s ``counts`` for des_r(r) over a class whose patterns all have
-    length at most 3, tallied on `merged.walk`.
+def _merged_rows(n: int, pats: tuple[Perm, ...],
+                 stat: Statistic) -> list[list[int]]:
+    """`_grow`'s ``counts`` for a statistic with an r over a class whose
+    patterns all have length at most 3, tallied on `merged.walk`.
 
-    The key of a state is `merged.live_codes`: site 0's code, then the codes
-    of the other live sites in order; with no patterns, every code sorted.
-    Sound because avoiders with one key have the same subtree up to a shift
-    of the statistic: their live sites pair off in order, site i adds
-    [(top, b) is an r-descent] - [(a, b) was one], which its code holds,
-    and each paired child has one key.  A child's codes are the parent's
-    slices kept, killed, or killed but for site 0 or the end (the site of
-    code 0), so its live codes are the parent's, with the same slices
-    taken at the paired site; where dead sites lie does not matter.
-    With no patterns every site is live in every child and the sites do
-    not depend on their order.
+    The key of a state is `merged.live_codes`: the codes of site 0, of the
+    live interior sites in order and of the end; with no patterns, every
+    code sorted.  Sound because avoiders with one key have the same subtree
+    up to a shift of the statistic: their sites pair off (site 0, the live
+    interior sites in order, the end), site i adds [(top, b) is an
+    r-descent] - [(a, b) was one], which its code holds, and each paired
+    child has one key, since its codes are the parent's slices kept,
+    killed, or killed but for site 0 or the end, around two codes set by
+    site i's; where dead interior sites lie does not matter.  With no
+    patterns every site is live in every child, in any order.
     """
     from . import merged  # loaded by the first walk, not by every job
     counts = [[0] * (m + 1) for m in range(n + 1)]
     key = merged.live_codes if pats else _sorted_codes
-    for row, tallies in zip(counts, merged.walk(n, pats, r, key, _shift)):
+    walk = merged.walk(n, pats, stat.r, key, _shift, stat.padded)
+    for row, tallies in zip(counts, walk):
         for tally in tallies:
             for s, c in tally.items():
                 row[s] += c
@@ -458,8 +458,8 @@ def pk(pi: Sequence[int]) -> int:
 
 
 def rbdes(pi: Sequence[int]) -> int:
-    """Big descents of the word pi with a 0 appended."""
-    return des_r((*pi, 0), 1)
+    """Big descents of pi with a 0 appended: bdes, plus 1 when pi_n > 1."""
+    return des_r(pi, 1) + (len(pi) > 0 and pi[-1] > 1)
 
 
 def basc(pi: Sequence[int]) -> int:
@@ -471,7 +471,7 @@ def basc(pi: Sequence[int]) -> int:
 def lbasc(pi: Sequence[int]) -> int:
     """Big ascents plus position 0 when pi_1 > 1: the big ascents of the
     word pi with a 0 prepended, or rbdes of the reversed word."""
-    return des_r((*reversed(pi), 0), 1)
+    return des_r(reversed(pi), 1) + (len(pi) > 0 and pi[0] > 1)
 
 
 def hibasc(pi: Sequence[int]) -> int:
@@ -591,18 +591,17 @@ def _tables(stat: str, pats: tuple[Perm, ...],
 def distribution_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,
                       limits: Limits = DEFAULT_LIMITS) -> list[DistributionTable]:
     """The tables of lengths 0..n from one walk, tallied at every depth,
-    with the guard applied to n.  des_r(r), unpadded, over a class whose
-    patterns all have length at most 3 (or over S_n) is tallied on the
-    merged walk, whose end site assumes no 0 after the word; any other
-    class or statistic on the depth-first tree, as in `tree_rows`."""
+    with the guard applied to n.  des_r(r) over a class whose patterns all
+    have length at most 3 (or over S_n) is tallied on the merged walk; any
+    other class or statistic on the depth-first tree, as in `tree_rows`."""
     resolved = _resolve_stat(stat)
     pats = _checked_patterns(n, patterns, limits)
     # reversal maps S_n(pats) onto S_n(reversed pats), where a reversed
     # statistic is its unreversed self
     walked = tuple(p[::-1] for p in pats) if resolved.reversed else pats
-    if resolved.r is None or resolved.padded or not _merged_walk_covers(pats):
+    if resolved.r is None or not _merged_walk_covers(pats):
         return _tables(stat, pats, _grow(n, walked, resolved))
-    return _tables(stat, pats, _merged_rows(n, walked, resolved.r))
+    return _tables(stat, pats, _merged_rows(n, walked, resolved))
 
 
 def tree_rows(n: int, patterns: Iterable[Sequence[int]], stat: str,

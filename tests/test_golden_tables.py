@@ -10,7 +10,9 @@ digests from the avoider enumeration of ``symfunc`` and the walk keyed by
 the merged walks must reproduce the exhaustive outputs byte for byte.  The
 rbdes, basc and lbasc digests were recorded while each had its own loop,
 evaluated on every avoider, before the tables read them as des_r(1) of a
-padded or reversed word.
+padded or reversed word.  The rbdes and lbasc digests over 231, over S_10
+and over {132, 213} at length 13 were recorded from the depth-first tree,
+before the merged walk took padded words, whose end sentinel is 0.
 """
 
 import hashlib
@@ -57,6 +59,15 @@ STDOUT_DIGESTS = {
     ("table", "--patterns", "132,213", "--n", "12", "--stat", "lbasc",
      "--format", "bfile"):
         "15f5ba28880ab88d30cc7b5028fe739ea09f1102c481e877dda77d392ddac675",
+    ("table", "--patterns", "231", "--n", "13", "--stat", "rbdes"):
+        "aa9bc6026b94a041ecaaf44fd5c27ea0c18a1cd47fe14dcfceb91c8a3dd892fc",
+    ("table", "--patterns", "231", "--n", "13", "--stat", "lbasc"):
+        "b9a5eecf887e9d8d736a51cc309fdb783268d0b031a96cec40b6119ffd105a9e",
+    ("table", "--patterns", "", "--n", "10", "--stat", "lbasc"):
+        "7aa37a352c1ae4c12446efdc55110d62755abe6654a22e7c0b8cc61e06cde846",
+    ("table", "--patterns", "132,213", "--n", "13", "--stat", "rbdes",
+     "--format", "bfile"):
+        "034df19071ec8113bc02531aac7706876de69375c49119ae91e5b38c28fa97f1",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bigdescents import merged, perms, verify
+from bigdescents import genfun, merged, perms, verify
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.merged import DEAD, DESCENT
@@ -431,12 +431,14 @@ SHORTER_SETS = [((1,),), ((1, 2),), ((2, 1),), ((1, 2), (2, 1)),
                 ((1,), (1, 2, 3)), ((1, 2), (1, 3, 2)), ((2, 1), (3, 1, 2))]
 
 
+MERGED_STATS = ["des_r(0)", "des_r(1)", "des_r(2)", "rbdes", "lbasc"]
+
+
 def merged_mismatches(n, pattern_sets):
-    """The (patterns, r) whose rows of lengths 0..n differ between the
-    merged walk and the tree."""
-    return [(ps, r) for ps in pattern_sets for r in range(3)
-            if distribution_rows(n, ps, f"des_r({r})")
-            != tree_rows(n, ps, f"des_r({r})")]
+    """The (patterns, statistic) whose rows of lengths 0..n differ between
+    the merged walk and the tree."""
+    return [(ps, stat) for ps in pattern_sets for stat in MERGED_STATS
+            if distribution_rows(n, ps, stat) != tree_rows(n, ps, stat)]
 
 
 # Each forgets one field of a site's code in `merged.walk`'s states: its
@@ -455,22 +457,59 @@ def coarsen(monkeypatch, forget):
     mapped through `forget` before the client's key sees it."""
     walk, coarser = merged.walk, bytes(map(forget, range(256)))
 
-    def coarse_walk(n, pats, r, key, push):
+    def coarse_walk(n, pats, r, key, push, padded=False):
         return walk(n, pats, r, lambda codes: key(codes.translate(coarser)),
-                    push)
+                    push, padded)
 
     monkeypatch.setattr(merged, "walk", coarse_walk)
 
 
-def scratch_codes(node, rules, r):
+def scratch_codes(node, rules, r, padded=False):
     """A node's codes in `merged.walk`, from scratch: each site's rank
     min(r + 1, top - b) plus DESCENT when (a, b) is an r-descent, or DEAD
-    where the patterns' site rules leave no insertion."""
+    where the patterns' site rules leave no insertion; b = 0 after the
+    last letter when `padded`."""
     top = len(node) + 1
-    ext, live = [0, *node, top], perms._active_sites(list(node), rules)
+    ext = [0, *node, 0 if padded else top]
+    live = perms._active_sites(list(node), rules)
     return bytes(min(r + 1, top - b) | DESCENT * (a > b + r)
                  if i in live else DEAD
                  for i, (a, b) in enumerate(zip(ext, ext[1:])))
+
+
+def matched_futures(sites, codes, key):
+    """At site 0, at each live interior site in order and at the end: the
+    site's `made` and `broken` and the key of its child, or None where the
+    site is dead."""
+    m = len(codes) - 1
+    up = codes.translate(sites.bump)
+    matched = [0, *(i for i in range(1, m) if codes[i] != DEAD), m][:m + 1]
+    return [None if codes[i] == DEAD else
+            (sites.made[codes[i]], sites.broken[codes[i]],
+             key(sites.child(codes, up, i))) for i in matched]
+
+
+def unsound_keys(key, padded):
+    """The (patterns, r, codes, codes) of two states of one length, over
+    every class of `SUBSETS_OF_S3` and `SHORTER_SETS` and r = 0, 1, 2 to
+    length 8, that share a key but not their matched futures."""
+    found = []
+    for patterns, r in itertools.product([*SUBSETS_OF_S3, *SHORTER_SETS],
+                                         range(3)):
+        sites = merged.Sites(patterns, r, 8, padded)
+        level = {sites.root}
+        for _ in range(8):
+            first, following = {}, set()
+            for codes in sorted(level):
+                future = matched_futures(sites, codes, key)
+                other = first.setdefault(key(codes), (codes, future))
+                if other[1] != future:
+                    found.append((patterns, r, other[0], codes))
+                up = codes.translate(sites.bump)
+                following.update(sites.child(codes, up, i)
+                                 for i, c in enumerate(codes) if c != DEAD)
+            level = following
+    return found
 
 
 class TestMergedWalk:
@@ -499,13 +538,14 @@ class TestMergedWalk:
                              ids=lambda ps:
                              ",".join(map(perms.format_permutation, ps)))
     def test_each_child_state_follows_from_its_parent(self, patterns):
-        """Every node of the tree to length 8, for r = 0, 1, 2: the codes
-        that `merged.Sites.child` derives from the parent's codes and the
-        site equal the child's codes from scratch."""
+        """Every node of the tree to length 8, for r = 0, 1, 2, with and
+        without a 0 appended: the codes that `merged.Sites.child` derives
+        from the parent's codes and the site equal the child's codes from
+        scratch."""
         rules = [perms._site_rule(p) for p in patterns]
-        for r in range(3):
-            sites = merged.Sites(patterns, r, 8)
-            assert sites.root == scratch_codes((), rules, r)
+        for r, padded in itertools.product(range(3), (False, True)):
+            sites = merged.Sites(patterns, r, 8, padded)
+            assert sites.root == scratch_codes((), rules, r, padded)
             stack = [((), sites.root)]
             while stack:
                 node, codes = stack.pop()
@@ -513,10 +553,37 @@ class TestMergedWalk:
                 for i in perms._active_sites(list(node), rules):
                     child = (*node[:i], len(node) + 1, *node[i:])
                     codes_i = sites.child(codes, up, i)
-                    assert codes_i == scratch_codes(child, rules, r), \
-                        (child, r)
+                    assert codes_i == scratch_codes(child, rules, r,
+                                                    padded), (child, r)
                     if len(child) < 8:
                         stack.append((child, codes_i))
+
+    def test_one_key_means_one_future(self):
+        """Every state to length 8 of every class, for r = 0, 1, 2, with and
+        without a 0 appended: states that share a `merged.live_codes` key
+        agree on `made` and `broken` and on their children's keys at each
+        pair of matched sites (site 0, the live interior sites in order,
+        the end).  The key without the end's code merges a state whose end
+        is dead with one whose end is live once the end's code can equal
+        an interior code, which a padded word allows."""
+        def without_end(codes):
+            return codes[:1] + codes[1:].translate(None, bytes([DEAD]))
+
+        for padded in (False, True):
+            assert unsound_keys(merged.live_codes, padded) == []
+            assert bool(unsound_keys(without_end, padded)) == padded
+
+    def test_padded_tables_are_narayana_without_the_tree(self, monkeypatch):
+        """rbdes over S_n(123) and lbasc over S_n(321), tallied on the
+        merged walk alone, are the Narayana numbers of `genfun.narayana`."""
+        def refuse(*args):
+            raise AssertionError("the tree was walked")
+
+        monkeypatch.setattr(perms, "_grow", refuse)
+        for patterns, stat in [([(1, 2, 3)], "rbdes"), ([(3, 2, 1)], "lbasc")]:
+            for n, row in enumerate(distribution_rows(14, patterns, stat)):
+                assert row.counts == tuple(genfun.narayana(n, k)
+                                           for k in range(n + 1)), (stat, n)
 
     def test_verify_holds_it_to_the_tree(self, monkeypatch):
         coarsen(monkeypatch, COARSENINGS["without-descent-flag"])
@@ -533,9 +600,10 @@ class TestMergedWalk:
         (((2, 3, 1),), "pk", False),
         ((), "sdes", False),
         (((2, 3, 1),), "basc", True),
-        (((2, 3, 1),), "rbdes", False),
-        (((2, 3, 1),), "lbasc", False),
+        (((2, 3, 1),), "rbdes", True),
+        (((2, 3, 1),), "lbasc", True),
         (((1, 2, 3, 4),), "basc", False),
+        (((1, 2, 3, 4),), "rbdes", False),
     ])
     def test_merges_length_3_classes_by_des_r_only(self, monkeypatch,
                                                    patterns, stat, merged):
