@@ -6,10 +6,13 @@ statistic identities it transports.  The forward maps trust their domain,
 except that ``phi_213_231`` raises ``DomainViolationError`` on a letter that is
 neither the least nor the greatest of those left: ``apply`` checks the input
 once against the record (a permutation, avoiding the domain patterns, at least
-``min_length`` long).
-``verify_transfer`` enumerates its domain once, calls the maps directly, and
-``tally`` counts every identity's failures over the enumeration in one loop,
-applying the forward map once per object.
+``min_length`` long).  They build their paths and words through
+``Value._trusted``, without the constructors' checks, which the inverses and
+parsers keep; the tests rebuild every image through the public constructors.
+``verify_transfer`` reads its domain once, from `perms._avoiders`' unordered
+depth-first stream (O(n) memory), calls the maps directly, and ``tally``
+counts every identity's failures over the stream in one loop, applying the
+forward map once per object.
 
 The nine bijections:
 
@@ -49,7 +52,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainViolationError
 from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, iter_dyck_paths,
                     occ_factor, path_statistic)
-from .perms import Perm, check_permutation, enumerate_avoiders, parse_permutation
+from .perms import Perm, check_permutation, parse_permutation
 
 
 def _require_avoider(pi: Perm, patterns: tuple[Perm, ...]) -> None:
@@ -101,14 +104,14 @@ def omega_l(pi: Perm) -> DyckPath:
     >>> str(omega_l((3, 1, 2, 5, 4)))
     'UDUUUDDUDD'
     """
-    return DyckPath(_stack_word(pi))
+    return DyckPath._trusted(_stack_word(pi))
 
 
 def omega_f(pi: Perm) -> DyckPath:
     """First-return encoding: sigma n tau maps to U w(sigma) D w(std(tau)),
     the mirror of `omega_l`'s path (reflection swaps the first-return and
     last-return decompositions)."""
-    return DyckPath(_mirror(_stack_word(pi)))
+    return DyckPath._trusted(_mirror(_stack_word(pi)))
 
 
 def _first_return_decode(steps: str) -> Perm:
@@ -168,7 +171,7 @@ def chi(pi: Perm) -> DyckPath:
             word.append("U" * (v - height))
             height = v
         word.append("D")
-    return DyckPath("".join(word))
+    return DyckPath._trusted("".join(word))
 
 
 def chi_inv(path: DyckPath) -> Perm:
@@ -229,7 +232,7 @@ def psi(path: DyckPath) -> TwoMotzkinPath:
                 out.append(_PSI_STEPS[u_red[downs - 1]][prev == "U"])
             downs += 1
         prev = s
-    return TwoMotzkinPath(tuple(out))
+    return TwoMotzkinPath._trusted(tuple(out))
 
 
 def psi_inv(alpha: TwoMotzkinPath) -> DyckPath:
@@ -284,7 +287,7 @@ def phi_213_231(pi: Perm) -> BinaryWord:
             raise DomainViolationError(
                 f"{pi} is not determined by suffix minima/maxima at position {k + 1}"
             )
-    return BinaryWord("".join(bits))
+    return BinaryWord._trusted("".join(bits))
 
 
 def phi_213_231_inv(w: BinaryWord) -> Perm:
@@ -309,7 +312,7 @@ def phi_213_312(pi: Perm) -> BinaryWord:
         if v == n:
             break
         bits[v - 1] = "1"
-    return BinaryWord("".join(bits))
+    return BinaryWord._trusted("".join(bits))
 
 
 def phi_213_312_inv(w: BinaryWord) -> Perm:
@@ -328,7 +331,7 @@ def _maxima_word(letters, n: int) -> BinaryWord:
         if v > hi:
             bits[v - 1] = "1"
             hi = v
-    return BinaryWord("".join(bits))
+    return BinaryWord._trusted("".join(bits))
 
 
 def rlmax_word(pi: Perm) -> BinaryWord:
@@ -599,7 +602,8 @@ def _domain_objects(b: Bijection, n: int, limits: Limits = DEFAULT_LIMITS):
         limits.check("avoider_guard_patterns", n)
         yield from iter_dyck_paths(n)
     else:
-        yield from enumerate_avoiders(n, b.domain_patterns, limits=limits)
+        yield from perms._avoiders(
+            n, perms._checked_patterns(n, b.domain_patterns, limits))
 
 
 def verify_transfer(name: str, n: int,

@@ -290,11 +290,12 @@ def path_statistic(p: DyckPath, name: str) -> int:
 # ---------------------------------------------------------------------------
 
 def iter_dyck_paths(m: int) -> Iterator[DyckPath]:
-    """All Dyck paths of semilength m, in lexicographic order (D < U)."""
+    """All Dyck paths of semilength m, in lexicographic order (D < U),
+    built unchecked: `_walks` yields balanced words alone."""
     if m < 0:
         raise ValueError("semilength must be non-negative")
     for word in _walks(2 * m, "U", "D"):
-        yield DyckPath("".join(word))
+        yield DyckPath._trusted("".join(word))
 
 
 def iter_two_motzkin(n: int) -> Iterator[TwoMotzkinPath]:

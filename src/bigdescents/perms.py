@@ -21,7 +21,8 @@ has as children its insertions of m + 1 at the active sites, computed once
 per parent (an interval or a prefix split for a length-3 pattern, an
 occurrence scan pinned to the new maximum for any other length).  Two walks
 tally the children's statistic values without building the last level,
-updating des_r(r) in O(1) from the neighbours of the inserted letter:
+updating des_r(r) in O(1) from the neighbours of the inserted letter, and
+one stream visits the leaves themselves:
 - the merged walk (``_merged_rows``, a client of `merged.walk`) serves
   ``distribution_rows`` and ``distribution_table`` for des_r(r) over S_n
   and over every class of patterns of length at most 3.  Level by level it
@@ -29,10 +30,14 @@ updating des_r(r) in O(1) from the neighbours of the inserted letter:
   Vatter, J. Symbolic Comput. 41, 2006), and derives each child's state
   from its parent's, so it tallies a few hundred states where the tree has
   tens of thousands of avoiders;
-- the depth-first walk (``_grow``) visits every avoider in O(n) memory.  It
-  serves the tables of a class with a longer pattern and of a statistic
-  without an O(1) update, ``tree_rows`` (the exhaustive oracle of
-  ``verify``) and ``enumerate_avoiders``, which sorts the leaves.
+- the depth-first walk (``_grow``) visits every avoider in O(n) memory and
+  counts it.  It serves the tables of a class with a longer pattern and of
+  a statistic without an O(1) update, and ``tree_rows`` (the exhaustive
+  oracle of ``verify``);
+- the stream (``_avoiders``) yields the leaves depth first, in no promised
+  order and in O(n) memory.  The bijection checks and the descent-set sums
+  of a class with a longer pattern count its avoiders one by one, and
+  ``enumerate_avoiders`` sorts them.
 """
 
 from __future__ import annotations
@@ -266,12 +271,11 @@ def _class_size(n: int, pats: tuple[Perm, ...]) -> int | None:
     return math.comb(2 * n, n) // (n + 1) if pats else math.factorial(n)
 
 
-def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
-          leaves: list[Perm] | None = None) -> list[list[int]]:
+def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic) -> list[list[int]]:
     """Walk the generating tree of S_m(pats), m <= n, depth first, visiting
-    every avoider: for `enumerate_avoiders`, for `tree_rows`, and for
-    `distribution_rows` when the merged walk does not apply (a pattern of
-    length 4 or more, or a statistic other than des_r(r)).
+    every avoider: for `tree_rows`, and for `distribution_rows` when the
+    merged walk does not apply (a pattern of length 4 or more, or a
+    statistic other than des_r(r)).
 
     Returns ``counts[m][k]``, the number of avoiders of length m with
     statistic value k, for every m <= n.
@@ -280,9 +284,8 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
     des_r(r), updated from the neighbours a, b of the inserted maximum m + 1
     as ``s - [a > b + r] + [m + 1 > b + r]``, with b = 0 past the end of a
     padded word and the caller passing a reversed statistic the reversed
-    patterns; otherwise ``stat.value`` is evaluated on each child.  When
-    `leaves` is a list the avoiders of length n are appended to it.  Only
-    the path from the root is alive: O(n) memory besides the leaves.
+    patterns; otherwise ``stat.value`` is evaluated on each child.  Only the
+    path from the root is alive: O(n) memory.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]
     if not all(pats):
@@ -290,8 +293,6 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
         return counts
     counts[0][0] = 1
     if n == 0:
-        if leaves is not None:
-            leaves.append(())
         return counts
     rules = [_site_rule(p) for p in pats if len(p) <= n]
     value, r, padded = stat.value, stat.r, stat.padded
@@ -317,8 +318,6 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
         for t in values:
             row[t] += 1
         if top == n:
-            if leaves is not None:
-                leaves.extend((*node[:i], top, *node[i:]) for i in sites)
             return
         for i, t in zip(sites, values):
             node.insert(i, top)
@@ -327,6 +326,40 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic,
 
     descend(0)
     return counts
+
+
+def _avoiders(n: int, pats: tuple[Perm, ...]) -> Iterator[Perm]:
+    """Yield S_n(pats), for checked patterns, each once and in no promised
+    order: the leaves of the generating tree, depth first.
+
+    Only the path from the root is alive, as the letters of `node` and one
+    iterator over the remaining sites of each node on it, so the memory
+    grows with n alone (at most n site lists of at most n sites), however
+    many avoiders a caller counts.  The stack is explicit: a
+    generator per level would pass each leaf up n generator frames.
+    """
+    if not all(pats):
+        return  # every permutation contains the empty pattern
+    if n == 0:
+        yield ()
+        return
+    rules = [_site_rule(p) for p in pats if len(p) <= n]
+    node: list[int] = []
+    pending = [iter(_active_sites(node, rules))]  # per node on the path
+    while pending:
+        top = len(node) + 1
+        if top == n:  # the children of node are the leaves
+            for i in pending.pop():
+                yield (*node[:i], top, *node[i:])
+        else:
+            i = next(pending[-1], None)
+            if i is not None:
+                node.insert(i, top)
+                pending.append(iter(_active_sites(node, rules)))
+                continue
+            pending.pop()
+        if node:  # node is done: back up to its parent
+            node.remove(len(node))
 
 
 def _merged_walk_covers(pats: tuple[Perm, ...]) -> bool:
@@ -378,17 +411,15 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
                        limits: Limits = DEFAULT_LIMITS) -> Iterator[Perm]:
     """Yield S_n(patterns) exactly once each, in lexicographic order.
 
-    The leaves of the generating tree are collected and sorted.  With no
-    patterns the permutations stream from itertools, already in order, so a
-    caller that stops early never builds S_n.
+    The avoiders of `_avoiders`' stream are sorted.  With no patterns the
+    permutations stream from itertools, already in order, so a caller that
+    stops early never builds S_n.
     """
     pats = _checked_patterns(n, patterns, limits)
     if not pats:
         yield from itertools.permutations(range(1, n + 1))
         return
-    leaves: list[Perm] = []
-    _grow(n, pats, STATISTICS["des"], leaves)
-    yield from sorted(leaves)
+    yield from sorted(_avoiders(n, pats))
 
 
 # ---------------------------------------------------------------------------

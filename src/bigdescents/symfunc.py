@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .perms import _checked_patterns, _merged_walk_covers, enumerate_avoiders
+from .perms import _avoiders, _checked_patterns, _merged_walk_covers
 from .values import Value
 
 Composition = tuple[int, ...]
@@ -161,7 +161,7 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
     (top, b) is an r-descent, which the site's rank fixes, and a child's
     ranks and dead sites follow from the parent's and the place alone.
     The mask itself holds every pair's descent flag.  Any other class
-    enumerates its avoiders.
+    reads its avoiders one by one from `perms._avoiders`' unordered stream.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -176,7 +176,7 @@ def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
         for mask, c in tallies[0].items():
             by_mask[mask] += c
         return by_mask
-    for pi in enumerate_avoiders(n, pats, limits=limits):
+    for pi in _avoiders(n, pats):
         mask, bit = 0, 1  # bit k - 1 stands for position k
         letters = iter(pi)
         prev = next(letters, 0)

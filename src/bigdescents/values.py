@@ -5,6 +5,10 @@ instance `__dict__` from its `__init__`.  The base refuses every later
 assignment and compares, hashes and shows a value by those fields alone, so
 other `__dict__` entries (a path's cached statistics, say) change none of
 the three.  Equality holds only between values of the same type.
+
+`_trusted` builds a value from its fields without running `__init__`, so
+without its checks: it serves code that has built the fields valid, such as
+a bijection's forward map.  Every public constructor and parser checks.
 """
 
 from __future__ import annotations
@@ -12,6 +16,14 @@ from __future__ import annotations
 
 class Value:
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The value whose fields, in `_fields` order, are `values`,
+        unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
 
     def _key(self) -> tuple:
         return tuple(self.__dict__[name] for name in self._fields)

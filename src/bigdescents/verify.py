@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import genfun, wilf
-from .bijections import BIJECTIONS, tally, verify_transfer
+from .bijections import BIJECTIONS, _domain_objects, tally, verify_transfer
 from .config import DEFAULT_LIMITS, Limits
 from .perms import (DistributionTable, bdes, distribution_rows,
-                    enumerate_avoiders, format_permutation, tree_rows)
+                    format_permutation, tree_rows)
 
 
 class CheckResult(NamedTuple):
@@ -124,8 +124,8 @@ def check_bijections(max_n: int,
             report = reports[name, n]
             distinct = report.population
             if report.round_trip_failures:
-                distinct = len({str(b.forward(pi)) for pi in enumerate_avoiders(
-                    n, b.domain_patterns, limits=limits)})
+                distinct = len({str(b.forward(pi))
+                                for pi in _domain_objects(b, n, limits)})
             expected = genfun.catalan(n)
             out.append(_result(f"bijection:{name}:onto-dyck", n, expected,
                                distinct == expected,
@@ -140,7 +140,7 @@ def check_bijections(max_n: int,
     for label, first, second in composites:
         for n in range(1, max_n + 1):
             (result,) = tally(
-                enumerate_avoiders(n, first.domain_patterns, limits=limits),
+                _domain_objects(first, n, limits),
                 lambda pi: second.backward(first.forward(pi)),
                 (("bdes", bdes, bdes),))
             out.append(_result(f"composite:{label}", n, result.population,

@@ -1,12 +1,12 @@
 import pytest
 
 from bigdescents import bijections as bj
-from bigdescents import verify
+from bigdescents import perms, verify
 from bigdescents.cli import main
 from bigdescents.errors import DomainViolationError
 from bigdescents.genfun import catalan
-from bigdescents.paths import (BinaryWord, DyckPath, iter_dyck_paths,
-                               iter_two_motzkin)
+from bigdescents.paths import (BinaryWord, DyckPath, TwoMotzkinPath,
+                               iter_dyck_paths, iter_two_motzkin)
 from bigdescents.perms import bdes, enumerate_avoiders, standardize
 
 
@@ -165,6 +165,46 @@ class TestImages:
                 assert bj.apply("phi_132_213", pi).bits.endswith("1")
 
 
+def refused_images(forward, b, n):
+    """The objects of `b`'s domain at size n whose image under `forward`
+    the public constructor of its type refuses or rebuilds unequal.  The
+    maps build their images unchecked, so this sweep is where the words
+    they build are held to the constructors' checks."""
+    refused = []
+    for x in bj._domain_objects(b, n):
+        y = forward(x)
+        assert type(y) in (DyckPath, TwoMotzkinPath, BinaryWord)
+        try:
+            ok = type(y)(*y._key()) == y
+        except ValueError:
+            ok = False
+        if not ok:
+            refused.append(x)
+    return refused
+
+
+class TestImageSweep:
+    @pytest.mark.parametrize("name", sorted(bj.BIJECTIONS))
+    def test_every_image_to_eight_passes_its_constructor(self, name):
+        b = bj.BIJECTIONS[name]
+        for n in range(b.min_length, 9):
+            assert refused_images(b.forward, b, n) == [], n
+
+    def test_every_dyck_path_to_eight_passes_its_constructor(self):
+        for m in range(9):
+            paths = list(iter_dyck_paths(m))
+            assert [DyckPath(p.steps) for p in paths] == paths
+            assert len(set(paths)) == catalan(m)
+
+    def test_planted_chi_without_its_last_d_fails(self):
+        def forward(pi):
+            return DyckPath._trusted(bj.chi(pi).steps[:-1])
+
+        b = bj.BIJECTIONS["chi"]
+        for n in range(1, 9):
+            assert len(refused_images(forward, b, n)) == catalan(n)
+
+
 class TestStatisticTransfer:
     @pytest.mark.parametrize("name,n,population", [
         ("omega_f", 7, 429),
@@ -231,15 +271,16 @@ class TestOnePass:
     per object."""
 
     @staticmethod
-    def count_enumerations(monkeypatch, *modules):
+    def count_walks(monkeypatch):
+        """The (n, patterns) of every walk of the avoider stream."""
         calls = []
+        stream = perms._avoiders
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return enumerate_avoiders(*args, **kwargs)
+        def counting(n, pats):
+            calls.append((n, pats))
+            return stream(n, pats)
 
-        for module in modules:
-            monkeypatch.setattr(module, "enumerate_avoiders", counting)
+        monkeypatch.setattr(perms, "_avoiders", counting)
         return calls
 
     def test_planted_non_injective_omega_f_fails_both_rows(self, monkeypatch):
@@ -274,10 +315,10 @@ class TestOnePass:
 
         monkeypatch.setitem(bj.BIJECTIONS, "chi",
                             bj.BIJECTIONS["chi"]._replace(forward=counting))
-        enumerations = self.count_enumerations(monkeypatch, bj)
+        walks = self.count_walks(monkeypatch)
         report = bj.verify_transfer("chi", 7)
         assert report.all_pass()
-        assert len(enumerations) == 1
+        assert walks == [(7, ((3, 2, 1),))]
         assert len(calls) == report.population == catalan(7) == 429
 
     def test_check_bijections_enumerations(self, monkeypatch):
@@ -285,9 +326,9 @@ class TestOnePass:
         # at n = 0..7, the five phi at n = 1..7) and one per composite row
         # (two composites at n = 1..7); the onto-Dyck rows reuse the omega
         # transfers
-        enumerations = self.count_enumerations(monkeypatch, bj, verify)
+        walks = self.count_walks(monkeypatch)
         assert all(r.ok for r in verify.check_bijections(7))
-        assert len(enumerations) == 3 * 8 + 5 * 7 + 2 * 7 == 73
+        assert len(walks) == 3 * 8 + 5 * 7 + 2 * 7 == 73
 
 
 class TestComposites:

@@ -6,7 +6,11 @@ while ``verify_transfer`` still ran chi's reversed identities in a second
 tally over S_n(123), the onto-Dyck rows enumerated the omega domains a
 second time, and ``hibasc``/``lobasc`` built the weak-excedance set on every
 call.  So the one-pass checks must print the same lines, witnesses and
-populations byte for byte.
+populations byte for byte.  The json digest of ``--max-n 10`` was recorded
+while every transfer read its domain from ``enumerate_avoiders``, collected
+and sorted, and every map validated the path or word it built, before the
+transfers read the unordered depth-first stream and the maps built their
+images unchecked.
 """
 
 import hashlib
@@ -20,6 +24,8 @@ STDOUT_DIGESTS = {
         "f68b78a15f208976f75249ea28fb0ba8977f32a828d2a3805ff91f1619278204",
     ("verify", "--scope", "bijections", "--max-n", "8", "--format", "json"):
         "54461f2b065dbb56adc4dcecc80820e541f41aba8b2cdd8e1333ee5c27c6582b",
+    ("verify", "--scope", "bijections", "--max-n", "10", "--format", "json"):
+        "7a6a12ff09cb7231e7d24838d482c0b4154448ce8e9e55c2c3d29bc7eb769c5b",
     ("bijection", "--id", "chi", "--verify-n", "9"):
         "bd6f9e3711a14e0cf4c2a247d20f0f7284b2bb5f40e888cf536b23ef9f75a978",
     ("bijection", "--id", "omega_f", "--verify-n", "9"):

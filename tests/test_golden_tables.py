@@ -12,7 +12,10 @@ rbdes, basc and lbasc digests were recorded while each had its own loop,
 evaluated on every avoider, before the tables read them as des_r(1) of a
 padded or reversed word.  The rbdes and lbasc digests over 231, over S_10
 and over {132, 213} at length 13 were recorded from the depth-first tree,
-before the merged walk took padded words, whose end sentinel is 0.
+before the merged walk took padded words, whose end sentinel is 0.  The
+qsym digest over 1234 at length 9 was recorded while ``symfunc`` read the
+avoiders of a class with a longer pattern from ``enumerate_avoiders``,
+collected and sorted, before it read the unordered depth-first stream.
 """
 
 import hashlib
@@ -68,6 +71,9 @@ STDOUT_DIGESTS = {
     ("table", "--patterns", "132,213", "--n", "13", "--stat", "rbdes",
      "--format", "bfile"):
         "034df19071ec8113bc02531aac7706876de69375c49119ae91e5b38c28fa97f1",
+    ("qsym", "--patterns", "1234", "--n", "9", "--basis", "fundamental",
+     "--max-n", "9"):
+        "99438b634368a7950c2dcde9180d035e8fea0da0d59281ae87a8ba760df91af9",
 }
 
 

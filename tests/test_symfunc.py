@@ -377,7 +377,7 @@ class TestMaskWalk:
 
         for module, name in ((perms, "_active_sites"),
                              (perms, "enumerate_avoiders"),
-                             (symfunc, "enumerate_avoiders")):
+                             (symfunc, "_avoiders")):
             monkeypatch.setattr(module, name, refuse)
         rows = perms.distribution_rows(12, [(1, 2, 3)], "bdes")
         assert [row.total() for row in rows] == [
