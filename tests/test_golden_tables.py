@@ -16,6 +16,10 @@ before the merged walk took padded words, whose end sentinel is 0.  The
 qsym digest over 1234 at length 9 was recorded while ``symfunc`` read the
 avoiders of a class with a longer pattern from ``enumerate_avoiders``,
 collected and sorted, before it read the unordered depth-first stream.
+The pk, sdes, lddes and hibasc digests and the 2143 b-file were recorded
+while the tree that evaluates a value function on every child was a
+recursive descent of its own, before it and the stream shared one
+depth-first walk.
 """
 
 import hashlib
@@ -74,6 +78,16 @@ STDOUT_DIGESTS = {
     ("qsym", "--patterns", "1234", "--n", "9", "--basis", "fundamental",
      "--max-n", "9"):
         "99438b634368a7950c2dcde9180d035e8fea0da0d59281ae87a8ba760df91af9",
+    ("table", "--patterns", "231", "--n", "12", "--stat", "pk"):
+        "f93b7940de9750bbedbebb6469e4321363b0a81a3a5bcde0e82c78994d106364",
+    ("table", "--patterns", "132", "--n", "12", "--stat", "sdes"):
+        "3fcdd16357258d8184ed0d539b6e7c0676606d709c2377a5704d21dfc1019084",
+    ("table", "--patterns", "1324", "--n", "9", "--stat", "lddes"):
+        "f5988a76f9fa599ccd1c7d12c9e6c0c18db67bcc278849694811a31a0aae2fee",
+    ("table", "--patterns", "", "--n", "9", "--stat", "hibasc"):
+        "650be6930c29eb1c8fc9d6cf1d942a7d03e7ab1eb6a71a85b1a12357052f9579",
+    ("table", "--patterns", "2143", "--n", "10", "--format", "bfile"):
+        "fa346ebfddc1c6b50c8b76d09fe6f2c6b750f4feecba0523d401d62e7d6c011b",
 }
 
 
