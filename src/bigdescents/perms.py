@@ -20,9 +20,9 @@ Avoider classes live on their generating tree: each avoider of length m
 has as children its insertions of m + 1 at the active sites, computed once
 per parent (an interval or a prefix split for a length-3 pattern, an
 occurrence scan pinned to the new maximum for any other length).  Two walks
-tally the children's statistic values without building the last level,
-updating des_r(r) in O(1) from the neighbours of the inserted letter, and
-one stream visits the leaves themselves:
+serve the tables, both tallying the children's statistic values without
+building the last level and updating des_r(r) in O(1) from the neighbours
+of the inserted letter:
 - the merged walk (``_merged_rows``, a client of `merged.walk`) serves
   ``distribution_rows`` and ``distribution_table`` for des_r(r) over S_n
   and over every class of patterns of length at most 3.  Level by level it
@@ -30,14 +30,12 @@ one stream visits the leaves themselves:
   Vatter, J. Symbolic Comput. 41, 2006), and derives each child's state
   from its parent's, so it tallies a few hundred states where the tree has
   tens of thousands of avoiders;
-- the depth-first walk (``_grow``) visits every avoider in O(n) memory and
-  counts it.  It serves the tables of a class with a longer pattern and of
-  a statistic without an O(1) update, and ``tree_rows`` (the exhaustive
-  oracle of ``verify``);
-- the stream (``_avoiders``) yields the leaves depth first, in no promised
-  order and in O(n) memory.  The bijection checks and the descent-set sums
-  of a class with a longer pattern count its avoiders one by one, and
-  ``enumerate_avoiders`` sorts them.
+- the depth-first walk (``_walk``) visits every node in O(n) memory.  Its
+  tally (``_grow``) serves the tables of a class with a longer pattern and
+  of a statistic without an O(1) update, and ``tree_rows`` (the exhaustive
+  oracle of ``verify``); its stream (``_avoiders``) yields the leaves in no
+  promised order, which the bijection checks and the descent-set sums of a
+  class with a longer pattern count and ``enumerate_avoiders`` sorts.
 """
 
 from __future__ import annotations
@@ -271,36 +269,63 @@ def _class_size(n: int, pats: tuple[Perm, ...]) -> int | None:
     return math.comb(2 * n, n) // (n + 1) if pats else math.factorial(n)
 
 
+def _walk(n: int, pats: tuple[Perm, ...], label: Callable
+          ) -> Iterator[tuple[list[int], Sequence[int], Sequence]]:
+    """Walk the generating tree of S_m(pats), m < n, for checked patterns,
+    depth first on an explicit stack: the one loop that descends the tree.
+
+    Each node is yielded with its active sites, computed once, and its
+    children's labels, ``label(node, sites, own)`` from the node's own label
+    (0 at the root), paired with the sites.  No leaf is visited.  The
+    node is one list, changed in place, and only the path from the root is
+    alive: O(n) memory, however many nodes a client counts.
+    """
+    if n == 0 or not all(pats):
+        return  # no node is shorter than 0, and no permutation avoids ()
+    rules = [_site_rule(p) for p in pats if len(p) <= n]
+    node: list[int] = []
+    sites = _active_sites(node, rules)
+    labels = label(node, sites, 0)
+    yield node, sites, labels
+    # per node on the path whose children have children: its unwalked ones
+    pending = [zip(sites, labels)] if n > 1 else []
+    while pending:
+        top = len(node) + 1
+        for i, own in pending[-1]:
+            node.insert(i, top)
+            sites = _active_sites(node, rules)
+            labels = label(node, sites, own)
+            yield node, sites, labels
+            if top + 1 < n:  # descend
+                pending.append(zip(sites, labels))
+                break
+            del node[i]
+        else:  # node is done: back up to its parent
+            pending.pop()
+            if node:
+                node.remove(len(node))
+
+
 def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic) -> list[list[int]]:
-    """Walk the generating tree of S_m(pats), m <= n, depth first, visiting
-    every avoider: for `tree_rows`, and for `distribution_rows` when the
-    merged walk does not apply (a pattern of length 4 or more, or a
-    statistic other than des_r(r)).
+    """Tally S_m(pats), m <= n, by a statistic on `_walk`: for `tree_rows`,
+    and for `distribution_rows` when the merged walk does not apply (a
+    pattern of length 4 or more, or a statistic other than des_r(r)).
 
     Returns ``counts[m][k]``, the number of avoiders of length m with
-    statistic value k, for every m <= n.
-    Each parent computes its active sites once and tallies its children's
-    values without building them.  When ``stat.r`` is set the statistic is
-    des_r(r), updated from the neighbours a, b of the inserted maximum m + 1
-    as ``s - [a > b + r] + [m + 1 > b + r]``, with b = 0 past the end of a
+    statistic value k, for every m <= n.  A node's label is its value, and
+    it tallies its children's values without building them.  When
+    ``stat.r`` is set the statistic is des_r(r), updated from the
+    neighbours a, b of the inserted maximum m + 1 as
+    ``s - [a > b + r] + [m + 1 > b + r]``, with b = 0 past the end of a
     padded word and the caller passing a reversed statistic the reversed
-    patterns; otherwise ``stat.value`` is evaluated on each child.  Only the
-    path from the root is alive: O(n) memory.
+    patterns; otherwise ``stat.value`` is evaluated on each child.
     """
     counts = [[0] * (m + 1) for m in range(n + 1)]
-    if not all(pats):
-        # every permutation, even the empty one, contains the empty pattern
-        return counts
-    counts[0][0] = 1
-    if n == 0:
-        return counts
-    rules = [_site_rule(p) for p in pats if len(p) <= n]
+    counts[0][0] = int(all(pats))  # the empty word avoids nonempty patterns
     value, r, padded = stat.value, stat.r, stat.padded
-    node: list[int] = []
 
-    def descend(s: int) -> None:
+    def tally(node: list[int], sites: Sequence[int], s: int) -> list[int]:
         top = len(node) + 1
-        sites = _active_sites(node, rules)
         if r is not None:
             # sentinels: no pair is broken at site 0, and none is made at
             # site m unless the word is padded with a 0
@@ -317,49 +342,22 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic) -> list[list[int]]:
         row = counts[top]
         for t in values:
             row[t] += 1
-        if top == n:
-            return
-        for i, t in zip(sites, values):
-            node.insert(i, top)
-            descend(t)
-            del node[i]
+        return values
 
-    descend(0)
+    for _ in _walk(n, pats, tally):
+        pass
     return counts
 
 
 def _avoiders(n: int, pats: tuple[Perm, ...]) -> Iterator[Perm]:
     """Yield S_n(pats), for checked patterns, each once and in no promised
-    order: the leaves of the generating tree, depth first.
-
-    Only the path from the root is alive, as the letters of `node` and one
-    iterator over the remaining sites of each node on it, so the memory
-    grows with n alone (at most n site lists of at most n sites), however
-    many avoiders a caller counts.  The stack is explicit: a
-    generator per level would pass each leaf up n generator frames.
-    """
-    if not all(pats):
-        return  # every permutation contains the empty pattern
-    if n == 0:
+    order: the children of `_walk`'s nodes of length n - 1."""
+    if n == 0 and all(pats):  # the empty word, where the walk has no node
         yield ()
-        return
-    rules = [_site_rule(p) for p in pats if len(p) <= n]
-    node: list[int] = []
-    pending = [iter(_active_sites(node, rules))]  # per node on the path
-    while pending:
-        top = len(node) + 1
-        if top == n:  # the children of node are the leaves
-            for i in pending.pop():
-                yield (*node[:i], top, *node[i:])
-        else:
-            i = next(pending[-1], None)
-            if i is not None:
-                node.insert(i, top)
-                pending.append(iter(_active_sites(node, rules)))
-                continue
-            pending.pop()
-        if node:  # node is done: back up to its parent
-            node.remove(len(node))
+    for node, sites, _ in _walk(n, pats, lambda node, sites, own: sites):
+        if len(node) == n - 1:
+            for i in sites:
+                yield (*node[:i], n, *node[i:])
 
 
 def _merged_walk_covers(pats: tuple[Perm, ...]) -> bool:

@@ -1,4 +1,5 @@
-"""The exhaustive checks hold only the current path of their walk.
+"""The exhaustive checks and the tree tally hold only the current path of
+their walk.
 
 Each job's Python allocations, traced after one warm-up call, must peak
 below 256 KiB.  Collecting the 16,796 avoiders of `verify_transfer("chi",
@@ -17,6 +18,7 @@ JOBS = {
     "chi transfer at 10": lambda: bijections.verify_transfer("chi", 10),
     "check_bijections(9)": lambda: verify.check_bijections(9),
     "qsym over 1234 at 8": lambda: symfunc.qsym_sum(8, [(1, 2, 3, 4)]),
+    "tree pk over 231 at 11": lambda: perms.tree_rows(11, [(2, 3, 1)], "pk"),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bigdescents import genfun, merged, perms, verify
+from bigdescents.cli import main
 from bigdescents.config import Limits
 from bigdescents.errors import BudgetError
 from bigdescents.merged import DEAD, DESCENT
@@ -421,6 +423,50 @@ class TestTreeAgainstNaiveFilter:
         for n in range(8):
             assert list(enumerate_avoiders(n, patterns)) == \
                 naive_class(patterns, n)
+
+
+class TestDepthFirstWalk:
+    """`perms._walk`, the one loop that descends the generating tree for the
+    tally and the stream."""
+
+    @pytest.mark.parametrize("patterns", [(), ((2, 3, 1),), ((1, 2, 3, 4),),
+                                          ((1, 2), (2, 1, 4, 3))],
+                             ids=lambda ps:
+                             ",".join(map(perms.format_permutation, ps)))
+    def test_one_visit_per_node_and_no_sites_at_a_leaf(self, monkeypatch,
+                                                       patterns):
+        """The walk to length n visits |S_m(patterns)| nodes of each length
+        m < n, and computes the active sites of each once and of no leaf."""
+        n = 8
+        sizes = {m: row.total()
+                 for m, row in enumerate(tree_rows(n, patterns, "des")[:n])}
+        searched = []
+        search = perms._active_sites
+
+        def counting(parent, rules):
+            searched.append(len(parent))
+            return search(parent, rules)
+
+        monkeypatch.setattr(perms, "_active_sites", counting)
+        visited = [len(node) for node, _, _ in
+                   perms._walk(n, patterns, lambda node, sites, own: sites)]
+        assert collections.Counter(visited) == sizes
+        assert sorted(searched) == sorted(visited)
+
+    # past a raised guard the walk runs deeper than Python's recursion limit;
+    # S_m(12) is the one decreasing word, which has no peak
+    def test_tree_rows_past_the_recursion_limit(self):
+        wide = Limits(avoider_guard_patterns=1200)
+        rows = tree_rows(1200, [(1, 2)], "pk", limits=wide)
+        assert [row.counts for row in rows] == [
+            (1,) + (0,) * m for m in range(1201)]
+
+    def test_table_past_the_recursion_limit(self, tmp_path, capsys):
+        config = tmp_path / "wide.json"
+        config.write_text('{"avoider_guard_patterns": 1200}')
+        assert main(["--config", str(config), "table", "--patterns", "12",
+                     "--n", "1200", "--stat", "pk"]) == 0
+        assert capsys.readouterr().out == " ".join(["1"] + ["0"] * 1200) + "\n"
 
 
 SUBSETS_OF_S3 = [ps for size in range(1, 7)
