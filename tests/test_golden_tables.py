@@ -17,9 +17,8 @@ qsym digest over 1234 at length 9 was recorded while ``symfunc`` read the
 avoiders of a class with a longer pattern from ``enumerate_avoiders``,
 collected and sorted, before it read the unordered depth-first stream.
 The pk, sdes, lddes and hibasc digests and the 2143 b-file were recorded
-while the tree that evaluates a value function on every child was a
-recursive descent of its own, before it and the stream shared one
-depth-first walk.
+while the tree's tally was a recursive descent of its own, before it and
+the stream shared one depth-first walk.
 """
 
 import hashlib
