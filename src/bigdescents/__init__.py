@@ -6,12 +6,11 @@ quasisymmetric/Schur expansions, and conjecture checkers."""
 from .algebra import MultiPoly, TruncatedSeries
 from .bijections import BIJECTIONS, apply, invert, verify_transfer
 from .config import DEFAULT_LIMITS, Limits
-from .conjectures import (branden_check, conjecture_scan, is_log_concave,
-                          is_real_rooted, is_unimodal, real_root_count)
+from .conjectures import conjecture_scan, is_real_rooted
 from .genfun import (carlitz_verify, catalan, eulerian_r, expand,
                      expand_by_peak_insertion, expand_functional, formula)
 from .paths import (BinaryWord, DyckPath, TwoMotzkinPath, occ_factor,
-                    path_statistic, run_count)
+                    path_statistic)
 from .perms import (DistributionTable, contains, distribution_rows,
                     distribution_table, enumerate_avoiders, standardize,
                     statistic)
@@ -24,12 +23,11 @@ __all__ = [
     "MultiPoly", "TruncatedSeries",
     "BIJECTIONS", "apply", "invert", "verify_transfer",
     "DEFAULT_LIMITS", "Limits",
-    "branden_check", "conjecture_scan", "is_log_concave", "is_real_rooted",
-    "is_unimodal", "real_root_count",
+    "conjecture_scan", "is_real_rooted",
     "carlitz_verify", "catalan", "eulerian_r", "expand",
     "expand_by_peak_insertion", "expand_functional", "formula",
     "BinaryWord", "DyckPath", "TwoMotzkinPath", "occ_factor",
-    "path_statistic", "run_count",
+    "path_statistic",
     "DistributionTable", "contains", "distribution_rows",
     "distribution_table", "enumerate_avoiders", "standardize", "statistic",
     "QsymExpansion", "SymExpansion", "is_schur_positive", "qsym_sum",

@@ -1,4 +1,4 @@
-"""Exact checkers for real-rootedness, log-concavity, and related identities.
+"""Exact real-root counting and property scans over avoider distributions.
 
 Polynomials here are univariate in t with exact rational coefficients, held
 as ``algebra.MultiPoly`` values; the public entry points also take
@@ -18,8 +18,8 @@ avoider class) as vacuously satisfying every property.
 Each scan is one entry of ``SCANS``.  Real-rootedness, log-concavity and
 unimodality are ``RowProperty`` values: one witness function, which names
 the first failure of a row of counts and returns None where the row has the
-property, and the classes predicted to fail it.  ``is_log_concave`` and
-``is_unimodal`` ask whether the witness is None.
+property, and the classes predicted to fail it.  ``is_real_rooted`` asks
+whether the real-rootedness witness of one nonzero polynomial is None.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import MultiPoly
 from .config import DEFAULT_LIMITS, Limits
-from .perms import distribution_rows, distribution_table, format_permutation
+from .perms import distribution_rows, format_permutation
 from .symfunc import asymmetry_witness, is_schur_positive, qsym_sum, schur_expand
 from .wilf import (ALL_PAIRS, ALL_SINGLETONS, NON_REAL_ROOTED_CLASS, PatternTuple)
-
-_T = MultiPoly.var("t")
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +75,6 @@ def _sturm_count(r: MultiPoly) -> tuple[int, MultiPoly]:
     at_minus = [s != (degree(q) % 2 == 1) for s, q in zip(at_plus, chain)]
     gcd = chain[-1].exact_div(chain[-1].leading_term()[1])
     return _sign_changes(at_minus) - _sign_changes(at_plus), gcd
-
-
-def real_root_count(p: MultiPoly | Sequence) -> int:
-    """Number of real roots counted without multiplicity."""
-    return _sturm_count(poly(p))[0]
 
 
 def real_root_count_with_multiplicity(p: MultiPoly | Sequence) -> int:
@@ -130,49 +123,6 @@ def is_real_rooted(p: MultiPoly | Sequence) -> bool:
     if q.is_zero():
         raise ValueError("the zero polynomial is excluded")
     return _real_rooted_witness(q) is None
-
-
-def is_log_concave(counts: Sequence[int]) -> bool:
-    """c_k^2 >= c_{k-1} c_{k+1} at every interior index, literally."""
-    return _log_concave_witness(list(counts)) is None
-
-
-def is_unimodal(counts: Sequence[int]) -> bool:
-    return _unimodal_witness(list(counts)) is None
-
-
-# ---------------------------------------------------------------------------
-# the 231-avoider identities
-# ---------------------------------------------------------------------------
-
-def branden_check(n: int) -> bool:
-    """Exact check of A_n(t) = ((1+t)/2)^(n-1) P_n(4t/(1+t)^2) over the
-    231-avoiders, where A counts descents and P counts peaks.
-
-    Cleared of denominators: 2^(n-1) A_n(t) must equal
-    sum_k p_k 4^k t^k (1+t)^(n-1-2k), a polynomial identity since peaks
-    never exceed (n-1)/2.
-    """
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    a_poly = distribution_table(n, ((2, 3, 1),), "des").poly()
-    p_poly = distribution_table(n, ((2, 3, 1),), "pk").poly()
-    rhs = MultiPoly.zero()
-    for k, coeff in enumerate(p_poly):
-        if not coeff:
-            continue
-        if n - 1 - 2 * k < 0:
-            return False
-        rhs = rhs + coeff * 4 ** k * _T ** k * (1 + _T) ** (n - 1 - 2 * k)
-    return poly(a_poly) * 2 ** (n - 1) == rhs
-
-
-def stembridge_consistency(n: int) -> bool:
-    """Both 231-avoider polynomials (descents and peaks) real-rooted, and the
-    substitution-equivalence they should satisfy observed: equal verdicts."""
-    a_rooted = is_real_rooted(distribution_table(n, ((2, 3, 1),), "des").poly())
-    p_rooted = is_real_rooted(distribution_table(n, ((2, 3, 1),), "pk").poly())
-    return a_rooted == p_rooted and a_rooted
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,15 @@ def _balanced(word, up, down, level=()) -> bool:
     return height == 0
 
 
-def _walks(n: int, up, down, level=()) -> Iterator[tuple]:
-    """Every word of n steps that `_balanced` accepts, as a tuple, in
-    lexicographic order with down < the `level` steps (in their order) < up.
+def _walks(n: int, up, down) -> Iterator[tuple]:
+    """Every word of n `up` (+1) and `down` (-1) steps that `_balanced`
+    accepts, as a tuple, in lexicographic order with down < up.
 
     A step is taken only when the walk can still come back to height 0 in
-    the steps left, so no prefix is a dead end unless n is odd and there
-    are no level steps.  The stack pops the smallest step first.
+    the steps left, so no prefix is a dead end unless n is odd.  The stack
+    pops the smallest step first.
     """
-    moves = ((up, 1), *((step, 0) for step in reversed(level)), (down, -1))
+    moves = ((up, 1), (down, -1))
     stack = [((), 0)]
     while stack:
         prefix, height = stack.pop()
@@ -195,25 +195,6 @@ def occ_factor(p: DyckPath | BinaryWord, factor: str, level0_only: bool = False)
     return count
 
 
-def run_count(w: BinaryWord, r: int) -> int:
-    """Maximal runs of 0's of length at least r.
-
-    >>> run_count(BinaryWord("0000110111001"), 2)
-    2
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    count = run = 0
-    for ch in w.bits + "1":
-        if ch == "0":
-            run += 1
-        else:
-            if run >= r:
-                count += 1
-            run = 0
-    return count
-
-
 # ---------------------------------------------------------------------------
 # colored statistics
 # ---------------------------------------------------------------------------
@@ -286,7 +267,7 @@ def path_statistic(p: DyckPath, name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive generators (oracles for the verification suites)
+# exhaustive generator (the domain of the Dyck-path bijection checks)
 # ---------------------------------------------------------------------------
 
 def iter_dyck_paths(m: int) -> Iterator[DyckPath]:
@@ -296,19 +277,3 @@ def iter_dyck_paths(m: int) -> Iterator[DyckPath]:
         raise ValueError("semilength must be non-negative")
     for word in _walks(2 * m, "U", "D"):
         yield DyckPath._trusted("".join(word))
-
-
-def iter_two_motzkin(n: int) -> Iterator[TwoMotzkinPath]:
-    """All 2-Motzkin paths of length n, in lexicographic order
-    (d < h0 < h1 < u)."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    for word in _walks(n, "u", "d", ("h0", "h1")):
-        yield TwoMotzkinPath(word)
-
-
-def iter_binary_words(n: int) -> Iterator[BinaryWord]:
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    for bits in range(2 ** n):
-        yield BinaryWord(format(bits, f"0{n}b") if n else "")

@@ -190,6 +190,7 @@ def _pinned_sites(parent: list[int], rest: Perm, w: int,
     below, above = links
     chosen = [0] * k + [0, m + 1]
     active = [True] * (m + 1)
+    last = m  # every site past `last` is ruled out
 
     def completes(d: int, start: int) -> bool:
         if d == k:
@@ -203,14 +204,24 @@ def _pinned_sites(parent: list[int], rest: Perm, w: int,
                     return True
         return False
 
+    def kill(first: int, stop: int) -> None:
+        # rule out the sites first..stop-1, and lower `last` past them
+        nonlocal last
+        active[first:stop] = [False] * (stop - first)
+        if stop > last:
+            last = first - 1
+            while last >= 0 and not active[last]:
+                last -= 1
+
     def rule_out(d: int, start: int) -> None:
-        # the sites still at stake are start..m
-        if not any(active[start:]):
+        # the sites still at stake are start..last
+        if start > last:
             return
         if d == k:
-            active[start:] = [False] * (m + 1 - start)
+            kill(start, last + 1)
             return
         lo, hi = chosen[below[d]], chosen[above[d]]
+        done = start  # for d == w: the sites start..done-1 are ruled out
         for idx in range(start, m - k + d + 1):
             v = parent[idx]
             if not lo < v < hi:
@@ -218,8 +229,12 @@ def _pinned_sites(parent: list[int], rest: Perm, w: int,
             chosen[d] = v
             if d < w:
                 rule_out(d + 1, idx + 1)
-            elif any(active[start:idx + 1]) and completes(d + 1, idx + 1):
-                active[start:idx + 1] = [False] * (idx + 1 - start)
+                continue
+            while done <= idx and not active[done]:
+                done += 1
+            if done <= idx and completes(d + 1, idx + 1):
+                kill(done, idx + 1)
+                done = idx + 1
 
     rule_out(0, 0)
     return [i for i, free in enumerate(active) if free]

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigdescents import conjectures as cj
-from bigdescents.conjectures import (branden_check, conjecture_scan, degree,
-                                     is_log_concave, is_real_rooted,
-                                     is_unimodal, poly, real_root_count,
-                                     real_root_count_with_multiplicity,
-                                     stembridge_consistency)
+from bigdescents.conjectures import (conjecture_scan, degree, is_real_rooted,
+                                     poly, real_root_count_with_multiplicity)
 from bigdescents.perms import distribution_table
+from oracles import (branden_check, is_log_concave, is_unimodal,
+                     real_root_count, stembridge_consistency)
 
 _NONZERO_COEFFS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any)
 

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -11,6 +12,16 @@ import bigdescents
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+SRC = ROOT / "src" / "bigdescents"
+
+# The public functions that no other code in the package names, each with the
+# reason it stays.
+UNCALLED_BY_DESIGN = {
+    "perms.enumerate_avoiders": "README entry point",
+    "perms.statistic": "README entry point",
+    "conjectures.is_real_rooted": "bench/tracer.py wraps it (LAYERS)",
+    "symfunc.schur_to_monomial_qsym": "bench/tracer.py wraps it (LAYERS)",
+}
 
 
 def _traced_layers():
@@ -57,3 +68,35 @@ def test_cli_import_set():
     wanted = {f"bigdescents.{module_name}"
               for _, module_name, _, _, _ in _traced_layers()}
     assert wanted - loaded == set()
+
+
+def _public_functions_without_a_caller():
+    """The "module.name" of each public top-level function of the package
+    (not counting ``__init__.py``) that no code outside its own body names."""
+    defined, users = [], {}  # users: name -> the top-level blocks naming it
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for block in ast.parse(path.read_text()).body:
+            owner = (path.stem, getattr(block, "name", None))
+            if (isinstance(block, ast.FunctionDef)
+                    and not block.name.startswith("_")):
+                defined.append(owner)
+            for node in ast.walk(block):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add(owner)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if users.get(name, set()) <= {(module, name)})
+
+
+def test_every_public_function_has_a_program_caller():
+    """A public function that only the tests call is a test oracle: it
+    belongs in ``tests/oracles.py``.  The exceptions are exact, so one that
+    gains a caller or disappears fails here too."""
+    uncalled = _public_functions_without_a_caller()
+    unexpected = [name for name in uncalled if name not in UNCALLED_BY_DESIGN]
+    assert not unexpected, f"no program caller: {', '.join(unexpected)}"
+    stale = sorted(set(UNCALLED_BY_DESIGN) - set(uncalled))
+    assert not stale, f"called or gone, yet excepted: {', '.join(stale)}"

@@ -49,7 +49,7 @@ class TestClosedForms:
                 [catalan(n) for n in range(11)]
 
     def test_run_generating_function_against_words(self):
-        from bigdescents.paths import iter_binary_words, run_count
+        from oracles import iter_binary_words, run_count
         for r in (2, 3):
             series = expand("R_run", 7, r=r)
             for n in range(8):

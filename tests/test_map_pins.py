@@ -13,9 +13,9 @@ import hashlib
 import pytest
 
 from bigdescents import bijections as bj
-from bigdescents.paths import (iter_binary_words, iter_dyck_paths,
-                               iter_two_motzkin)
+from bigdescents.paths import iter_dyck_paths
 from bigdescents.perms import enumerate_avoiders, format_permutation
+from oracles import iter_binary_words, iter_two_motzkin
 
 N = 8
 

@@ -6,9 +6,9 @@ import pytest
 from bigdescents.bijections import psi
 from bigdescents.genfun import catalan
 from bigdescents.paths import (BinaryWord, DyckPath, TwoMotzkinPath,
-                               iter_binary_words, iter_dyck_paths,
-                               iter_two_motzkin, occ_factor, path_statistic,
-                               path_statistics, run_count)
+                               iter_dyck_paths, occ_factor, path_statistic,
+                               path_statistics)
+from oracles import iter_binary_words, iter_two_motzkin, run_count
 
 
 def heights(mu):

@@ -380,9 +380,13 @@ class TestDistributionRows:
             distribution_rows(3, (), "zigzag")
 
 
-LENGTH_4_SETS = [((1, 2, 3, 4),), ((4, 3, 2, 1),), ((1, 3, 4, 2),),
-                 ((2, 1, 4, 3),), ((1, 4, 2, 3),), ((2, 1, 3), (1, 2, 3, 4))]
-ORACLE_SETS = [*ALL_SINGLETONS, *ALL_PAIRS, *LENGTH_4_SETS, (), ((),)]
+# classes with a pattern of length other than 3, whose sites `_pinned_sites`
+# finds
+PINNED_SETS = [((1, 2, 3, 4),), ((4, 3, 2, 1),), ((1, 3, 4, 2),),
+               ((2, 1, 4, 3),), ((1, 4, 2, 3),), ((2, 1, 3), (1, 2, 3, 4)),
+               ((1, 2),), ((2, 1),), ((1, 2, 3, 4, 5),),
+               ((2, 1, 4, 3), (1, 3, 2))]
+ORACLE_SETS = [*ALL_SINGLETONS, *ALL_PAIRS, *PINNED_SETS, (), ((),)]
 ORACLE_STATS = {name: stat.value for name, stat in perms.STATISTICS.items()}
 ORACLE_STATS["des_r(2)"] = functools.partial(des_r, r=2)
 
@@ -418,11 +422,38 @@ class TestTreeAgainstNaiveFilter:
                     assert row.counts == tuple(found), (rows_of, stat, n)
                     assert row.patterns == tuple(sorted(patterns))
 
-    @pytest.mark.parametrize("patterns", LENGTH_4_SETS)
+    @pytest.mark.parametrize("patterns", PINNED_SETS)
     def test_enumeration_matches_naive_list(self, patterns):
         for n in range(8):
             assert list(enumerate_avoiders(n, patterns)) == \
                 naive_class(patterns, n)
+
+
+def occurrence_sites(parent, sigma):
+    """The sites of `parent` where its new maximum completes no occurrence of
+    sigma, from every occurrence of sigma less its maximum: one at positions
+    p_0 < ... < p_(k-1) rules out the sites i with p_(w-1) < i <= p_w, w
+    being the index of sigma's maximum."""
+    k = len(sigma) - 1
+    w = sigma.index(k + 1)
+    rest = standardize(sigma[:w] + sigma[w + 1:])
+    ruled_out = set()
+    for at in itertools.combinations(range(len(parent)), k):
+        if standardize([parent[p] for p in at]) == rest:
+            first = at[w - 1] + 1 if w else 0
+            ruled_out.update(range(first, (at[w] if w < k else len(parent)) + 1))
+    return [i for i in range(len(parent) + 1) if i not in ruled_out]
+
+
+@pytest.mark.parametrize("sigma", [(1, 2), (2, 1), (1, 3, 2, 4), (2, 1, 4, 3),
+                                   (4, 1, 3, 2), (1, 2, 3, 4, 5)])
+def test_pinned_sites_match_an_occurrence_search(sigma):
+    """`_pinned_sites` on every word of length <= 7, whether it avoids sigma
+    or not, against the search of every occurrence."""
+    rule = perms._site_rule(sigma)
+    for m in range(8):
+        for parent in itertools.permutations(range(1, m + 1)):
+            assert rule(list(parent)) == occurrence_sites(parent, sigma), parent
 
 
 class TestDepthFirstWalk:

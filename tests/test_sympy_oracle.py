@@ -11,11 +11,11 @@ import random
 
 import pytest
 
-from bigdescents.conjectures import (real_root_count,
-                                     real_root_count_with_multiplicity)
+from bigdescents.conjectures import real_root_count_with_multiplicity
 from bigdescents.genfun import expand, series_row
 from bigdescents.perms import distribution_rows
 from bigdescents.wilf import ALL_PAIRS, ALL_SINGLETONS
+from oracles import real_root_count
 
 sp = pytest.importorskip("sympy")
 
