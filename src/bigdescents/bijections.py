@@ -9,10 +9,10 @@ once against the record (a permutation, avoiding the domain patterns, at least
 ``min_length`` long).  They build their paths and words through
 ``Value._trusted``, without the constructors' checks, which the inverses and
 parsers keep; the tests rebuild every image through the public constructors.
-``verify_transfer`` reads its domain once, from `perms._avoiders`' unordered
-depth-first stream (O(n) memory), calls the maps directly, and ``tally``
-counts every identity's failures over the stream in one loop, applying the
-forward map once per object.
+``verify_transfer`` reads its domain once, from `perms.avoider_stream`
+(O(n) memory), calls the maps directly, and counts every identity's failures
+over the stream in one loop, applying the forward map once per object; a
+bdes-preserving composite is an identity of its first map's record.
 
 The nine bijections:
 
@@ -428,6 +428,13 @@ def _basc(p: DyckPath) -> int:
     return path_statistic(p, "hibasc") + path_statistic(p, "lobasc")
 
 
+def _bdes_after_inverse(second: str) -> tuple[str, Callable, Callable]:
+    """The composite second^-1 . first preserves bdes, with second's record
+    read when the check runs, so that a patched one is seen."""
+    return (f"bdes <-> bdes of {second}^-1", perms.bdes,
+            lambda w: perms.bdes(BIJECTIONS[second].backward(w)))
+
+
 def _d_plus_h1_plus_1(alpha: TwoMotzkinPath) -> int:
     counts = alpha.step_counts()
     return counts["d"] + counts["h1"] + 1
@@ -496,7 +503,8 @@ _register(Bijection(
     name="phi_213_231", domain_patterns=((2, 1, 3), (2, 3, 1)),
     domain=parse_permutation, codomain=BinaryWord, min_length=1,
     forward=phi_213_231, backward=phi_213_231_inv,
-    identities=(("bdes <-> occ_01", perms.bdes, _word_occ("01")),),
+    identities=(("bdes <-> occ_01", perms.bdes, _word_occ("01")),
+                _bdes_after_inverse("phi_213_312")),
 ))
 _register(Bijection(
     name="phi_213_312", domain_patterns=((2, 1, 3), (3, 1, 2)),
@@ -509,7 +517,8 @@ _register(Bijection(
     domain=parse_permutation, codomain=BinaryWord, min_length=1,
     forward=rlmax_word, backward=phi_123_132_inv,
     identities=(("bdes <-> occ_10 + occ_011", perms.bdes,
-                 lambda w: occ_factor(w, "10") + occ_factor(w, "011")),),
+                 lambda w: occ_factor(w, "10") + occ_factor(w, "011")),
+                _bdes_after_inverse("phi_132_213")),
 ))
 _register(Bijection(
     name="phi_132_213", domain_patterns=((1, 3, 2), (2, 1, 3)),
@@ -563,22 +572,6 @@ class IdentityResult(NamedTuple):
     failures: int
 
 
-def tally(objects, image, identities) -> tuple[IdentityResult, ...]:
-    """One result per identity (label, f, g): the objects x counted, and those
-    with f(x) != g(image(x)) counted as failures."""
-    population = 0
-    failures = [0] * len(identities)
-    checks = [(i, f, g) for i, (_, f, g) in enumerate(identities)]
-    for x in objects:
-        population += 1
-        y = image(x)
-        for i, f, g in checks:
-            if f(x) != g(y):
-                failures[i] += 1
-    return tuple(IdentityResult(label, population, bad)
-                 for (label, _, _), bad in zip(identities, failures))
-
-
 class TransferReport(NamedTuple):
     bijection: str
     n: int
@@ -602,22 +595,32 @@ def _domain_objects(b: Bijection, n: int, limits: Limits = DEFAULT_LIMITS):
         limits.check("avoider_guard_patterns", n)
         yield from iter_dyck_paths(n)
     else:
-        yield from perms._avoiders(
-            n, perms._checked_patterns(n, b.domain_patterns, limits))
+        yield from perms.avoider_stream(n, b.domain_patterns, limits)
 
 
 def verify_transfer(name: str, n: int,
                     limits: Limits = DEFAULT_LIMITS) -> TransferReport:
     """Exhaustively check round trips and statistic identities at size n,
-    in one tally that enumerates the domain under `limits`' guards once and
-    applies the forward map once per object."""
+    in one loop that enumerates the domain under `limits`' guards once and
+    applies the forward map once per object: each (label, f, g) counts the
+    objects x with f(x) != g(image of x) as failures."""
     b = _lookup(name)
+    if n < 0:
+        raise ValueError("length must be non-negative")
     if n < b.min_length:
         raise ValueError(f"{name} is defined from length {b.min_length} on")
-    round_trip, *identities = tally(
-        _domain_objects(b, n, limits), b.forward,
-        (("round trip", lambda x: x, b.backward), *b.identities))
-    return TransferReport(bijection=name, n=n,
-                          population=round_trip.population,
+    identities = (("round trip", lambda x: x, b.backward), *b.identities)
+    checks = [(i, f, g) for i, (_, f, g) in enumerate(identities)]
+    population, failures = 0, [0] * len(checks)
+    for x in _domain_objects(b, n, limits):
+        population += 1
+        y = b.forward(x)
+        for i, f, g in checks:
+            if f(x) != g(y):
+                failures[i] += 1
+    round_trip, *results = (
+        IdentityResult(label, population, bad)
+        for (label, _, _), bad in zip(identities, failures))
+    return TransferReport(bijection=name, n=n, population=population,
                           round_trip_failures=round_trip.failures,
-                          identities=tuple(identities))
+                          identities=tuple(results))

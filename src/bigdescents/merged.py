@@ -39,8 +39,8 @@ killed, or killed but for site 0 or the end, around two new codes.
 Soundness splits in two.  `walk` merges two avoiders of one length when
 `key` gives their codes one value, and it needs only that avoiders with one
 key have the same subtree up to the update of their values by `push`.  Each
-client's key proves that on its own (`perms._merged_rows`,
-`symfunc._descent_set_counts`).
+client's key proves that on its own; both clients live in `perms`
+(`_merged_rows`, `descent_set_counts`), the one module that imports this.
 """
 
 from __future__ import annotations

@@ -40,25 +40,23 @@ def _balanced(word, up, down, level=()) -> bool:
     return height == 0
 
 
-def _walks(n: int, up, down) -> Iterator[tuple]:
-    """Every word of n `up` (+1) and `down` (-1) steps that `_balanced`
-    accepts, as a tuple, in lexicographic order with down < up.
+def _dyck_words(n: int) -> Iterator[str]:
+    """Every Dyck word of n steps, in lexicographic order (D < U).
 
     A step is taken only when the walk can still come back to height 0 in
     the steps left, so no prefix is a dead end unless n is odd.  The stack
-    pops the smallest step first.
-    """
-    moves = ((up, 1), (down, -1))
-    stack = [((), 0)]
+    pops D first."""
+    stack = [("", 0)]
     while stack:
         prefix, height = stack.pop()
         left = n - len(prefix)
         if height == left:  # only down steps remain
-            yield prefix + (down,) * left
+            yield prefix + "D" * left
             continue
-        for step, rise in moves:
-            if 0 <= height + rise < left:
-                stack.append((prefix + (step,), height + rise))
+        if height + 1 < left:
+            stack.append((prefix + "U", height + 1))
+        if height:
+            stack.append((prefix + "D", height - 1))
 
 
 class DyckPath(Value):
@@ -272,8 +270,7 @@ def path_statistic(p: DyckPath, name: str) -> int:
 
 def iter_dyck_paths(m: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength m, in lexicographic order (D < U),
-    built unchecked: `_walks` yields balanced words alone."""
+    built unchecked: `_dyck_words` yields Dyck words alone."""
     if m < 0:
         raise ValueError("semilength must be non-negative")
-    for word in _walks(2 * m, "U", "D"):
-        yield DyckPath._trusted("".join(word))
+    yield from map(DyckPath._trusted, _dyck_words(2 * m))

@@ -19,23 +19,24 @@ the generating tree's O(1) update.  ``des_r(r)`` and its shorthand
 Avoider classes live on their generating tree: each avoider of length m
 has as children its insertions of m + 1 at the active sites, computed once
 per parent (an interval or a prefix split for a length-3 pattern, an
-occurrence scan pinned to the new maximum for any other length).  Two walks
-serve the tables, both tallying the children's statistic values without
-building the last level and updating des_r(r) in O(1) from the neighbours
-of the inserted letter:
-- the merged walk (``_merged_rows``, a client of `merged.walk`) serves
-  ``distribution_rows`` and ``distribution_table`` for des_r(r) over S_n
-  and over every class of patterns of length at most 3.  Level by level it
-  keeps one state per key, a finite label of the node's future (West 1995;
-  Vatter, J. Symbolic Comput. 41, 2006), and derives each child's state
-  from its parent's, so it tallies a few hundred states where the tree has
-  tens of thousands of avoiders;
+occurrence scan pinned to the new maximum for any other length).  Every
+walk of a class starts in this module, the one that imports `merged`, and
+its tallies count the children's values without building the last level,
+updating des_r(r) in O(1) from the neighbours of the inserted letter:
+- the merged walk (`merged.walk`) tallies des_r(r) for ``distribution_rows``
+  (``_merged_rows``) and the r-descent sets of ``descent_set_counts`` over
+  S_n and over every class of patterns of length at most 3.  Level by level
+  it keeps one state per key, a finite label of the node's future (West
+  1995; Vatter, J. Symbolic Comput. 41, 2006), and derives each child's
+  state from its parent's, so it tallies a few hundred states where the
+  tree has tens of thousands of avoiders;
 - the depth-first walk (``_walk``) visits every node in O(n) memory.  Its
   tally (``_grow``) serves the tables of a class with a longer pattern and
   of a statistic without an O(1) update, and ``tree_rows`` (the exhaustive
-  oracle of ``verify``); its stream (``_avoiders``) yields the leaves in no
-  promised order, which the bijection checks and the descent-set sums of a
-  class with a longer pattern count and ``enumerate_avoiders`` sorts.
+  oracle of ``verify``); its stream (``avoider_stream``) yields the leaves
+  in no promised order, which the bijection checks and the descent-set
+  counts of a class with a longer pattern count and ``enumerate_avoiders``
+  sorts.
 """
 
 from __future__ import annotations
@@ -364,9 +365,11 @@ def _grow(n: int, pats: tuple[Perm, ...], stat: Statistic) -> list[list[int]]:
     return counts
 
 
-def _avoiders(n: int, pats: tuple[Perm, ...]) -> Iterator[Perm]:
-    """Yield S_n(pats), for checked patterns, each once and in no promised
-    order: the children of `_walk`'s nodes of length n - 1."""
+def avoider_stream(n: int, patterns: Iterable[Sequence[int]],
+                   limits: Limits = DEFAULT_LIMITS) -> Iterator[Perm]:
+    """Yield S_n(patterns) under `limits`' guard, each once and in no
+    promised order: the children of `_walk`'s nodes of length n - 1."""
+    pats = _checked_patterns(n, patterns, limits)
     if n == 0 and all(pats):  # the empty word, where the walk has no node
         yield ()
     for node, sites, _ in _walk(n, pats, lambda node, sites, own: sites):
@@ -420,11 +423,59 @@ def _shift(values: dict, i: int, made: int, broken: int, into: dict) -> None:
         into[s + step] = into.get(s + step, 0) + c
 
 
+def descent_set_counts(n: int, patterns: Iterable[Sequence[int]], r: int,
+                       limits: Limits) -> list[int]:
+    """Count avoiders by their r-descent set, encoded as a bitmask of [n-1].
+
+    A class of patterns of length at most 3 is tallied on `merged.walk`,
+    keyed by the codes of every site in order without their descent flags
+    (`merged.site_ranks`).  Sound because avoiders with one key have the same
+    subtree up to `_insert_bit`: it reads only the site's place and whether
+    (top, b) is an r-descent, which the site's rank fixes, and a child's
+    ranks and dead sites follow from the parent's and the place alone.
+    The mask itself holds every pair's descent flag.  Any other class
+    reads its avoiders one by one from `avoider_stream`.
+    """
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    limits.check("qsym_guard", n)
+    pats = _checked_patterns(n, patterns, limits)
+    by_mask = [0] * (1 << max(n - 1, 0))
+    if _merged_walk_covers(pats):
+        from . import merged  # loaded by the first walk, not by every job
+        for tallies in merged.walk(n, pats, r, merged.site_ranks, _insert_bit):
+            pass  # only the last level's tally is read
+        for mask, c in tallies[0].items():
+            by_mask[mask] += c
+        return by_mask
+    for pi in avoider_stream(n, pats, limits):
+        mask, bit = 0, 1  # bit k - 1 stands for position k
+        letters = iter(pi)
+        prev = next(letters, 0)
+        for b in letters:
+            if prev > b + r:
+                mask |= bit
+            prev, bit = b, bit << 1
+        by_mask[mask] += 1
+    return by_mask
+
+
+def _insert_bit(masks: dict, i: int, made: int, broken: int,
+                into: dict) -> None:
+    """The r-descent sets after inserting the new maximum at site i: the
+    pairs before position i stay, position i becomes an ascent, position
+    i + 1 is an r-descent when `made`, and the later pairs move up by one."""
+    low = ((1 << i) - 1) >> 1
+    for mask, c in masks.items():
+        mask = (mask & low) | (made << i) | (mask >> i << i + 1)
+        into[mask] = into.get(mask, 0) + c
+
+
 def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
                        limits: Limits = DEFAULT_LIMITS) -> Iterator[Perm]:
     """Yield S_n(patterns) exactly once each, in lexicographic order.
 
-    The avoiders of `_avoiders`' stream are sorted.  With no patterns the
+    The avoiders of `avoider_stream` are sorted.  With no patterns the
     permutations stream from itertools, already in order, so a caller that
     stops early never builds S_n.
     """
@@ -432,7 +483,7 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
     if not pats:
         yield from itertools.permutations(range(1, n + 1))
         return
-    yield from sorted(_avoiders(n, pats))
+    yield from sorted(avoider_stream(n, pats, limits))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ monomial quasisymmetric basis M, symmetric ones on the Schur basis s; no
 underlying variables are ever expanded.  The fundamental basis element
 F_{n,S} for S inside [n-1] is the sum of M_beta over all compositions beta
 of n refining the composition determined by S, i.e. M_{alpha(T)} over
-supersets T of S.
+supersets T of S.  The descent-set sums read their counts of avoiders by
+r-descent set from `perms.descent_set_counts`, which chooses the walk.
 
 Schur expansion of a symmetric input solves against the Kostka matrix
 (s_lam = sum over mu of K_{lam,mu} m_mu).  The coefficient of the monomial
@@ -23,7 +24,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .perms import _avoiders, _checked_patterns, _merged_walk_covers
+from .perms import descent_set_counts
 from .values import Value
 
 Composition = tuple[int, ...]
@@ -151,54 +152,6 @@ class SymExpansion(_Expansion):
                 and list(lam) == sorted(lam, reverse=True))
 
 
-def _descent_set_counts(n: int, patterns, r: int, limits: Limits) -> list[int]:
-    """Count avoiders by their r-descent set, encoded as a bitmask of [n-1].
-
-    A class of patterns of length at most 3 is tallied on `merged.walk`,
-    keyed by the codes of every site in order without their descent flags
-    (`merged.site_ranks`).  Sound because avoiders with one key have the same
-    subtree up to `_insert_bit`: it reads only the site's place and whether
-    (top, b) is an r-descent, which the site's rank fixes, and a child's
-    ranks and dead sites follow from the parent's and the place alone.
-    The mask itself holds every pair's descent flag.  Any other class
-    reads its avoiders one by one from `perms._avoiders`' unordered stream.
-    """
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    limits.check("qsym_guard", n)
-    pats = _checked_patterns(n, patterns, limits)
-    m = max(n - 1, 0)
-    by_mask = [0] * (1 << m)
-    if _merged_walk_covers(pats):
-        from . import merged  # loaded by the first walk, not by every job
-        for tallies in merged.walk(n, pats, r, merged.site_ranks, _insert_bit):
-            pass  # only the last level's tally is read
-        for mask, c in tallies[0].items():
-            by_mask[mask] += c
-        return by_mask
-    for pi in _avoiders(n, pats):
-        mask, bit = 0, 1  # bit k - 1 stands for position k
-        letters = iter(pi)
-        prev = next(letters, 0)
-        for b in letters:
-            if prev > b + r:
-                mask |= bit
-            prev, bit = b, bit << 1
-        by_mask[mask] += 1
-    return by_mask
-
-
-def _insert_bit(masks: dict, i: int, made: int, broken: int,
-                into: dict) -> None:
-    """The r-descent sets after inserting the new maximum at site i: the
-    pairs before position i stay, position i becomes an ascent, position
-    i + 1 is an r-descent when `made`, and the later pairs move up by one."""
-    low = ((1 << i) - 1) >> 1
-    for mask, c in masks.items():
-        mask = (mask & low) | (made << i) | (mask >> i << i + 1)
-        into[mask] = into.get(mask, 0) + c
-
-
 def _mask_to_comp(n: int, mask: int) -> Composition:
     subset = {k + 1 for k in range(max(n - 1, 0)) if mask >> k & 1}
     return composition_from_set(n, subset)
@@ -208,7 +161,7 @@ def qsym_fundamental(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
                      limits: Limits = DEFAULT_LIMITS) -> dict[Composition, int]:
     """Sum of F_{n, Des_r(pi)} over the avoiders, in the fundamental basis:
     the number of avoiders keyed by the composition of their descent set."""
-    by_mask = _descent_set_counts(n, patterns, r, limits)
+    by_mask = descent_set_counts(n, patterns, r, limits)
     return {_mask_to_comp(n, mask): c for mask, c in enumerate(by_mask) if c}
 
 
@@ -216,7 +169,7 @@ def qsym_sum(n: int, patterns: Iterable[Sequence[int]], r: int = 1,
              limits: Limits = DEFAULT_LIMITS) -> QsymExpansion:
     """Sum of F_{n, Des_r(pi)} over the avoiders of the patterns,
     returned in the monomial quasisymmetric basis."""
-    by_mask = _descent_set_counts(n, patterns, r, limits)
+    by_mask = descent_set_counts(n, patterns, r, limits)
     m = max(n - 1, 0)
     # subset-sum transform: M-coefficient of alpha(T) sums F-counts over S <= T
     sums = list(by_mask)

@@ -275,13 +275,13 @@ class TestOnePass:
     def count_walks(monkeypatch):
         """The (n, patterns) of every walk of the avoider stream."""
         calls = []
-        stream = perms._avoiders
+        stream = perms.avoider_stream
 
-        def counting(n, pats):
-            calls.append((n, pats))
-            return stream(n, pats)
+        def counting(n, patterns, limits):
+            calls.append((n, patterns))
+            return stream(n, patterns, limits)
 
-        monkeypatch.setattr(perms, "_avoiders", counting)
+        monkeypatch.setattr(perms, "avoider_stream", counting)
         return calls
 
     def test_planted_non_injective_omega_f_fails_both_rows(self, monkeypatch):
@@ -324,12 +324,11 @@ class TestOnePass:
 
     def test_check_bijections_enumerations(self, monkeypatch):
         # one per transfer of a permutation domain (omega_f, omega_l and chi
-        # at n = 0..7, the five phi at n = 1..7) and one per composite row
-        # (two composites at n = 1..7); the onto-Dyck rows reuse the omega
-        # transfers
+        # at n = 0..7, the five phi at n = 1..7); the onto-Dyck rows reuse
+        # the omega transfers, and the composite rows their first map's
         walks = self.count_walks(monkeypatch)
         assert all(r.ok for r in verify.check_bijections(7))
-        assert len(walks) == 3 * 8 + 5 * 7 + 2 * 7 == 73
+        assert len(walks) == 3 * 8 + 5 * 7 == 59
 
 
 class TestComposites:

@@ -204,6 +204,23 @@ class TestBijection:
         assert data["population"] == 132
         assert data["round_trip_failures"] == 0
 
+    def test_verify_lists_the_composite(self, capsys, monkeypatch):
+        # phi_132_213^-1 . phi_123_132 preserves bdes on the 2^5 avoiders of
+        # {123, 132} of length 6; an inverse planted to return the identity
+        # permutation fails on those with a big descent
+        argv = ("bijection", "--id", "phi_123_132", "--verify-n", "6")
+        label = "  bdes <-> bdes of phi_132_213^-1"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and f"{label}: 0 failures / 32" in out.splitlines()
+        monkeypatch.setitem(BIJECTIONS, "phi_132_213", BIJECTIONS[
+            "phi_132_213"]._replace(backward=lambda w: tuple(
+                range(1, len(w.bits) + 1))))
+        bad = sum(statistic(pi, "bdes") > 0 for pi in
+                  enumerate_avoiders(6, ((1, 2, 3), (1, 3, 2))))
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and 0 < bad < 32
+        assert f"{label}: {bad} failures / 32" in out.splitlines()
+
     def test_domain_violation_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "bijection", "--id", "chi",
                            "--apply", "321")
@@ -347,6 +364,13 @@ class TestVerifyAndConjecture:
         ids=lambda argv: argv[-1])
     def test_negative_max_n_is_invalid(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--max-n", "-1")
+        assert code == 2 and out == ""
+        assert "length must be non-negative" in err
+
+    @pytest.mark.parametrize("name", ["chi", "psi"])
+    def test_negative_verify_n_is_invalid(self, capsys, name):
+        code, out, err = run(capsys, "bijection", "--id", name,
+                             "--verify-n", "-1")
         assert code == 2 and out == ""
         assert "length must be non-negative" in err
 

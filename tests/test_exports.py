@@ -100,3 +100,39 @@ def test_every_public_function_has_a_program_caller():
     assert not unexpected, f"no program caller: {', '.join(unexpected)}"
     stale = sorted(set(UNCALLED_BY_DESIGN) - set(uncalled))
     assert not stale, f"called or gone, yet excepted: {', '.join(stale)}"
+
+
+def _walk_internals_named_outside_perms():
+    """Per module other than ``perms``: its imports of ``merged`` and the
+    ``_``-prefixed ``perms`` functions it names."""
+    tree = ast.parse((SRC / "perms.py").read_text())
+    private = {block.name for block in tree.body
+               if isinstance(block, ast.FunctionDef)
+               and block.name.startswith("_")}
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "perms":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                source = (getattr(node, "module", None) or "").split(".")[-1]
+                for alias in node.names:
+                    if "merged" in (source, alias.name.split(".")[-1]):
+                        names.add("import merged")
+                    elif source == "perms" and alias.name in private:
+                        names.add(f"perms.{alias.name}")
+            elif (isinstance(node, ast.Attribute) and node.attr in private
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "perms"):
+                names.add(f"perms.{node.attr}")
+        if names:
+            found[path.stem] = sorted(names)
+    return found
+
+
+def test_only_perms_walks_a_class():
+    """Every walk of an avoider class is chosen and started in ``perms``: no
+    other module imports ``merged`` or names a private ``perms`` function,
+    so changing one walk edits one module."""
+    assert _walk_internals_named_outside_perms() == {}

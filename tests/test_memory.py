@@ -40,11 +40,10 @@ def test_peak_is_below_the_limit(name):
 # one job per client of the stream: the transfers and the descent-set sums
 @pytest.mark.parametrize("name", ["chi transfer at 10", "qsym over 1234 at 8"])
 def test_a_stream_that_lists_its_leaves_fails(monkeypatch, name):
-    stream = perms._avoiders
+    stream = perms.avoider_stream
 
-    def listing(n, pats):
-        return iter(list(stream(n, pats)))
+    def listing(n, patterns, limits):
+        return iter(list(stream(n, patterns, limits)))
 
-    monkeypatch.setattr(perms, "_avoiders", listing)
-    monkeypatch.setattr(symfunc, "_avoiders", listing)
+    monkeypatch.setattr(perms, "avoider_stream", listing)
     assert traced_peak(JOBS[name]) >= LIMIT

@@ -315,7 +315,7 @@ SHORTER_SETS = [((1,),), ((1, 2),), ((2, 1),), ((1, 2), (2, 1)),
 
 
 def enumerated_masks(n, patterns, r):
-    """`_descent_set_counts` from the avoiders one by one: bit k - 1 of an
+    """`perms.descent_set_counts` from the avoiders one by one: bit k - 1 of an
     avoider's mask is set when pi_k > pi_{k+1} + r."""
     by_mask = [0] * (1 << max(n - 1, 0))
     for pi in perms.enumerate_avoiders(n, patterns):
@@ -360,7 +360,7 @@ class TestMaskWalk:
         limits = Limits(qsym_guard=8)
         for n in range(9):
             for r in range(3):
-                assert symfunc._descent_set_counts(n, patterns, r, limits) \
+                assert perms.descent_set_counts(n, patterns, r, limits) \
                     == enumerated_masks(n, patterns, r), (n, r)
 
     @pytest.mark.parametrize("patterns, shape", [
@@ -377,7 +377,7 @@ class TestMaskWalk:
 
         for module, name in ((perms, "_active_sites"),
                              (perms, "enumerate_avoiders"),
-                             (symfunc, "_avoiders")):
+                             (perms, "avoider_stream")):
             monkeypatch.setattr(module, name, refuse)
         rows = perms.distribution_rows(12, [(1, 2, 3)], "bdes")
         assert [row.total() for row in rows] == [
