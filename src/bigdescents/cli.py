@@ -14,50 +14,57 @@ points at.
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import json
 import sys
 
-from . import bijections, conjectures, genfun, verify
+from . import bijections, conjectures, genfun, perms, symfunc, verify
 from .config import DEFAULT_LIMITS, Limits, load_limits
 from .errors import BudgetError
-from .perms import (STATISTICS, distribution_rows, distribution_table,
-                    format_permutation, parse_pattern_set)
-from .symfunc import (asymmetry_witness, format_schur, qsym_fundamental,
-                      qsym_sum, schur_expand)
 
 
 _MAX_N_HELP = ("set every enumeration guard (avoider_guard_empty, "
                "avoider_guard_patterns, qsym_guard) to this length")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None):
+    """The parser of every command; when ``command`` is given, only its
+    arguments are added (they read the modules it runs)."""
+    import argparse  # after the command's modules are compiled: see main
+
     parser = argparse.ArgumentParser(
         prog="bigdescents",
         description="Exact enumeration of big-descent statistics over "
                     "pattern-avoiding permutations.")
     parser.add_argument("--config", help="JSON file overriding size guards")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
+    return parser
 
-    p = sub.add_parser("table", help="distribution of a statistic over an "
-                                     "avoidance class")
+
+def _table_arguments(p) -> None:
     p.add_argument("--patterns", required=True,
                    help='comma-separated patterns, e.g. "213,231"; '
                         '"" means no restriction')
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", default="bdes",
-                   help=", ".join(STATISTICS) + ", or des_r(r)")
+                   help=", ".join(perms.STATISTICS) + ", or des_r(r)")
     p.add_argument("--format", default="text",
                    choices=["text", "json", "tsv", "bfile"])
     p.add_argument("--max-n", type=int, default=None, help=_MAX_N_HELP)
 
-    p = sub.add_parser("verify", help="run a cross-verification suite")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--scope", default="all",
                    choices=sorted(verify.SCOPES) + ["all"])
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--format", default="text", choices=["text", "json"])
 
-    p = sub.add_parser("series", help="expand a named generating function")
+
+def _series_arguments(p) -> None:
     p.add_argument("--id", required=True, choices=sorted(genfun.GF_IDS))
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--r", type=int, default=None,
@@ -69,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "both cross-checks the two")
     p.add_argument("--format", default="text", choices=["text", "json"])
 
-    p = sub.add_parser("bijection", help="apply, invert, or verify a bijection")
+
+def _bijection_arguments(p) -> None:
     p.add_argument("--id", required=True, choices=sorted(bijections.BIJECTIONS))
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--apply", metavar="X",
@@ -82,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "transfers at size N")
     p.add_argument("--format", default="text", choices=["text", "json"])
 
-    p = sub.add_parser("qsym", help="descent-set quasisymmetric sums")
+
+def _qsym_arguments(p) -> None:
     p.add_argument("--patterns", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
@@ -91,20 +100,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--max-n", type=int, default=None, help=_MAX_N_HELP)
 
-    p = sub.add_parser("conjecture", help="scan a conjectured property")
+
+def _conjecture_arguments(p) -> None:
     p.add_argument("--which", required=True,
                    choices=[name.replace("_", "-")
                             for name in conjectures.SCANS])
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", default="text", choices=["text", "json"])
 
-    p = sub.add_parser("formula", help="evaluate a closed counting formula")
+
+def _formula_arguments(p) -> None:
     p.add_argument("--id", required=True, choices=sorted(genfun.FORMULA_IDS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--r", type=int)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +132,25 @@ def _with_max_n(limits: Limits, max_n: int | None) -> Limits:
 
 def _cmd_table(args, limits: Limits) -> int:
     limits = _with_max_n(limits, args.max_n)
-    patterns = parse_pattern_set(args.patterns)
+    patterns = perms.parse_pattern_set(args.patterns)
     if args.format == "bfile":
         # the whole triangle up to n, rows trimmed, flat indices
         index = limits.bfile_offset
-        for row in distribution_rows(args.n, patterns, args.stat, limits=limits):
+        for row in perms.distribution_rows(args.n, patterns, args.stat,
+                                           limits=limits):
             for value in row.poly():
                 print(f"{index} {value}")
                 index += 1
         return 0
-    table = distribution_table(args.n, patterns, args.stat, limits=limits)
+    table = perms.distribution_table(args.n, patterns, args.stat,
+                                     limits=limits)
     if args.format == "text":
         print(" ".join(map(str, table.counts)))
     elif args.format == "tsv":
         print("\t".join(map(str, table.counts)))
     else:  # json
         print(json.dumps({
-            "patterns": [format_permutation(p) for p in table.patterns],
+            "patterns": [perms.format_permutation(p) for p in table.patterns],
             "n": table.n, "stat": table.stat, "counts": list(table.counts),
         }, sort_keys=True))
     return 0
@@ -203,7 +215,8 @@ def _cmd_bijection(args, limits: Limits) -> int:
         result = bijections.apply(args.id, b.domain(args.apply.strip()))
     else:
         result = bijections.invert(args.id, b.codomain(args.invert.strip()))
-    out = format_permutation(result) if isinstance(result, tuple) else str(result)
+    out = (perms.format_permutation(result) if isinstance(result, tuple)
+           else str(result))
     if args.format == "json":
         print(json.dumps({"bijection": args.id, "result": out}))
     else:
@@ -213,9 +226,9 @@ def _cmd_bijection(args, limits: Limits) -> int:
 
 def _cmd_qsym(args, limits: Limits) -> int:
     limits = _with_max_n(limits, args.max_n)
-    patterns = parse_pattern_set(args.patterns)
+    patterns = perms.parse_pattern_set(args.patterns)
     if args.basis == "fundamental":
-        items = sorted(qsym_fundamental(args.n, patterns, r=args.r,
+        items = sorted(symfunc.qsym_fundamental(args.n, patterns, r=args.r,
                                         limits=limits).items())
         if args.format == "json":
             print(json.dumps({"basis": "fundamental", "n": args.n,
@@ -224,10 +237,10 @@ def _cmd_qsym(args, limits: Limits) -> int:
         else:
             print(" + ".join(f"{v}*F{list(c)}" for c, v in items) or "0")
         return 0
-    q = qsym_sum(args.n, patterns, r=args.r, limits=limits)
+    q = symfunc.qsym_sum(args.n, patterns, r=args.r, limits=limits)
     if args.basis == "monomial":
         items = sorted(q.coeffs.items())
-        banner = asymmetry_witness(q)
+        banner = symfunc.asymmetry_witness(q)
         if args.format == "json":
             print(json.dumps({"basis": "monomial_qsym", "n": args.n,
                               "symmetric": banner is None,
@@ -239,9 +252,9 @@ def _cmd_qsym(args, limits: Limits) -> int:
             print(" + ".join(f"{v}*M{list(c)}" for c, v in items) or "0")
         return 0
     try:
-        expansion = schur_expand(q)
+        expansion = symfunc.schur_expand(q)
     except ValueError:  # not symmetric
-        witness = asymmetry_witness(q)
+        witness = symfunc.asymmetry_witness(q)
         print(f"not symmetric: M-coefficients differ on {witness[0]} vs "
               f"{witness[1]}; Schur basis unavailable", file=sys.stderr)
         return 1
@@ -251,7 +264,7 @@ def _cmd_qsym(args, limits: Limits) -> int:
                                      sorted(expansion.coeffs.items())]},
                          sort_keys=True))
     else:
-        print(format_schur(expansion))
+        print(symfunc.format_schur(expansion))
     return 0
 
 
@@ -264,7 +277,8 @@ def _cmd_conjecture(args, limits: Limits) -> int:
     else:
         for r in report.records:
             mark = "ok  " if r.holds else "FAIL"
-            label = ",".join(map(format_permutation, r.patterns)) or "(none)"
+            label = (",".join(map(perms.format_permutation, r.patterns))
+                     or "(none)")
             line = f"{mark} {report.which} patterns={label} n={r.n}"
             if r.witness:
                 line += f" -- {r.witness}"
@@ -288,24 +302,61 @@ def _cmd_formula(args, limits: Limits) -> int:
     return 0
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "series": _cmd_series,
-    "bijection": _cmd_bijection,
-    "qsym": _cmd_qsym,
-    "conjecture": _cmd_conjecture,
-    "formula": _cmd_formula,
+# Each command: its help line; the modules it runs, loaded in this order
+# before its parser is built (largest compile first: algebra, then perms,
+# then the rest, each after the modules it imports); the function that adds
+# its arguments; its handler.
+_COMMANDS = {
+    "table": ("distribution of a statistic over an avoidance class",
+              ("perms",), _table_arguments, _cmd_table),
+    "verify": ("run a cross-verification suite",
+               ("algebra", "perms", "genfun", "values", "paths", "bijections",
+                "wilf", "verify"), _verify_arguments, _cmd_verify),
+    "series": ("expand a named generating function",
+               ("algebra", "genfun"), _series_arguments, _cmd_series),
+    "bijection": ("apply, invert, or verify a bijection",
+                  ("perms", "values", "paths", "bijections"),
+                  _bijection_arguments, _cmd_bijection),
+    "qsym": ("descent-set quasisymmetric sums",
+             ("perms", "values", "symfunc"), _qsym_arguments, _cmd_qsym),
+    "conjecture": ("scan a conjectured property",
+                   ("algebra", "perms", "genfun", "values", "symfunc", "wilf",
+                    "conjectures"), _conjecture_arguments, _cmd_conjecture),
+    "formula": ("evaluate a closed counting formula",
+                ("algebra", "genfun"), _formula_arguments, _cmd_formula),
 }
 
 
+def _named_command(argv) -> str | None:
+    """The command ``argv`` names, read as argparse reads it: the first word
+    after any ``--config`` option (or its abbreviation), whose value follows
+    ``=`` or is the next word.  None when that word names no command."""
+    words = iter(argv)
+    for word in words:
+        option, equals, _ = word.partition("=")
+        if len(option) > 2 and "--config".startswith(option):
+            if not equals:
+                next(words, None)
+            continue
+        return word if word in _COMMANDS else None
+    return None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = _named_command(argv)
+    # import_module reads each module's __spec__, which runs a lazily
+    # registered module.  They are compiled before argparse is imported: a
+    # compile that starts on the heap argparse leaves behind raises the job's
+    # peak RSS.
+    for name in _COMMANDS[command][1] if command else ():
+        importlib.import_module(f"{__package__}.{name}")
+    args = _build_parser(command).parse_args(argv)
     limits = DEFAULT_LIMITS
     try:
         if args.config:
             limits = load_limits(args.config)
-        return _HANDLERS[args.command](args, limits)
+        return _COMMANDS[args.command][3](args, limits)
     except BudgetError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3

@@ -1,14 +1,20 @@
 """The package's public names."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bigdescents
+from bigdescents.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -35,6 +41,7 @@ def test_every_export_resolves_once():
     names = bigdescents.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(bigdescents, name)] == []
+    assert set(names) - set(dir(bigdescents)) == set()
 
 
 def test_traced_layers_resolve():
@@ -55,9 +62,11 @@ def test_traced_layers_resolve():
 
 
 def test_cli_import_set():
-    """Every CLI process imports the package whole (the tracer wraps modules
-    it finds loaded) and never pulls in ``dataclasses`` or ``inspect``, whose
-    import and generated methods would slow the start-up of every job."""
+    """Every CLI process registers the whole package in ``sys.modules`` (the
+    tracer wraps modules it finds there; each is loaded on the first read of
+    one of its attributes) and never pulls in ``dataclasses`` or ``inspect``,
+    whose import and generated methods would slow the start-up of every
+    job."""
     script = ("import json, sys, bigdescents.cli\n"
               "print(json.dumps(sorted(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-B", "-c", script],
@@ -68,6 +77,106 @@ def test_cli_import_set():
     wanted = {f"bigdescents.{module_name}"
               for _, module_name, _, _, _ in _traced_layers()}
     assert wanted - loaded == set()
+
+
+_LOG_COMPILES = """\
+import importlib._bootstrap_external as bootstrap, json, runpy, sys
+compiled = []
+source_to_code = bootstrap.SourceLoader.source_to_code
+def logged(self, data, path, *args, **kwargs):
+    compiled.append(str(path))
+    return source_to_code(self, data, path, *args, **kwargs)
+bootstrap.SourceLoader.source_to_code = logged
+sys.argv[0] = "bigdescents"
+try:
+    runpy.run_module("bigdescents.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(compiled), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, walks", [
+    ("table --patterns 231 --n 6", True),
+    ("table --patterns 1234 --n 6", False),
+    ("verify --scope all --max-n 4", True),
+    ("series --id B132 --order 5", False),
+    ("bijection --id chi --verify-n 5", False),
+    ("qsym --patterns 123 --n 5", True),
+    ("conjecture --which schur-positive --max-n 4", True),
+    ("--conf {config} formula --id b231 --n 7 --k 3", False),
+])
+def test_each_command_compiles_its_own_modules(tmp_path, argv, walks):
+    """A fresh interpreter on a copy of the package with no bytecode
+    compiles the package, ``cli``, ``config`` and ``errors``, then the
+    command's modules in the order of its load tuple, and ``merged`` only
+    when the job walks a class on it."""
+    shutil.copytree(SRC, tmp_path / "bigdescents",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "limits.json").write_text("{}")
+    words = shlex.split(argv.format(config=tmp_path / "limits.json"))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _LOG_COMPILES, *words],
+        capture_output=True, text=True, env={"PYTHONPATH": str(tmp_path)})
+    assert done.returncode == 0, done.stderr
+    package = tmp_path / "bigdescents"
+    compiled = [Path(path).stem for path in
+                json.loads(done.stderr.splitlines()[-1])
+                if Path(path).parent == package]
+    command = next(word for word in words if word in _COMMANDS)
+    assert compiled == ["__init__", "cli", "config", "errors",
+                        *_COMMANDS[command][1]] + ["merged"] * walks
+
+
+def test_tracer_wraps_every_layer():
+    """With the modules registered lazily, the benchmark's tracer still
+    loads and wraps every layer it names, and ``cli.main`` is its span."""
+    script = f"""\
+import contextlib, importlib.util, io, json, sys
+import bigdescents.cli
+spec = importlib.util.spec_from_file_location("tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+trace = tracer.Tracer()
+tracer.install(trace)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [bigdescents.cli.main(["table", "--patterns", "231", "--n", "6"]),
+             bigdescents.cli.main(["series", "--id", "B132", "--order", "5"])]
+plain = []
+for name, module_name, attr, _, _ in tracer.LAYERS:
+    holder = sys.modules["bigdescents." + module_name]
+    owner, _, target = attr.rpartition(".")
+    if owner:
+        holder = getattr(holder, owner)
+    if not hasattr(vars(holder)[target], "__wrapped__"):
+        plain.append(name)
+print(json.dumps([codes, plain, trace.stats["cli.main"][0]]))
+"""
+    out = subprocess.run([sys.executable, "-B", "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": str(ROOT / "src")}).stdout
+    assert json.loads(out) == [[0, 0], [], 2]
+
+
+@pytest.mark.parametrize("argv", [
+    "table --patterns 231 --n 8 --stat bdes",
+    "verify --scope all --max-n 8",
+    "series --id B132 --order 10 --route both",
+    "bijection --id chi --apply 2413756",
+    "qsym --patterns 123 --n 5 --basis schur",
+    "conjecture --which real-rooted --max-n 10",
+    "formula --id b231 --n 7 --k 3",
+])
+def test_module_run_raises_no_warning(argv):
+    """``python -W error -m bigdescents.cli`` prints each command's golden
+    stdout and nothing on stderr: runpy warns when the module it runs is
+    already in ``sys.modules``, and a loader may warn on import."""
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text())[argv]
+    done = subprocess.run(
+        [sys.executable, "-B", "-W", "error", "-m", "bigdescents.cli",
+         *shlex.split(argv)], capture_output=True,
+        env={"PYTHONPATH": str(ROOT / "src")})
+    assert (done.returncode, hashlib.sha256(done.stdout).hexdigest(),
+            done.stderr) == (golden["exit"], golden["sha256"], b"")
 
 
 def _public_functions_without_a_caller():
